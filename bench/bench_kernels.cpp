@@ -15,14 +15,12 @@
 // path) and api::TriangularSolver (blocked path): nrhs looped solve()
 // calls vs one blocked solve_batch(), bit-identical results.
 //
-// Section 4 — level-set parallel trisolve (OpenMP builds). The retired
-// atomic wavefront (kept here, and only here, as the baseline — the
-// library no longer contains any omp atomic) against the level-private
-// deterministic scheme and its coarsened rewrites — flat schedule vs
-// chain-fused vs chains+SIMD-bundles (all bit-identical; the ablation
-// measures pure scheduling) — plus the packed multi-RHS level sweep and
-// the chain-heavy banded tiny-level regime where fusion collapses
-// thousands of barriers.
+// Section 4 — level-set parallel trisolve (OpenMP builds). The
+// level-private deterministic scheme and its coarsened rewrites — flat
+// schedule vs chain-fused vs chains+SIMD-bundles (all bit-identical; the
+// ablation measures pure scheduling) — against the serial pruned solve,
+// plus the packed multi-RHS level sweep and the chain-heavy banded
+// tiny-level regime where fusion collapses thousands of barriers.
 //
 // Results print as tables and land in BENCH_kernels.json for the per-PR
 // perf artifact. `--smoke` runs a reduced shape set with short reps (CI).
@@ -300,39 +298,6 @@ struct ParTriRow {
   double per_rhs_vs_serial = 0.0;
 };
 
-/// The pre-fix wavefront with per-element atomics — result bits depend on
-/// thread interleaving, which is exactly why the library replaced it.
-/// Benchmarked here to quantify what determinism costs (or saves).
-void atomic_trisolve(const CscMatrix& l,
-                     const parallel::LevelSchedule& schedule,
-                     std::span<value_t> x) {
-  const index_t* Li = l.rowind.data();
-  const value_t* Lx = l.values.data();
-  value_t* xp = x.data();
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp parallel
-#endif
-  for (index_t lev = 0; lev < schedule.levels(); ++lev) {
-    const index_t lo = schedule.level_ptr[lev];
-    const index_t hi = schedule.level_ptr[lev + 1];
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (index_t t = lo; t < hi; ++t) {
-      const index_t j = schedule.items[t];
-      const index_t p0 = l.col_begin(j);
-      const value_t xj = xp[j] / Lx[p0];
-      xp[j] = xj;
-      for (index_t p = p0 + 1; p < l.col_end(j); ++p) {
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp atomic
-#endif
-        xp[Li[p]] -= Lx[p] * xj;
-      }
-    }
-  }
-}
-
 std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
   const index_t g = smoke ? 60 : 110;
   const CscMatrix a = gen::grid2d_laplacian(g, g);
@@ -378,16 +343,6 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
       },
       reps);
   rows.push_back({"serial-pruned", n, 1, serial_seconds, 1.0});
-
-  const double atomic_seconds = bench::median_seconds(
-      [&] {
-        std::memcpy(x.data(), b.data(), x.size() * sizeof(value_t));
-        atomic_trisolve(l, plan->schedule, x);
-      },
-      reps);
-  rows.push_back(
-      {"atomic (retired)", n, 1, atomic_seconds,
-       serial_seconds / atomic_seconds});
 
   core::Workspace ws;
   const auto time_scheme = [&](const core::TriSolvePlan& p) {

@@ -18,9 +18,10 @@
 
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
-#include "core/codegen.h"
 #include "core/inspector.h"
+#include "core/plan_compiler.h"
 #include "core/plan_store.h"
+#include "core/planner.h"
 #include "core/trisolve_executor.h"
 #include "core/workspace.h"
 #include "gen/generators.h"
@@ -28,7 +29,6 @@
 #include "parallel/schedule.h"
 #include "solvers/simplicial.h"
 #include "solvers/supernodal.h"
-#include "core/planner.h"
 #include "sparse/io_mm.h"
 #include "sparse/ops.h"
 #include "util/timer.h"
@@ -397,10 +397,10 @@ int main(int argc, char** argv) {
                 residual_inf_norm_symmetric_lower(a, x, b));
 
     if (dump_code) {
-      const core::GeneratedKernel k = core::generate_cholesky(chol.sets(), opt);
-      std::printf("=== generated C (%zu bytes) ===\n%s\n", k.source.size(),
-                  k.source.size() < 16384
-                      ? k.source.c_str()
+      const std::string source = core::PlanCompiler::emit(chol.plan());
+      std::printf("=== generated C (%zu bytes) ===\n%s\n", source.size(),
+                  source.size() < 16384
+                      ? source.c_str()
                       : "(too large to print; use a smaller matrix)");
     }
   } catch (const std::exception& e) {

@@ -72,6 +72,42 @@ void check_values_finite(const CscMatrix& m, const char* who) {
                                  std::to_string(p));
 }
 
+/// JitMode dispatch tier of both facades, and the first rung of the
+/// degradation ladder. Counts this facade use of the plan and, once the
+/// mode's gate passes (has the pattern recurred enough to amortize the
+/// compile?), calls `compile(cap)` to lower the plan and re-weigh its
+/// cache entry; the executor adopts the published kernel on the same
+/// call. PlanCompiler contains its own failures via JitSlot::mark_failed,
+/// and anything that still escapes is contained here. A failure is
+/// sticky: the interpreter (bit-identical by contract) serves every later
+/// call, and each records jit_degraded in `report`.
+template <class Plan, class Compile>
+void run_jit_tier(const core::SympilerOptions& opt, const Plan& plan,
+                  FactorReport& report, const Compile& compile) {
+  // kOff returns before any other work: the warm path allocates nothing.
+  if (opt.jit == core::JitMode::kOff || !plan.evidence.jit_eligible) return;
+  const core::JitSlot& slot = *plan.jit;
+  try {
+    if (!slot.failed() && slot.kernel() == nullptr) {
+      const std::uint64_t uses = slot.note_use();
+      const std::size_t cap =
+          opt.jit_max_source_kb > 0
+              ? static_cast<std::size_t>(opt.jit_max_source_kb) * 1024
+              : 0;
+      if (opt.jit != core::JitMode::kWarm ||
+          uses >= static_cast<std::uint64_t>(opt.jit_warm_calls))
+        compile(cap);
+    }
+  } catch (const std::exception& e) {
+    slot.mark_failed(e.what());
+  }
+  if (slot.failed()) {
+    report.jit_degraded = true;
+    if (report.last_error.ok())
+      report.last_error = Status{ErrorCode::kJitUnavailable, slot.failure()};
+  }
+}
+
 }  // namespace
 
 void validate_factor_input(const CscMatrix& a_lower, bool scan_values) {
@@ -112,22 +148,12 @@ void Solver::factor(const CscMatrix& a_lower) {
   factorized_ = false;
   report_ = {};
   prepare_symbolic(a_lower);
-  // JIT tier, first rung of the degradation ladder: PlanCompiler contains
-  // its own failures via JitSlot::mark_failed, and anything that still
-  // escapes is contained here — the slot goes sticky-failed and the plan
-  // interpreter (bit-identical by contract) serves every later call.
-  try {
-    maybe_compile_kernel();
-  } catch (const std::exception& e) {
-    plan_->jit->mark_failed(e.what());
-  }
-  if (config_.options.jit != core::JitMode::kOff &&
-      plan_->evidence.jit_eligible && plan_->jit->failed()) {
-    report_.jit_degraded = true;
-    if (report_.last_error.ok())
-      report_.last_error =
-          Status{ErrorCode::kJitUnavailable, plan_->jit->failure()};
-  }
+  run_jit_tier(config_.options, *plan_, report_, [&](std::size_t cap) {
+    if (core::PlanCompiler::compile(*plan_, cap) != nullptr)
+      // The plan just grew by the artifact: tell the cache ledger so the
+      // kernel is budgeted — and evicted — with its plan.
+      context_->cholesky_cache().refresh_bytes(key_);
+  });
   factor_numeric(a_lower);
   factorized_ = true;
 }
@@ -279,30 +305,6 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
   // coherent, and the early-return fast path may now trust it.
   key_ = key;
   has_key_ = true;
-}
-
-void Solver::maybe_compile_kernel() {
-  const core::SympilerOptions& opt = config_.options;
-  if (opt.jit == core::JitMode::kOff) return;
-  // Eligibility was decided at plan time (sequential paths only; the
-  // parallel interpreters keep parallel plans). The gates below are the
-  // dynamic part: has the pattern recurred enough to amortize the compile?
-  if (!plan_->evidence.jit_eligible) return;
-  const core::JitSlot& slot = *plan_->jit;
-  if (slot.failed()) return;
-  if (slot.kernel() != nullptr) return;  // executor adopts it at dispatch
-  const std::uint64_t uses = slot.note_use();
-  if (opt.jit == core::JitMode::kWarm &&
-      uses < static_cast<std::uint64_t>(opt.jit_warm_calls))
-    return;
-  const std::size_t cap =
-      opt.jit_max_source_kb > 0
-          ? static_cast<std::size_t>(opt.jit_max_source_kb) * 1024
-          : 0;
-  if (core::PlanCompiler::compile(*plan_, cap) != nullptr)
-    // The plan just grew by the artifact: tell the cache ledger so the
-    // kernel is budgeted — and evicted — with its plan.
-    context_->cholesky_cache().refresh_bytes(key_);
 }
 
 void Solver::solve(std::span<value_t> bx) const {
@@ -460,42 +462,12 @@ TriangularSolver::TriangularSolver(const CscMatrix& l,
   }
 }
 
-void TriangularSolver::maybe_compile_kernel() const {
-  const core::SympilerOptions& opt = config_.options;
-  if (opt.jit == core::JitMode::kOff) return;
-  const core::TriSolvePlan& plan = executor_.plan();
-  if (!plan.evidence.jit_eligible) return;
-  const core::JitSlot& slot = *plan.jit;
-  if (slot.failed()) return;
-  if (slot.kernel() != nullptr) return;  // executor adopts it at dispatch
-  const std::uint64_t uses = slot.note_use();
-  if (opt.jit == core::JitMode::kWarm &&
-      uses < static_cast<std::uint64_t>(opt.jit_warm_calls))
-    return;
-  const std::size_t cap =
-      opt.jit_max_source_kb > 0
-          ? static_cast<std::size_t>(opt.jit_max_source_kb) * 1024
-          : 0;
-  if (core::PlanCompiler::compile(plan, *l_, cap) != nullptr)
-    context_->trisolve_cache().refresh_bytes(plan.key);
-}
-
 void TriangularSolver::prepare_jit() const {
-  // JIT rung of the degradation ladder (mirrors Solver::factor): contain
-  // any compile-path escape in the slot, then record the sticky
-  // degradation — the interpreter serves every call bit-identically.
-  try {
-    maybe_compile_kernel();
-  } catch (const std::exception& e) {
-    executor_.plan().jit->mark_failed(e.what());
-  }
-  if (config_.options.jit != core::JitMode::kOff &&
-      executor_.plan().evidence.jit_eligible && executor_.plan().jit->failed()) {
-    report_.jit_degraded = true;
-    if (report_.last_error.ok())
-      report_.last_error = Status{ErrorCode::kJitUnavailable,
-                                  executor_.plan().jit->failure()};
-  }
+  const core::TriSolvePlan& plan = executor_.plan();
+  run_jit_tier(config_.options, plan, report_, [&](std::size_t cap) {
+    if (core::PlanCompiler::compile(plan, *l_, cap) != nullptr)
+      context_->trisolve_cache().refresh_bytes(plan.key);
+  });
 }
 
 void TriangularSolver::solve(std::span<value_t> x) const {

@@ -219,11 +219,6 @@ class Solver {
   /// SympilerOptions::shift_attempts > 0, retry with growing diagonal
   /// shifts, recording the shift that succeeded in report().
   void factor_numeric(const CscMatrix& a_lower);
-  /// JitMode dispatch tier: count this facade use of the plan and, when
-  /// the mode's gate passes, lower the plan to a compiled kernel
-  /// (core/plan_compiler.h). The executor adopts the published kernel on
-  /// the same call; later factor() calls skip straight to it.
-  void maybe_compile_kernel();
 
   SolverConfig config_;
   std::shared_ptr<SymbolicContext> context_;
@@ -277,13 +272,9 @@ class TriangularSolver {
   [[nodiscard]] const FactorReport& report() const { return report_; }
 
  private:
-  /// JitMode dispatch tier (see Solver::maybe_compile_kernel). Logically
-  /// const: compilation mutates only the plan's JitSlot and the cache
-  /// ledger, never this solver.
-  void maybe_compile_kernel() const;
-  /// maybe_compile_kernel with the ladder's belt-and-braces containment:
-  /// an escaping JIT failure marks the slot failed (sticky) and the
-  /// interpreter serves the call; records jit_degraded in report().
+  /// The facades' JitMode dispatch tier for this solver's plan (see
+  /// solver.cpp); records jit_degraded in report(). Logically const:
+  /// compilation mutates only the plan's JitSlot and the cache ledger.
   void prepare_jit() const;
 
   std::shared_ptr<SymbolicContext> context_;

@@ -8,8 +8,8 @@
 //  * `_ref` reference kernels (kernels_ref.cpp, portable baseline flags) —
 //    the original scalar loop nests. They define the arithmetic contract:
 //    the exact per-element operation order every other tier must reproduce
-//    bit-for-bit. The JIT-generated code (core/codegen.cpp, compiled with
-//    -ffp-contract=off) shares this order, which is what keeps
+//    bit-for-bit. The JIT-generated code (core/plan_compiler.cpp, compiled
+//    with -ffp-contract=off) shares this order, which is what keeps
 //    executor-vs-generated results identical.
 //  * blocked kernels (the public names; kernels.cpp, host vector ISA with
 //    FMA contraction disabled) — register-blocked micro-kernel

@@ -74,9 +74,23 @@ void CholeskyExecutor::factorize(const CscMatrix& a_lower) {
     value_t* values = vs_block_applied() ? panels_.data() : l_.values.data();
     value_t* scratch =
         vs_block_applied() ? ws_.update().data() : ws_.dense().data();
-    if (fn(a_lower.colptr.data(), a_lower.rowind.data(),
-           a_lower.values.data(), values, scratch, ws_.map().data()) != 0)
-      throw numerical_error("cholesky: non-positive pivot");
+    const int rc = fn(a_lower.colptr.data(), a_lower.rowind.data(),
+                      a_lower.values.data(), values, scratch, ws_.map().data());
+    if (rc != 0) {
+      // The kernel stopped at column c (simplicial) or at the supernode
+      // starting there; report the pivot the interpreter would: the dense
+      // accumulation entry, or the first entry of the supernode's panel.
+      const index_t c = -1 - rc;
+      const solvers::SupernodalLayout& layout = sets_->layout;
+      const value_t d =
+          vs_block_applied()
+              ? panels_[layout.panel_ptr[layout.sn.col_to_super[c]]]
+              : scratch[c];
+      throw numerical_error(
+          "cholesky: non-positive pivot at column " + std::to_string(c) +
+              " (compiled kernel)",
+          c, d);
+    }
     factorized_ = true;
     return;
   }

@@ -27,7 +27,11 @@ namespace sympiler::core {
 /// (simplicial: L values in pattern order; supernodal: the dense panels),
 /// value scratch (simplicial: the length-n accumulation column;
 /// supernodal: the max_panel_rows x max_panel_width update tile), and the
-/// length-n integer scatter map. Returns 0, or -1 on a non-positive pivot.
+/// length-n integer scatter map. Returns 0, or -1 - c on a non-positive
+/// pivot, where c is the failing column (simplicial) or the first column
+/// of the failing supernode (supernodal); the pivot value is left where
+/// the interpreter reads it (value scratch entry c, or the first entry of
+/// the supernode's panel).
 /// These are exactly the buffers CholeskyExecutor's plan-sized Workspace
 /// already holds, so dispatching to the kernel allocates nothing.
 using PlanCholeskyFn = int (*)(const int*, const int*, const double*, double*,

@@ -12,9 +12,8 @@
 //   cholesky   etree+colcnt   up-traversal       block-set (supernodes)
 //
 // Everything here runs once per sparsity pattern ("compile time"). The
-// sets have three symbolic-work-free consumers: the interpreting executors
-// read them from memory, the legacy codegen entry points (codegen.h) bake
-// them into standalone C, and the PlanCompiler (plan_compiler.h) bakes
+// sets have two symbolic-work-free consumers: the interpreting executors
+// read them from memory, and the PlanCompiler (plan_compiler.h) bakes
 // them — as part of a whole cached ExecutionPlan — into the plan's
 // compiled kernel. The cold pipeline itself is near-linear: one shared
 // transpose(A) feeds the etree, the GNP column counts, and the fused

@@ -1,6 +1,8 @@
-// JIT for the generated C code: write the translation unit to a scratch
-// directory, invoke the host compiler to produce a shared object, dlopen
-// it, and hand back the kernel entry point.
+// JIT back end of the PlanCompiler (plan_compiler.h): write the emitted
+// translation unit to a scratch directory, invoke the host compiler to
+// produce a shared object, dlopen it, and hand back the kernel entry
+// point. The entry-point types live beside the kernel artifact in
+// compiled_kernel.h.
 //
 // The paper reports this cost explicitly (section 4.3: code generation and
 // compilation cost 6-197x one numeric triangular solve, <= 0.3x one
@@ -47,9 +49,5 @@ class JitModule {
   void* fn_ = nullptr;
   double compile_seconds_ = 0.0;
 };
-
-using TriSolveFn = void (*)(const int*, const int*, const double*, double*);
-using CholeskyFn = int (*)(const int*, const int*, const double*, double*,
-                           double*, int*);
 
 }  // namespace sympiler::core

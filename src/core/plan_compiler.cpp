@@ -94,7 +94,7 @@ void emit_cholesky_simplicial(std::ostringstream& os,
         "      for (int p = pj; p < Lp[k + 1]; ++p) f[Li[p]] -= Lx[p] * lkj;\n"
         "    }\n"
         "    const double d = f[j];\n"
-        "    if (!(d > 0.0)) return -1;\n"
+        "    if (!(d > 0.0)) return -1 - j;\n"
         "    const double ljj = std::sqrt(d);\n"
         "    const int pdiag = Lp[j];\n"
         "    Lx[pdiag] = ljj;\n"
@@ -246,7 +246,7 @@ void emit_cholesky_supernodal(std::ostringstream& os,
         "src[r];\n"
         "    }\n"
         "  }\n"
-        "  if (!potrf_lower(w, panel, m)) return -1;\n"
+        "  if (!potrf_lower(w, panel, m)) return -1 - c1;\n"
         "  if (m > w) trsm_rlt(m - w, w, panel, m, panel + w, m);\n"
         "  return 0;\n"
         "}\n\n";
@@ -273,8 +273,10 @@ void emit_cholesky_supernodal(std::ostringstream& os,
         "    }\n"
         "  }\n";
   if (plan.schedule.empty()) {
-    os << "  for (int s = 0; s < NSUPER; ++s)\n"
-          "    if (factor_one(s, Ax, panels, work, map) != 0) return -1;\n";
+    os << "  for (int s = 0; s < NSUPER; ++s) {\n"
+          "    const int rc = factor_one(s, Ax, panels, work, map);\n"
+          "    if (rc != 0) return rc;\n"
+          "  }\n";
   } else {
     // Level-flattened straight-line phases: one loop per level over the
     // baked topological order, dependencies resolved by construction.
@@ -285,9 +287,11 @@ void emit_cholesky_supernodal(std::ostringstream& os,
       const index_t e = plan.schedule.level_ptr[lv + 1];
       os << "  /* phase " << lv << ": " << (e - b) << " supernode(s) */\n"
          << "  for (int t = " << b << "; t < " << e
-         << "; ++t)\n"
-            "    if (factor_one(snOrder[t], Ax, panels, work, map) != 0) "
-            "return -1;\n";
+         << "; ++t) {\n"
+            "    const int rc =\n"
+            "        factor_one(snOrder[t], Ax, panels, work, map);\n"
+            "    if (rc != 0) return rc;\n"
+            "  }\n";
     }
   }
   os << "  return 0;\n}\n";

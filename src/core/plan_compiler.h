@@ -1,15 +1,16 @@
 // PlanCompiler: lower a cached ExecutionPlan to pattern-specialized C and
 // compile it through the existing JIT machinery.
 //
-// This is the codegen half of the paper pointed at the planning layer
-// built in PRs 1-5: instead of re-running the inspectors (codegen.h's
-// legacy entry points), emission consumes the plan's own inspection sets —
-// the ereach/update chains, supernode extents, panel offsets, and the
-// level schedule are baked into the instruction stream as constants. The
-// pruned-trisolve shape additionally bakes the replayed per-update column
-// cursors (updStart) that the simplicial interpreter chases through its
-// `next` array at run time, so the compiled kernel does strictly less
-// memory traffic than the interpreter on the identical arithmetic.
+// This is the codegen half of the paper, and the repo's only emitter:
+// instead of re-running the inspectors, emission consumes the plan's own
+// inspection sets — the ereach/update chains, supernode extents, panel
+// offsets, and the level schedule are baked into the instruction stream
+// as constants (docs/codegen.md maps each paper transformation to the
+// emission that implements it). The simplicial Cholesky shape
+// additionally bakes the replayed per-update column cursors (updStart)
+// that the interpreter chases through its `next` array at run time, so
+// the compiled kernel does strictly less memory traffic than the
+// interpreter on the identical arithmetic.
 //
 // Bit-identity contract: every emitted loop nest reproduces the exact
 // operation order of the interpreting executor (cholesky_executor.cpp /

@@ -96,8 +96,8 @@ void TriSolveExecutor::solve_pruned(std::span<value_t> x) const {
     x[j] = xj;
     if (plan_->options.low_level &&
         p1 - p0 - 1 > plan_->options.peel_colcount) {
-      // Peeled body: 4-way unrolled update (the generated code emits this
-      // with literal bounds; see codegen.cpp).
+      // Peeled body: 4-way unrolled update (the PlanCompiler's
+      // straight-line form unrolls it fully, with literal bounds).
       index_t p = p0 + 1;
       for (; p + 3 < p1; p += 4) {
         x[Li[p]] -= Lx[p] * xj;

@@ -5,8 +5,9 @@
 // VS-Block supernodal traversal restricted to the supernode-level
 // prune-set, with peeled single-column supernodes and unrolled/vectorized
 // inner loops — but reads the sets from memory instead of having them
-// baked into the instruction stream. codegen.h emits the baked-constant C
-// version; tests assert both produce identical results.
+// baked into the instruction stream. PlanCompiler (plan_compiler.h) emits
+// the baked-constant C version; tests assert both produce identical
+// results.
 //
 // A plan whose path is ParallelTriSolve is interpreted sequentially here
 // (via the pruned path); parallel::parallel_trisolve is its parallel

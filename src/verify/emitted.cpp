@@ -44,8 +44,10 @@ bool is_ident(char ch) {
 /// checks — and the capped source can never reach the host compiler
 /// anyway. Gate the audit on a cheap size estimate (~8 chars per baked
 /// integer), with 2x slack so anything plausibly under the cap is still
-/// audited end to end.
+/// audited end to end. A cap of 0 (or below) means no cap: every source
+/// then reaches the host compiler, so every one is audited.
 bool audit_within_cap(std::size_t baked_ints, const core::SympilerOptions& o) {
+  if (o.jit_max_source_kb <= 0) return true;
   const std::size_t cap = static_cast<std::size_t>(o.jit_max_source_kb) * 1024;
   return baked_ints * 8 <= 2 * cap;
 }

@@ -1,11 +1,13 @@
-// End-to-end codegen tests: the generated C must compile (via the JIT) and
-// produce bit-identical results to the executor path, across option
-// combinations and pattern regimes.
+// End-to-end codegen tests: the PlanCompiler's generated C must compile
+// (via the JIT) and produce bit-identical results to the executor path,
+// across option combinations and pattern regimes.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <tuple>
 
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
-#include "core/codegen.h"
 #include "core/jit.h"
 #include "core/plan_compiler.h"
 #include "core/symbolic_cache.h"
@@ -28,29 +30,6 @@ CscMatrix factor_of(const CscMatrix& a) {
   return chol.factor();
 }
 
-TEST(Codegen, TrisolveSourceShape) {
-  const CscMatrix a = gen::grid2d_laplacian(8, 8);
-  const CscMatrix l = factor_of(a);
-  const std::vector<value_t> b = gen::sparse_rhs(l.cols(), 2, 7);
-  std::vector<index_t> beta;
-  for (index_t i = 0; i < l.cols(); ++i)
-    if (b[i] != 0.0) beta.push_back(i);
-
-  SympilerOptions opt;
-  opt.vs_block = false;
-  const GeneratedKernel k = generate_trisolve(l, beta, opt);
-  EXPECT_NE(k.source.find("static const int pruneSet"), std::string::npos);
-  EXPECT_NE(k.source.find("extern \"C\" void sym_trisolve"),
-            std::string::npos);
-  EXPECT_NE(k.source.find("peeled iteration"), std::string::npos);
-}
-
-struct CodegenCase {
-  int matrix_case;
-  bool vs_block;
-  bool low_level;
-};
-
 CscMatrix codegen_matrix(int c) {
   switch (c) {
     case 0: return gen::grid2d_laplacian(9, 9);
@@ -58,133 +37,6 @@ CscMatrix codegen_matrix(int c) {
     case 2: return gen::random_spd(120, 2.0, 11);
     default: return gen::banded_spd(60, 7, 2);
   }
-}
-
-class TrisolveJit : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(TrisolveJit, GeneratedCodeMatchesExecutor) {
-  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
-  const auto [c, combo] = GetParam();
-  const CscMatrix a = codegen_matrix(c);
-  const CscMatrix l = factor_of(a);
-  const index_t n = l.cols();
-  const std::vector<value_t> b = gen::sparse_rhs(n, 1 + n / 40, 31 + c);
-  std::vector<index_t> beta;
-  for (index_t i = 0; i < n; ++i)
-    if (b[i] != 0.0) beta.push_back(i);
-
-  SympilerOptions opt;
-  opt.vs_block = combo & 1;
-  opt.low_level = combo & 2;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;  // force VS-Block on when enabled
-
-  const GeneratedKernel k = generate_trisolve(l, beta, opt);
-  const JitModule mod = JitModule::compile(k.source, k.symbol);
-  const auto fn = mod.entry<TriSolveFn>();
-
-  std::vector<value_t> x_jit(b);
-  fn(l.colptr.data(), l.rowind.data(), l.values.data(), x_jit.data());
-
-  TriSolveExecutor exec(l, beta, opt);
-  std::vector<value_t> x_exec(b);
-  exec.solve(x_exec);
-
-  for (index_t i = 0; i < n; ++i) {
-    if (!opt.low_level) {
-      // Identical schedule => bit-identical results.
-      ASSERT_EQ(x_jit[i], x_exec[i])
-          << "case " << c << " combo " << combo << " at " << i;
-    } else {
-      // The executor's low-level tail kernel pairs columns (reassociates
-      // the sums); agreement up to rounding.
-      ASSERT_NEAR(x_jit[i], x_exec[i], 1e-12 + 1e-12 * std::abs(x_exec[i]))
-          << "case " << c << " combo " << combo << " at " << i;
-    }
-  }
-  EXPECT_LT(residual_inf_norm(l, x_jit, b), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, TrisolveJit,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Range(0, 4)));
-
-class CholeskyJit : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(CholeskyJit, GeneratedCodeMatchesExecutor) {
-  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
-  const auto [c, combo] = GetParam();
-  const CscMatrix a = codegen_matrix(c);
-
-  SympilerOptions opt;
-  opt.vs_block = combo & 1;
-  opt.low_level = combo & 2;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-
-  const CholeskySets sets = inspect_cholesky(a, opt);
-  const GeneratedKernel k = generate_cholesky(sets, opt);
-  const JitModule mod = JitModule::compile(k.source, k.symbol);
-  const auto fn = mod.entry<CholeskyFn>();
-
-  const index_t n = a.cols();
-  CscMatrix l_jit;
-  if (sets.vs_block_profitable) {
-    std::vector<value_t> panels(
-        static_cast<std::size_t>(sets.layout.total_values()));
-    index_t max_m = 0, max_w = 0;
-    for (index_t s = 0; s < sets.layout.nsuper(); ++s) {
-      max_m = std::max(max_m, sets.layout.nrows(s));
-      max_w = std::max(max_w, sets.layout.width(s));
-    }
-    std::vector<value_t> work(static_cast<std::size_t>(max_m) * max_w);
-    std::vector<int> map(static_cast<std::size_t>(n));
-    ASSERT_EQ(fn(a.colptr.data(), a.rowind.data(), a.values.data(),
-                 panels.data(), work.data(), map.data()),
-              0);
-    l_jit = panels_to_csc(sets.layout, panels);
-  } else {
-    CscMatrix l = sets.sym.l_pattern;
-    std::vector<value_t> f(static_cast<std::size_t>(n), 0.0);
-    std::vector<int> next(static_cast<std::size_t>(n), 0);
-    ASSERT_EQ(fn(a.colptr.data(), a.rowind.data(), a.values.data(),
-                 l.values.data(), f.data(), next.data()),
-              0);
-    l_jit = std::move(l);
-  }
-
-  CholeskyExecutor exec(a, opt);
-  exec.factorize(a);
-  const CscMatrix l_exec = exec.factor_csc();
-  ASSERT_TRUE(l_jit.same_pattern(l_exec));
-  for (index_t p = 0; p < l_jit.nnz(); ++p)
-    ASSERT_NEAR(l_jit.values[p], l_exec.values[p], 1e-10)
-        << "case " << c << " combo " << combo << " nz " << p;
-  EXPECT_LT(llt_residual_inf_norm(l_jit, a), 1e-8);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, CholeskyJit,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Range(0, 4)));
-
-TEST(CholeskyJitErrors, NonSpdReturnsMinusOne) {
-  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
-  std::vector<Triplet> trip = {{0, 0, 1.0}, {1, 0, 5.0}, {1, 1, 1.0}};
-  const CscMatrix a = CscMatrix::from_triplets(2, 2, trip);
-  SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-  const CholeskySets sets = inspect_cholesky(a, opt);
-  const GeneratedKernel k = generate_cholesky(sets, opt);
-  const JitModule mod = JitModule::compile(k.source, k.symbol);
-  const auto fn = mod.entry<CholeskyFn>();
-  std::vector<value_t> panels(
-      static_cast<std::size_t>(sets.layout.total_values()));
-  std::vector<value_t> work(16);
-  std::vector<int> map(2);
-  EXPECT_EQ(fn(a.colptr.data(), a.rowind.data(), a.values.data(),
-               panels.data(), work.data(), map.data()),
-            -1);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +176,36 @@ TEST_P(PlanCompiledTriSolve, KernelBitIdenticalToInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PlanCompiledTriSolve,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Range(0, 4)));
+
+TEST(PlanCompiledPivot, BreakdownReportsTheInterpretersPivot) {
+  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
+  CscMatrix a = gen::grid2d_laplacian(9, 9);
+  a.values[a.col_begin(40)] = -1.0;  // the diagonal leads each column
+  for (const bool supernodal : {false, true}) {
+    SympilerOptions opt;
+    opt.vs_block = supernodal;
+    opt.vsblock_min_avg_size = 0.0;
+    opt.vsblock_min_avg_width = 0.0;
+    const auto plan = sequential_cholesky_plan(a, opt);
+    ASSERT_EQ(plan->path, supernodal ? ExecutionPath::Supernodal
+                                     : ExecutionPath::Simplicial);
+    CholeskyExecutor exec(plan);
+    const auto breakdown = [&] {
+      try {
+        exec.factorize(a);
+      } catch (const numerical_error& e) {
+        return std::make_tuple(e.code(), e.pivot_index(), e.pivot_value());
+      }
+      ADD_FAILURE() << "a non-SPD matrix factored";
+      return std::make_tuple(ErrorCode::kOk, std::int64_t{-1}, 0.0);
+    };
+    const auto interp = breakdown();
+    ASSERT_NE(PlanCompiler::compile(*plan), nullptr) << plan->jit->failure();
+    const auto jit = breakdown();
+    EXPECT_GE(std::get<1>(interp), 0);
+    EXPECT_EQ(jit, interp) << (supernodal ? "supernodal" : "simplicial");
+  }
+}
 
 TEST(PlanCompiledDispatch, FacadeBitIdenticalToInterpreterAcrossThreads) {
   if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";

@@ -453,16 +453,23 @@ TEST(VerifyWiring, ReportToStringNamesPassAndCheck) {
 // ------------------------------------------------------ emitted auditor
 
 TEST(VerifyEmitted, CatchesDishonestSourceBytes) {
-  const CholeskyPlan plan = simplicial_plan();
-  ASSERT_TRUE(plan.evidence.jit_eligible);
-  auto fake = std::make_shared<core::CompiledKernel>();
-  fake->source_bytes = 17;  // nothing real is this small
-  ASSERT_TRUE(plan.jit->publish(fake));
-  VerifyOptions vo;
-  vo.audit_emitted_code = true;
-  const Report report = verify::verify_plan(plan, vo);
-  ASSERT_FALSE(report.ok()) << report.to_string();
-  EXPECT_EQ(report.findings.front().check, "emitted.source-bytes");
+  // At the default source cap and with the cap off (0): uncapped sources
+  // all reach the host compiler, so they are audited too.
+  for (const index_t cap_kb :
+       {core::SympilerOptions{}.jit_max_source_kb, index_t{0}}) {
+    CholeskyPlan plan = simplicial_plan();
+    plan.options.jit_max_source_kb = cap_kb;
+    ASSERT_TRUE(plan.evidence.jit_eligible);
+    auto fake = std::make_shared<core::CompiledKernel>();
+    fake->source_bytes = 17;  // nothing real is this small
+    ASSERT_TRUE(plan.jit->publish(fake));
+    VerifyOptions vo;
+    vo.audit_emitted_code = true;
+    const Report report = verify::verify_plan(plan, vo);
+    ASSERT_FALSE(report.ok()) << "cap " << cap_kb << " KiB: "
+                              << report.to_string();
+    EXPECT_EQ(report.findings.front().check, "emitted.source-bytes");
+  }
 }
 
 TEST(VerifyEmitted, CatchesDishonestCapAccounting) {
