@@ -3,8 +3,8 @@
 //  2. the column-count switch between specialized kernels and the generic
 //     blocked ("BLAS") path,
 //  3. the peel column-count threshold (paper Figure 1e uses 2),
-//  4. the supernode width cap,
-//  5. relaxed amalgamation (off in the paper).
+//  4. the supernode width cap (it also caps relaxed amalgamation, which
+//     supernodal plans always apply).
 // Three representative regimes: block-structural ND (cbuckle-like), strip
 // natural (Dubcova2-like), large 2-D ND mesh (ecology2-like).
 #include <cstdio>
@@ -62,11 +62,6 @@ int main() {
     cholesky_row("width cap 16", a, opt);
     opt.max_supernode_width = 1024;
     cholesky_row("width cap 1024", a, opt);
-
-    opt = {};
-    opt.relax_supernodes = true;
-    opt.relax_ratio = 0.3;
-    cholesky_row("relaxed amalgamation (ratio 0.3)", a, opt);
   }
 
   std::printf("\nAblation: peel threshold (trisolve numeric phase)\n");

@@ -48,7 +48,8 @@ int main() {
     const double t_par_chol = bench::bench_seconds(
         [&] { parallel::parallel_cholesky(sets, sn_sched, a, panels); });
 
-    const CscMatrix l = panels_to_csc(sets.layout, panels);
+    const CscMatrix l =
+        panels_to_csc(sets.layout, panels, sets.sym.l_pattern);
     const parallel::LevelSchedule col_sched =
         parallel::level_schedule_columns(l);
     const parallel::UpdateSlotMap col_umap = parallel::update_slots_columns(l);

@@ -1,7 +1,8 @@
 // Table 2 reproduction: the matrix suite. Prints the paper's columns
 // (problem id, name, n, nnz(A)) for both the paper's SuiteSparse matrices
 // and our synthetic analogues, extended with the structural quantities the
-// transformations key on: nnz(L), supernode count, the VS-Block
+// transformations key on: nnz(L), fundamental supernode count (the
+// partition the VS-Block gate reads, before amalgamation), the VS-Block
 // profitability metric, and the average column count.
 #include <cstdio>
 
@@ -21,12 +22,15 @@ int main() {
   bench::print_rule(132);
   for (const auto& spec : gen::suite()) {
     const CscMatrix a = spec.make();
-    const core::CholeskySets sets = core::inspect_cholesky(a);
+    core::CholeskyPlanProducts products;
+    const core::CholeskySets sets = core::inspect_cholesky_planned(
+        a, {}, core::CholeskyPlanRequest{}, products);
     std::printf(
         "%2d %-14s %15d / %-9.3f | %8d %9d %11lld %8d %9.1f %7.1f %5s  %s\n",
         spec.id, spec.paper_name.c_str(), spec.paper_n_thousands,
         spec.paper_nnz_millions, a.cols(), a.nnz(),
-        static_cast<long long>(sets.sym.fill_nnz), sets.blocks.count(),
+        static_cast<long long>(sets.sym.fill_nnz),
+        products.fundamental_supernodes,
         sets.avg_supernode_size, sets.avg_colcount,
         sets.vs_block_profitable ? "yes" : "no", spec.generator.c_str());
     std::fflush(stdout);

@@ -148,6 +148,7 @@ constexpr verify::Corruption kCorpus[] = {
     verify::Corruption::kWorkspaceTrim,
     verify::Corruption::kScheduleGap,
     verify::Corruption::kChainReorder,
+    verify::Corruption::kDroppedPanelZeroRow,
 };
 
 struct CorpusTally {

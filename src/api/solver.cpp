@@ -365,7 +365,8 @@ void Solver::solve_batch(std::vector<std::vector<value_t>>& rhs) const {
 CscMatrix Solver::factor_csc() const {
   SYMPILER_CHECK(factorized_, "solver: factor_csc() before factor()");
   if (plan_->path == ExecutionPath::ParallelSupernodal)
-    return solvers::panels_to_csc(plan_->sets.layout, panels_);
+    return solvers::panels_to_csc(plan_->sets.layout, panels_,
+                                  plan_->sets.sym.l_pattern);
   return executor_->factor_csc();
 }
 

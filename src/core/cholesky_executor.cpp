@@ -104,7 +104,6 @@ void CholeskyExecutor::factorize(const CscMatrix& a_lower) {
 
 void CholeskyExecutor::factorize_supernodal(const CscMatrix& a_lower) {
   const solvers::SupernodalLayout& layout = sets_->layout;
-  scatter_into_panels(layout, a_lower, panels_, ws_.map());
   const index_t nsuper = layout.nsuper();
   value_t* work = ws_.update().data();
   index_t* map = ws_.map().data();
@@ -116,6 +115,10 @@ void CholeskyExecutor::factorize_supernodal(const CscMatrix& a_lower) {
     const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
     value_t* panel = panels_.data() + layout.panel_ptr[s];
     for (index_t t = 0; t < m; ++t) map[rows[t]] = t;
+    // A enters the panel here, through the row map just built: left-looking
+    // updates only target the supernode being factored, so every entry
+    // still starts from A's value before its first update.
+    solvers::scatter_supernode(layout, a_lower, s, panel, map);
 
     // Static update schedule — no dynamic discovery (fully decoupled).
     for (index_t u = sets_->updates.ptr[s]; u < sets_->updates.ptr[s + 1];
@@ -275,7 +278,7 @@ void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
 CscMatrix CholeskyExecutor::factor_csc() const {
   SYMPILER_CHECK(factorized_, "factor_csc() before factorize()");
   if (vs_block_applied())
-    return panels_to_csc(sets_->layout, panels_);
+    return panels_to_csc(sets_->layout, panels_, sets_->sym.l_pattern);
   return l_;
 }
 

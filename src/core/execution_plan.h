@@ -49,7 +49,10 @@ struct PlanEvidence {
   bool vs_block_profitable = false;   ///< inspection profitability gate
   bool parallel_considered = false;   ///< parallel gates were evaluated
   double avg_supernode_size = 0.0;    ///< rows, participating supernodes
-  index_t supernodes = 0;             ///< block-set size
+                                      ///< of the gate's partition
+  index_t fundamental_supernodes = 0; ///< partition the VS-Block gate read
+  index_t supernodes = 0;             ///< block-set size (amalgamated on
+                                      ///< supernodal Cholesky paths)
   index_t levels = 0;                 ///< level-set depth (0 = no schedule)
   double avg_level_width = 0.0;       ///< items per level
   index_t agg_levels = 0;             ///< coarsened barrier count (0 = flat)

@@ -105,12 +105,8 @@ void run_parallel_products(F1&& f1, F2&& f2, F3&& f3) {
 
 TriSolveSets inspect_trisolve(const CscMatrix& l,
                               std::span<const index_t> beta,
-                              const SympilerOptions& opt,
-                              const SupernodePartition* known_blocks) {
+                              const SympilerOptions& opt) {
   SYMPILER_CHECK(l.rows() == l.cols(), "inspect_trisolve: L not square");
-  if (known_blocks != nullptr)
-    SYMPILER_CHECK(known_blocks->valid(l.cols()),
-                   "inspect_trisolve: invalid known block-set");
   TriSolveSets sets;
   const index_t n = l.cols();
 
@@ -129,16 +125,10 @@ TriSolveSets inspect_trisolve(const CscMatrix& l,
           sets.colcount[j] = l.col_end(j) - l.col_begin(j);
       },
       [&] {
-        // VS-Block inspection: node equivalence on DG_L (Table 1 row 2),
-        // unless the factorization inspector already produced the
-        // block-set.
-        if (known_blocks != nullptr) {
-          sets.blocks = *known_blocks;
-        } else {
-          SupernodeOptions sn_opt;
-          sn_opt.max_width = opt.max_supernode_width;
-          sets.blocks = supernodes_node_equivalence(l, sn_opt);
-        }
+        // VS-Block inspection: node equivalence on DG_L (Table 1 row 2).
+        SupernodeOptions sn_opt;
+        sn_opt.max_width = opt.max_supernode_width;
+        sets.blocks = supernodes_node_equivalence(l, sn_opt);
       });
   sets.avg_supernode_size =
       participating_avg_rows(sets.blocks, sets.colcount);
@@ -215,12 +205,14 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
 
   // --- block-set + profitability (cheap: colcount + etree reads) ----------
   // Deciding the path here, before the pattern fill, is what lets the
-  // gated pipeline skip products the path never reads.
+  // gated pipeline skip products the path never reads. The VS-Block gate
+  // reads the fundamental partition, so amalgamation never moves a pattern
+  // between the simplicial and supernodal paths; a supernodal plan then
+  // executes (and its parallel gates read) the amalgamated partition.
   SupernodeOptions sn_opt;
   sn_opt.max_width = opt.max_supernode_width;
-  sn_opt.relax = opt.relax_supernodes;
-  sn_opt.relax_ratio = opt.relax_ratio;
   sets.blocks = supernodes_cholesky(sets.sym.parent, sets.sym.colcount, sn_opt);
+  products.fundamental_supernodes = sets.blocks.count();
   sets.avg_supernode_size =
       participating_avg_rows(sets.blocks, sets.sym.colcount);
   double cc = 0.0;
@@ -229,6 +221,9 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
   sets.vs_block_profitable =
       opt.vs_block && sets.avg_supernode_size >= opt.vsblock_min_avg_size &&
       participating_avg_width(sets.blocks) >= opt.vsblock_min_avg_width;
+  if (sets.vs_block_profitable)
+    sets.blocks = amalgamate_supernodes(sets.blocks, sets.sym.parent,
+                                        sets.sym.colcount, sn_opt);
 
   // Which product families the chosen path consumes. Ungated requests
   // build both (the inspect_cholesky contract).

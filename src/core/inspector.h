@@ -82,15 +82,13 @@ struct TriSolveSets {
 };
 
 /// Run the triangular-solve inspector on pattern of L and RHS pattern
-/// beta. When L came out of the Cholesky inspector, pass its block-set as
-/// `known_blocks` — the supernodes of L are a byproduct of factorization
-/// symbolic analysis and need not be re-derived by node equivalence (this
-/// is what keeps the trisolve symbolic phase proportional to the reach,
-/// paper section 4.3).
-[[nodiscard]] TriSolveSets inspect_trisolve(
-    const CscMatrix& l, std::span<const index_t> beta,
-    const SympilerOptions& opt = {},
-    const SupernodePartition* known_blocks = nullptr);
+/// beta. The block-set always comes from node equivalence on L itself: a
+/// Cholesky plan's amalgamated block-set describes its panels, not the
+/// exact pattern of L, so it would break the blocked solve's
+/// dense-diagonal-block assumption.
+[[nodiscard]] TriSolveSets inspect_trisolve(const CscMatrix& l,
+                                            std::span<const index_t> beta,
+                                            const SympilerOptions& opt = {});
 
 /// Convenience: beta from a dense b's nonzeros.
 [[nodiscard]] TriSolveSets inspect_trisolve_dense_rhs(
@@ -100,7 +98,9 @@ struct TriSolveSets {
 /// Inspection sets for sparse Cholesky A = L L^T.
 struct CholeskySets {
   SymbolicFactor sym;                 ///< etree, colcounts, pattern of L
-  SupernodePartition blocks;          ///< fundamental supernodes
+  /// Block-set: fundamental supernodes, amalgamated (graph/supernodes.h)
+  /// when VS-Block is profitable — the partition the layout executes.
+  SupernodePartition blocks;
   solvers::SupernodalLayout layout;   ///< panel layout of the factor
   solvers::UpdateLists updates;       ///< static update schedule (decoupled)
   /// Simplicial prune-sets: row pattern of every row of L (CSR-style),
@@ -149,9 +149,12 @@ struct CholeskyPlanRequest {
   bool naive = false;
 };
 
-/// Schedule products of a planned inspection (meaningful only when the
-/// request set build_schedule).
+/// Products of a planned inspection beyond the sets. The schedule fields
+/// are meaningful only when the request set build_schedule.
 struct CholeskyPlanProducts {
+  /// Size of the fundamental partition the VS-Block gate read; a
+  /// supernodal plan's sets.blocks is the amalgamated one.
+  index_t fundamental_supernodes = 0;
   bool scheduled = false;  ///< supernode-count gate passed; schedule built
   bool committed = false;  ///< level-width gate passed; slot map built
   parallel::LevelSchedule schedule;

@@ -62,12 +62,10 @@ struct SympilerOptions {
   /// uses 2: peeled columns get unrolled/vectorized bodies).
   index_t peel_colcount = 2;
 
-  /// Cap on supernode panel width (bounds temporary storage).
+  /// Cap on supernode panel width (bounds temporary storage), for the
+  /// fundamental partition and for the relaxed amalgamation supernodal
+  /// plans always apply (graph/supernodes.h).
   index_t max_supernode_width = 256;
-
-  /// Relaxed amalgamation (extension; paper evaluates with this off).
-  bool relax_supernodes = false;
-  double relax_ratio = 0.2;
 
   /// Plan-compiled kernel dispatch (api::Solver / api::TriangularSolver).
   JitMode jit = JitMode::kOff;

@@ -84,8 +84,6 @@ std::uint64_t hash_options(const SympilerOptions& opt) {
   fnv_mix_double(h, opt.blas_switch_colcount);
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.peel_colcount));
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.max_supernode_width));
-  fnv_mix_u64(h, static_cast<std::uint64_t>(opt.relax_supernodes));
-  fnv_mix_double(h, opt.relax_ratio);
   // The jit dispatch fields (jit / jit_warm_calls / jit_max_source_kb) are
   // deliberately NOT hashed: they change who executes a plan, never what
   // the plan contains, so Solvers with different dispatch modes must share

@@ -176,8 +176,6 @@ void put_options(Writer& w, const SympilerOptions& o) {
   w.scalar<double>(o.blas_switch_colcount);
   w.scalar<index_t>(o.peel_colcount);
   w.scalar<index_t>(o.max_supernode_width);
-  w.scalar<std::uint8_t>(o.relax_supernodes);
-  w.scalar<double>(o.relax_ratio);
   w.scalar<std::uint32_t>(static_cast<std::uint32_t>(o.jit));
   w.scalar<index_t>(o.jit_warm_calls);
   w.scalar<index_t>(o.jit_max_source_kb);
@@ -198,8 +196,6 @@ void get_options(Reader& r, SympilerOptions* o) {
   o->blas_switch_colcount = r.scalar<double>("blas_switch_colcount");
   o->peel_colcount = r.scalar<index_t>("peel_colcount");
   o->max_supernode_width = r.scalar<index_t>("max_supernode_width");
-  o->relax_supernodes = r.scalar<std::uint8_t>("relax_supernodes") != 0;
-  o->relax_ratio = r.scalar<double>("relax_ratio");
   const auto jit = r.scalar<std::uint32_t>("jit");
   if (jit > static_cast<std::uint32_t>(JitMode::kAlways))
     corrupt("meta: jit mode " + std::to_string(jit) + " out of range");
@@ -218,6 +214,7 @@ void put_evidence(Writer& w, const PlanEvidence& e) {
   w.scalar<std::uint8_t>(e.vs_block_profitable);
   w.scalar<std::uint8_t>(e.parallel_considered);
   w.scalar<double>(e.avg_supernode_size);
+  w.scalar<index_t>(e.fundamental_supernodes);
   w.scalar<index_t>(e.supernodes);
   w.scalar<index_t>(e.levels);
   w.scalar<double>(e.avg_level_width);
@@ -233,6 +230,7 @@ void get_evidence(Reader& r, PlanEvidence* e) {
   e->vs_block_profitable = r.scalar<std::uint8_t>("vs_block_profitable") != 0;
   e->parallel_considered = r.scalar<std::uint8_t>("parallel_considered") != 0;
   e->avg_supernode_size = r.scalar<double>("avg_supernode_size");
+  e->fundamental_supernodes = r.scalar<index_t>("fundamental_supernodes");
   e->supernodes = r.scalar<index_t>("supernodes");
   e->levels = r.scalar<index_t>("levels");
   e->avg_level_width = r.scalar<double>("avg_level_width");

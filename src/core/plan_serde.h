@@ -37,7 +37,10 @@
 namespace sympiler::core {
 
 /// Bumped on any layout change; a mismatch loads as kStalePlanVersion.
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+/// Version 2: the relax_supernodes/relax_ratio option fields are gone, the
+/// evidence records the fundamental supernode count, and supernodal plans
+/// carry amalgamated layouts.
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

@@ -25,10 +25,32 @@ const char* to_string(ExecutionPath path) {
 
 namespace {
 
+/// Panel storage of a supernodal Cholesky plan against nnz(L): the
+/// memory amalgamation trades for wider dense blocks. Full panels hold
+/// nrows x width values; the lower trapezoids leave out the unused upper
+/// halves of the diagonal blocks. Empty for plans without panels.
+std::string panel_fill(const CholeskySets& sets) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  const double nnz_l = static_cast<double>(sets.sym.l_pattern.nnz());
+  if (layout.n == 0 || nnz_l == 0.0) return {};
+  double trapezoid = 0.0;
+  for (index_t s = 0; s < layout.nsuper(); ++s) {
+    const double w = layout.width(s);
+    trapezoid += w * (w + 1.0) / 2.0 + w * (layout.nrows(s) - w);
+  }
+  std::ostringstream os;
+  os << "\n  panel fill: "
+     << static_cast<double>(layout.total_values()) / nnz_l
+     << "x nnz(L) stored (" << trapezoid / nnz_l
+     << "x in the lower trapezoids)";
+  return os.str();
+}
+
 std::string summarize(const char* kind, const PatternKey& key,
                       ExecutionPath path, const PlanEvidence& ev,
                       const JitSlot& jit, std::size_t bytes,
-                      std::size_t workspace_bytes) {
+                      std::size_t workspace_bytes,
+                      const std::string& fill = {}) {
   std::ostringstream os;
   os << kind << " plan for " << key.rows << "x" << key.cols
      << " nnz=" << key.nnz;
@@ -36,8 +58,14 @@ std::string summarize(const char* kind, const PatternKey& key,
   os << "\n  path: " << to_string(path)
      << (ev.vs_block_profitable ? " (VS-Block profitable)"
                                 : " (VS-Block below threshold)");
-  os << "\n  supernodes: " << ev.supernodes
+  // The gate reads the fundamental partition; a supernodal Cholesky plan
+  // executes its amalgamation, so both counts are printed.
+  const bool merged = ev.supernodes != ev.fundamental_supernodes;
+  os << "\n  supernodes: " << ev.fundamental_supernodes
+     << (merged ? " fundamental" : "")
      << ", avg participating size: " << ev.avg_supernode_size;
+  if (merged) os << "; amalgamated to " << ev.supernodes;
+  os << fill;
   if (ev.parallel_considered) {
     os << "\n  levels: " << ev.levels
        << ", avg level width: " << ev.avg_level_width;
@@ -110,7 +138,7 @@ void verify_fresh(TriSolvePlan& plan, const CscMatrix& l,
 
 std::string CholeskyPlan::summary() const {
   return summarize("cholesky", key, path, evidence, *jit, bytes(),
-                   workspace.bytes());
+                   workspace.bytes(), panel_fill(sets));
 }
 
 std::string TriSolvePlan::summary() const {
@@ -190,6 +218,7 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
 
   PlanEvidence& ev = plan.evidence;
   ev.vs_block_profitable = plan.sets.vs_block_profitable;
+  ev.fundamental_supernodes = products.fundamental_supernodes;
   ev.supernodes = plan.sets.blocks.count();
   ev.avg_supernode_size = plan.sets.avg_supernode_size;
 
@@ -238,16 +267,16 @@ std::uint64_t planner_transpose_count() { return transpose_count(); }
 
 TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
                                     std::span<const index_t> beta,
-                                    const SupernodePartition* known_blocks,
                                     bool with_key) const {
   Timer timer;
   TriSolvePlan plan;
   if (with_key) plan.key = trisolve_key(l, beta);
   plan.options = config_.options;
-  plan.sets = inspect_trisolve(l, beta, config_.options, known_blocks);
+  plan.sets = inspect_trisolve(l, beta, config_.options);
 
   PlanEvidence& ev = plan.evidence;
   ev.vs_block_profitable = plan.sets.vs_block_profitable;
+  ev.fundamental_supernodes = plan.sets.blocks.count();
   ev.supernodes = plan.sets.blocks.count();
   ev.avg_supernode_size = plan.sets.avg_supernode_size;
 

@@ -76,19 +76,16 @@ class Planner {
   [[nodiscard]] CholeskyPlan plan_cholesky_naive(const CscMatrix& a_lower,
                                                  bool with_key = true) const;
 
-  /// Full triangular-solve planning. Pass `known_blocks` when L came out
-  /// of the Cholesky inspector (supernodes need not be re-derived). The
-  /// ParallelTriSolve path is only picked for a dense RHS (|beta| == n)
-  /// under vi_prune: with a sparse RHS the pruned sequential solve does
-  /// strictly less work than a full level sweep, and the !vi_prune naive
-  /// loop's skip-exact-zero special case cannot be replayed from the
-  /// pattern alone. A parallel plan also carries the
-  /// privatized update-slot map that keeps the level-set solve
-  /// bit-identical to the sequential one.
-  [[nodiscard]] TriSolvePlan plan_trisolve(
-      const CscMatrix& l, std::span<const index_t> beta,
-      const SupernodePartition* known_blocks = nullptr,
-      bool with_key = true) const;
+  /// Full triangular-solve planning. The ParallelTriSolve path is only
+  /// picked for a dense RHS (|beta| == n) under vi_prune: with a sparse
+  /// RHS the pruned sequential solve does strictly less work than a full
+  /// level sweep, and the !vi_prune naive loop's skip-exact-zero special
+  /// case cannot be replayed from the pattern alone. A parallel plan also
+  /// carries the privatized update-slot map that keeps the level-set
+  /// solve bit-identical to the sequential one.
+  [[nodiscard]] TriSolvePlan plan_trisolve(const CscMatrix& l,
+                                           std::span<const index_t> beta,
+                                           bool with_key = true) const;
 
   /// Whether this build can run the level-set paths in parallel at all
   /// (compile-time: SYMPILER_HAS_OPENMP).

@@ -9,24 +9,21 @@ namespace sympiler::core {
 namespace {
 
 std::shared_ptr<const TriSolvePlan> plan_sequential(
-    const CscMatrix& l, std::span<const index_t> beta, SympilerOptions opt,
-    const SupernodePartition* known_blocks) {
+    const CscMatrix& l, std::span<const index_t> beta, SympilerOptions opt) {
   PlannerConfig config;
   config.options = opt;
   config.enable_parallel = false;  // direct executors interpret sequentially
   // No cache involved, so skip stamping the key (O(nnz) hashing).
   return std::make_shared<const TriSolvePlan>(
-      Planner(config).plan_trisolve(l, beta, known_blocks,
-                                    /*with_key=*/false));
+      Planner(config).plan_trisolve(l, beta, /*with_key=*/false));
 }
 
 }  // namespace
 
 TriSolveExecutor::TriSolveExecutor(const CscMatrix& l,
                                    std::span<const index_t> beta,
-                                   SympilerOptions opt,
-                                   const SupernodePartition* known_blocks)
-    : TriSolveExecutor(plan_sequential(l, beta, opt, known_blocks), l) {}
+                                   SympilerOptions opt)
+    : TriSolveExecutor(plan_sequential(l, beta, opt), l) {}
 
 TriSolveExecutor::TriSolveExecutor(std::shared_ptr<const TriSolvePlan> plan,
                                    const CscMatrix& l)

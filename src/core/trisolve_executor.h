@@ -30,11 +30,9 @@ class TriSolveExecutor {
  public:
   /// Convenience: plan on the spot ("compile time"). `l` is borrowed and
   /// must outlive the executor; its pattern and the pattern of beta are
-  /// fixed from this point on. Pass `known_blocks` when L came out of the
-  /// Cholesky inspector (its supernodes are already known).
+  /// fixed from this point on.
   TriSolveExecutor(const CscMatrix& l, std::span<const index_t> beta,
-                   SympilerOptions opt = {},
-                   const SupernodePartition* known_blocks = nullptr);
+                   SympilerOptions opt = {});
 
   /// Pure interpreter over a precomputed (typically cached) plan: no
   /// symbolic work, no decisions. `plan` must have been produced by

@@ -1,6 +1,7 @@
 #include "graph/supernodes.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "graph/etree.h"
 
@@ -36,6 +37,17 @@ bool SupernodePartition::valid(index_t n) const {
 
 namespace {
 
+/// CHOLMOD's default relaxed-amalgamation table (nrelax = 4, 16, 48;
+/// zrelax = 0.8, 0.1, 0.05).
+bool amalgamation_allowed(index_t width, double zero_fraction,
+                          index_t max_width) {
+  if (width > max_width) return false;
+  if (width <= 4) return true;
+  if (width <= 16) return zero_fraction < 0.8;
+  if (width <= 48) return zero_fraction < 0.1;
+  return zero_fraction < 0.05;
+}
+
 SupernodePartition finalize(std::vector<index_t> boundaries, index_t n) {
   SupernodePartition sn;
   sn.start = std::move(boundaries);
@@ -61,19 +73,8 @@ SupernodePartition supernodes_cholesky(std::span<const index_t> parent,
   boundaries.push_back(0);
   index_t cur_start = 0;
   for (index_t j = 1; j < n; ++j) {
-    const bool fundamental = parent[j - 1] == j && nchild[j] == 1 &&
-                             colcount[j - 1] == colcount[j] + 1;
-    bool merge = fundamental;
-    if (!merge && opt.relax && parent[j - 1] == j && nchild[j] == 1) {
-      // Relaxed amalgamation: merging j keeps the panel rows of the
-      // supernode; extra explicit zeros are (colcount[j-1]-1) - colcount[j]
-      // per merged column. Accept if within the relax budget.
-      const double extra = colcount[cur_start] - (j - cur_start) -
-                           static_cast<double>(colcount[j]);
-      const double budget =
-          opt.relax_ratio * static_cast<double>(colcount[cur_start]);
-      merge = extra >= 0.0 && extra <= budget;
-    }
+    bool merge = parent[j - 1] == j && nchild[j] == 1 &&
+                 colcount[j - 1] == colcount[j] + 1;
     if (merge && j - cur_start >= opt.max_width) merge = false;
     if (!merge) {
       boundaries.push_back(j);
@@ -81,6 +82,59 @@ SupernodePartition supernodes_cholesky(std::span<const index_t> parent,
     }
   }
   return finalize(std::move(boundaries), n);
+}
+
+SupernodePartition amalgamate_supernodes(const SupernodePartition& fundamental,
+                                         std::span<const index_t> parent,
+                                         std::span<const index_t> colcount,
+                                         const SupernodeOptions& opt) {
+  const index_t nf = fundamental.count();
+  const auto n = static_cast<index_t>(parent.size());
+  SYMPILER_CHECK(colcount.size() == parent.size() && fundamental.valid(n),
+                 "amalgamate: partition does not match the etree");
+  if (nf == 0) return fundamental;
+  const std::vector<index_t> sparent = supernode_etree(fundamental, parent);
+  const auto nnz_of = [&](index_t f) {
+    std::int64_t nnz = 0;
+    for (index_t j = fundamental.start[f]; j < fundamental.start[f + 1]; ++j)
+      nnz += colcount[j];
+    return nnz;
+  };
+  // cols/rows/nnz describe the merged panel of the group that starts at
+  // fundamental supernode f+1. Merging f keeps the group's last column,
+  // so the panel gains f's width in rows as well as in columns.
+  std::vector<index_t> starts;  // group starts, collected in reverse
+  index_t cols = fundamental.width(nf - 1);
+  index_t rows = colcount[fundamental.start[nf - 1]];
+  std::int64_t nnz = nnz_of(nf - 1);
+  for (index_t f = nf - 2; f >= 0; --f) {
+    const index_t w = fundamental.width(f);
+    const std::int64_t f_nnz = nnz_of(f);
+    bool merge = sparent[f] == f + 1;
+    if (merge) {
+      const std::int64_t mc = cols + w;
+      const std::int64_t mr = rows + w;
+      const std::int64_t trapezoid = mc * (mc + 1) / 2 + mc * (mr - mc);
+      const double zero_fraction =
+          static_cast<double>(trapezoid - (nnz + f_nnz)) /
+          static_cast<double>(trapezoid);
+      merge = amalgamation_allowed(static_cast<index_t>(mc), zero_fraction,
+                                   opt.max_width);
+    }
+    if (merge) {
+      cols += w;
+      rows += w;
+      nnz += f_nnz;
+    } else {
+      starts.push_back(fundamental.start[f + 1]);
+      cols = w;
+      rows = colcount[fundamental.start[f]];
+      nnz = f_nnz;
+    }
+  }
+  starts.push_back(0);
+  std::reverse(starts.begin(), starts.end());
+  return finalize(std::move(starts), n);
 }
 
 SupernodePartition supernodes_node_equivalence(const CscMatrix& l,

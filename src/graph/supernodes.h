@@ -7,6 +7,12 @@
 //  * Triangular solve: node equivalence on DG_L. Consecutive columns merge
 //    when the off-diagonal pattern of column j-1 equals the full pattern of
 //    column j (outgoing edges go to the same destinations, paper 3.1).
+//
+// Supernodal Cholesky plans then amalgamate the fundamental partition the
+// way CHOLMOD does (relaxed supernodes, Ashcraft & Grimes 1989): a
+// supernode merges into its supernodal-etree parent when the merged
+// panel's explicit zeros stay within a width-dependent budget, trading
+// panel storage for fewer, wider dense blocks.
 #pragma once
 
 #include <span>
@@ -49,17 +55,27 @@ struct SupernodePartition {
 /// Options controlling supernode formation.
 struct SupernodeOptions {
   index_t max_width = 256;  ///< cap panel width to bound temp storage
-  /// Relaxed amalgamation (extension; the paper runs with this OFF):
-  /// allow merging j into the current supernode if the number of extra
-  /// fill entries introduced stays within relax_ratio of the panel.
-  bool relax = false;
-  double relax_ratio = 0.2;
 };
 
 /// Cholesky strategy: fundamental supernodes from the etree + colcounts.
 [[nodiscard]] SupernodePartition supernodes_cholesky(
     std::span<const index_t> parent, std::span<const index_t> colcount,
     const SupernodeOptions& opt = {});
+
+/// Relaxed amalgamation of a fundamental Cholesky partition, with
+/// CHOLMOD's default thresholds. Walking from the last supernode down,
+/// supernode j merges into the group starting at j+1 when j+1 is j's
+/// parent in the supernodal etree and the merged panel of w columns
+/// passes the threshold table: always when w <= 4, otherwise only while
+/// its explicit-zero fraction is < 0.8 up to w = 16, < 0.1 up to 48 and
+/// < 0.05 beyond; never past opt.max_width. The zero fraction is the
+/// share of the merged panel's lower trapezoid that L leaves structurally
+/// zero. A merged supernode's panel rows are its own columns followed by
+/// the below-diagonal pattern of its last column, which contains every
+/// member column's pattern (etree containment).
+[[nodiscard]] SupernodePartition amalgamate_supernodes(
+    const SupernodePartition& fundamental, std::span<const index_t> parent,
+    std::span<const index_t> colcount, const SupernodeOptions& opt = {});
 
 /// Triangular-solve strategy: node equivalence on DG_L of a given factor L.
 [[nodiscard]] SupernodePartition supernodes_node_equivalence(

@@ -493,15 +493,13 @@ void cholesky_levels(const core::CholeskySets& sets, const LevelSchedule* flat,
   const solvers::SupernodalLayout& layout = sets.layout;
   // Plan-sized scratch dimensions (pure layout reads); each OS thread
   // keeps one grow-only workspace across calls and plans, so a warm
-  // factorization allocates nothing on any thread. The same thread_local
-  // serves the serial scatter (master thread's instance) and every
-  // worker inside the parallel region (their own instances).
+  // factorization allocates nothing on any thread. A is scattered into
+  // each panel inside its supernode's body, in parallel, through the row
+  // map that body builds anyway.
   core::WorkspaceDims dims = core::cholesky_workspace_dims(layout);
   dims.rhs_block = 0;
   dims.need_dense = false;  // factorization uses map + update tiles only
   static thread_local core::Workspace ws;
-  ws.ensure(dims);
-  scatter_into_panels(layout, a_lower, panels, ws.map());
   util::AbortGuard guard;
 #ifdef SYMPILER_HAS_OPENMP
 #pragma omp parallel if (!serial)
@@ -526,6 +524,7 @@ void cholesky_levels(const core::CholeskySets& sets, const LevelSchedule* flat,
       const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
       value_t* panel = panels.data() + layout.panel_ptr[s];
       for (index_t r = 0; r < m; ++r) map_data[rows[r]] = r;
+      solvers::scatter_supernode(layout, a_lower, s, panel, map_data);
       for (index_t u = sets.updates.ptr[s]; u < sets.updates.ptr[s + 1]; ++u) {
         const solvers::UpdateRef ref = sets.updates.refs[u];
         const index_t* drows = layout.srows.data() + layout.srow_ptr[ref.d];

@@ -18,15 +18,17 @@ SupernodalLayout SupernodalLayout::build(const SymbolicFactor& sym,
   SYMPILER_CHECK(layout.sn.valid(layout.n), "layout: invalid partition");
 
   const index_t nsuper = layout.sn.count();
+  const CscMatrix& lp = sym.l_pattern;
   layout.srow_ptr.assign(static_cast<std::size_t>(nsuper) + 1, 0);
   layout.panel_ptr.assign(static_cast<std::size_t>(nsuper) + 1, 0);
-  // The rows of supernode s are the pattern of its first column (the
-  // supernodal invariant guarantees later columns' patterns are suffixes).
+  // The rows of supernode s are its own columns plus the below-diagonal
+  // pattern of its last column (every earlier column's pattern is inside
+  // that set: fundamental columns share it, amalgamated ones are etree
+  // descendants of the last column).
   for (index_t s = 0; s < nsuper; ++s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t nrow =
-        sym.l_pattern.col_end(c1) - sym.l_pattern.col_begin(c1);
+    const index_t last = layout.sn.start[s + 1] - 1;
     const index_t w = layout.sn.width(s);
+    const index_t nrow = w + lp.col_end(last) - lp.col_begin(last) - 1;
     SYMPILER_CHECK(nrow >= w, "layout: supernode shorter than its width");
     layout.srow_ptr[s + 1] = layout.srow_ptr[s] + nrow;
     layout.panel_ptr[s + 1] =
@@ -35,9 +37,11 @@ SupernodalLayout SupernodalLayout::build(const SymbolicFactor& sym,
   layout.srows.resize(static_cast<std::size_t>(layout.srow_ptr[nsuper]));
   for (index_t s = 0; s < nsuper; ++s) {
     const index_t c1 = layout.sn.start[s];
-    std::copy(sym.l_pattern.rowind.begin() + sym.l_pattern.col_begin(c1),
-              sym.l_pattern.rowind.begin() + sym.l_pattern.col_end(c1),
-              layout.srows.begin() + layout.srow_ptr[s]);
+    const index_t c2 = layout.sn.start[s + 1];
+    index_t* dst = layout.srows.data() + layout.srow_ptr[s];
+    for (index_t j = c1; j < c2; ++j) *dst++ = j;
+    std::copy(lp.rowind.begin() + lp.col_begin(c2 - 1) + 1,
+              lp.rowind.begin() + lp.col_end(c2 - 1), dst);
   }
   return layout;
 }
@@ -80,56 +84,36 @@ UpdateLists compute_update_lists(const SupernodalLayout& layout) {
   return lists;
 }
 
-void scatter_into_panels(const SupernodalLayout& layout,
-                         const CscMatrix& a_lower, std::span<value_t> panels,
-                         std::span<index_t> map) {
-  SYMPILER_CHECK(static_cast<index_t>(map.size()) >= layout.n,
-                 "scatter: map scratch too small");
-  std::fill(panels.begin(), panels.end(), 0.0);
-  for (index_t s = 0; s < layout.nsuper(); ++s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t c2 = layout.sn.start[s + 1];
-    const index_t m = layout.nrows(s);
-    const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
-    for (index_t t = 0; t < m; ++t) map[rows[t]] = t;
-    value_t* panel = panels.data() + layout.panel_ptr[s];
-    for (index_t j = c1; j < c2; ++j) {
-      value_t* col = panel + static_cast<std::int64_t>(j - c1) * m;
-      for (index_t p = a_lower.col_begin(j); p < a_lower.col_end(j); ++p) {
-        const index_t i = a_lower.rowind[p];
-        if (i < j) continue;
-        col[map[i]] = a_lower.values[p];
-      }
+void scatter_supernode(const SupernodalLayout& layout,
+                       const CscMatrix& a_lower, index_t s, value_t* panel,
+                       const index_t* map) {
+  const index_t c1 = layout.sn.start[s];
+  const index_t c2 = layout.sn.start[s + 1];
+  const index_t m = layout.nrows(s);
+  std::fill(panel, panel + (layout.panel_ptr[s + 1] - layout.panel_ptr[s]),
+            0.0);
+  for (index_t j = c1; j < c2; ++j) {
+    value_t* col = panel + static_cast<std::int64_t>(j - c1) * m;
+    for (index_t p = a_lower.col_begin(j); p < a_lower.col_end(j); ++p) {
+      const index_t i = a_lower.rowind[p];
+      if (i < j) continue;
+      col[map[i]] = a_lower.values[p];
     }
   }
 }
 
-void scatter_into_panels(const SupernodalLayout& layout,
-                         const CscMatrix& a_lower,
-                         std::span<value_t> panels) {
-  std::vector<index_t> map(static_cast<std::size_t>(layout.n), 0);
-  scatter_into_panels(layout, a_lower, panels, map);
-}
-
 CscMatrix panels_to_csc(const SupernodalLayout& layout,
-                        std::span<const value_t> panels) {
+                        std::span<const value_t> panels,
+                        const CscMatrix& l_pattern) {
   const index_t n = layout.n;
+  SYMPILER_CHECK(l_pattern.cols() == n, "panels_to_csc: pattern order");
   CscMatrix l(n, n);
-  // Exact per-column nnz from the layout (column j of supernode s holds
-  // nrows(s) - local entries), so the output arrays are written once into
-  // their final size instead of growing by push_back.
-  l.colptr[0] = 0;
-  for (index_t s = 0; s < layout.nsuper(); ++s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t c2 = layout.sn.start[s + 1];
-    const index_t m = layout.nrows(s);
-    for (index_t j = c1; j < c2; ++j)
-      l.colptr[j + 1] = l.colptr[j] + (m - (j - c1));
-  }
-  l.rowind.resize(static_cast<std::size_t>(l.colptr[n]));
-  l.values.resize(static_cast<std::size_t>(l.colptr[n]));
-  index_t* li = l.rowind.data();
-  value_t* lx = l.values.data();
+  l.colptr = l_pattern.colptr;
+  l.rowind = l_pattern.rowind;
+  l.values.resize(l.rowind.size());
+  // Column j's pattern is a sorted subset of its panel rows from its own
+  // diagonal on, so one forward walk over the panel column finds every
+  // entry; the rows it skips are explicit zeros of an amalgamated panel.
   for (index_t s = 0; s < layout.nsuper(); ++s) {
     const index_t c1 = layout.sn.start[s];
     const index_t c2 = layout.sn.start[s + 1];
@@ -137,13 +121,11 @@ CscMatrix panels_to_csc(const SupernodalLayout& layout,
     const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
     const value_t* panel = panels.data() + layout.panel_ptr[s];
     for (index_t j = c1; j < c2; ++j) {
-      const index_t local = j - c1;
-      const value_t* col = panel + static_cast<std::int64_t>(local) * m;
-      index_t* ldst = li + l.colptr[j];
-      value_t* xdst = lx + l.colptr[j];
-      for (index_t t = local; t < m; ++t) {
-        *ldst++ = rows[t];
-        *xdst++ = col[t];
+      const value_t* col = panel + static_cast<std::int64_t>(j - c1) * m;
+      index_t t = j - c1;
+      for (index_t p = l.col_begin(j); p < l.col_end(j); ++p) {
+        while (rows[t] < l.rowind[p]) ++t;
+        l.values[p] = col[t];
       }
     }
   }
@@ -257,10 +239,13 @@ void panel_backward_solve_multi(const SupernodalLayout& layout,
 
 SupernodalCholesky::SupernodalCholesky(const CscMatrix& a_lower,
                                        SupernodeOptions opt) {
-  const SymbolicFactor sym = symbolic_cholesky(a_lower);
-  SupernodePartition part =
-      supernodes_cholesky(sym.parent, sym.colcount, opt);
+  SymbolicFactor sym = symbolic_cholesky(a_lower);
+  SupernodePartition part = amalgamate_supernodes(
+      supernodes_cholesky(sym.parent, sym.colcount, opt), sym.parent,
+      sym.colcount, opt);
   layout_ = SupernodalLayout::build(sym, std::move(part));
+  l_pattern_ = std::move(sym.l_pattern);
+  l_pattern_.values = {};  // factor_csc() writes the values
   panels_.resize(static_cast<std::size_t>(layout_.total_values()));
 }
 
@@ -273,7 +258,6 @@ void SupernodalCholesky::factorize(const CscMatrix& a_lower) {
   (void)upper;  // accessed only for parity with the library's numeric cost
 
   const index_t nsuper = layout_.nsuper();
-  scatter_into_panels(layout_, a_lower, panels_);
 
   // Dynamic update discovery: head[s] is a linked list of descendant
   // supernodes whose next un-consumed row block lands in s; cursor[d] is
@@ -299,6 +283,9 @@ void SupernodalCholesky::factorize(const CscMatrix& a_lower) {
     const index_t* rows = layout_.srows.data() + layout_.srow_ptr[s];
     value_t* panel = panels_.data() + layout_.panel_ptr[s];
     for (index_t t = 0; t < m; ++t) map[rows[t]] = t;
+    // Like CHOLMOD's supernodal numeric phase, clear and scatter A into
+    // this supernode's panel inside the main loop.
+    scatter_supernode(layout_, a_lower, s, panel, map.data());
 
     // Drain the dynamic descendant list of s.
     index_t d = head[s];

@@ -50,10 +50,12 @@ struct SupernodalLayout {
            panel_ptr.size() * sizeof(std::int64_t);
   }
 
-  /// Build from a symbolic factorization and a (fundamental) partition.
-  /// The partition must satisfy the supernodal invariant w.r.t. the
-  /// pattern in `sym` unless `allow_relaxed`; relaxed supernodes take the
-  /// union pattern (pattern of the first column).
+  /// Build from a symbolic factorization and a fundamental or amalgamated
+  /// partition (graph/supernodes.h). The rows of supernode s are its own
+  /// columns followed by the below-diagonal pattern of its last column;
+  /// for a fundamental supernode that is exactly its first column's
+  /// pattern, for an amalgamated one it contains every member column's
+  /// pattern, and the rows a column lacks are explicit zeros.
   static SupernodalLayout build(const SymbolicFactor& sym,
                                 SupernodePartition partition);
 };
@@ -81,21 +83,22 @@ struct UpdateLists {
 };
 [[nodiscard]] UpdateLists compute_update_lists(const SupernodalLayout& layout);
 
-/// Scatter the lower triangle of A into zeroed panels. `map` is caller
-/// scratch of at least layout.n entries (plan-sized workspace); the
-/// convenience overload allocates it per call (library-baseline behavior).
-void scatter_into_panels(const SupernodalLayout& layout,
-                         const CscMatrix& a_lower, std::span<value_t> panels,
-                         std::span<index_t> map);
-void scatter_into_panels(const SupernodalLayout& layout,
-                         const CscMatrix& a_lower,
-                         std::span<value_t> panels);
+/// Zero the panel of supernode s and scatter A's columns of s into it.
+/// `map` must already map every row of s's panel to its local position
+/// (map[srows[srow_ptr[s] + t]] == t) — the executors build that map at
+/// the top of each supernode's body anyway, so scattering there costs no
+/// second pass over the panels.
+void scatter_supernode(const SupernodalLayout& layout,
+                       const CscMatrix& a_lower, index_t s, value_t* panel,
+                       const index_t* map);
 
-/// Convert factored panels to a CSC lower-triangular factor. The exact nnz
-/// is known from the layout, so the output arrays are sized once up front
-/// (no push_back growth).
+/// Convert factored panels to a CSC lower-triangular factor on the exact
+/// symbolic pattern `l_pattern` (the pattern the layout was built from):
+/// explicit zeros of amalgamated panels are dropped, so the result has the
+/// same pattern as a simplicial factor of the same matrix.
 [[nodiscard]] CscMatrix panels_to_csc(const SupernodalLayout& layout,
-                                      std::span<const value_t> panels);
+                                      std::span<const value_t> panels,
+                                      const CscMatrix& l_pattern);
 
 /// Supernodal forward solve L y = b over panels; x: b in, y out. `scratch`
 /// is caller workspace of at least max_tail(layout) entries; the 3-arg
@@ -135,9 +138,10 @@ void panel_backward_solve_multi(const SupernodalLayout& layout,
 /// CHOLMOD-like supernodal left-looking Cholesky.
 ///
 /// The symbolic phase (constructor) is reusable across factorizations of
-/// matrices with the same pattern — mirroring cholmod_analyze — but the
-/// numeric phase retains the symbolic-flavoured work the paper calls out:
-/// the transpose of A and the dynamic descendant-list traversal.
+/// matrices with the same pattern — mirroring cholmod_analyze, including
+/// its default relaxed supernode amalgamation — but the numeric phase
+/// retains the symbolic-flavoured work the paper calls out: the transpose
+/// of A and the dynamic descendant-list traversal.
 class SupernodalCholesky {
  public:
   explicit SupernodalCholesky(const CscMatrix& a_lower,
@@ -152,12 +156,13 @@ class SupernodalCholesky {
   [[nodiscard]] const SupernodalLayout& layout() const { return layout_; }
   [[nodiscard]] std::span<const value_t> panels() const { return panels_; }
   [[nodiscard]] CscMatrix factor_csc() const {
-    return panels_to_csc(layout_, panels_);
+    return panels_to_csc(layout_, panels_, l_pattern_);
   }
   [[nodiscard]] double flops() const { return layout_.flops; }
 
  private:
   SupernodalLayout layout_;
+  CscMatrix l_pattern_;  ///< exact pattern of L (factor_csc)
   std::vector<value_t> panels_;
   bool factorized_ = false;
 };

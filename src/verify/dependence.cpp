@@ -149,10 +149,11 @@ bool check_lower_pattern(Checker& c, const CscMatrix& lp, const char* check,
 /// `panels_bound_to_l` marks that the caller will compare every panel's
 /// row list against the verified L pattern column-by-column (the
 /// supernode-invariant check). That compare, together with L's
-/// diagonal-first invariant, already implies rows >= width and that the
-/// first width(s) panel rows are the own columns, so those per-supernode
-/// checks are skipped here — they are the layout pass's hottest loop on
-/// meshes with thousands of narrow supernodes.
+/// diagonal-first invariant, already implies rows >= width, that the
+/// first width(s) panel rows are the own columns and that the row count
+/// is width(s) plus the last column's below-diagonal count, so those
+/// per-supernode checks are skipped here — they are the layout pass's
+/// hottest loop on meshes with thousands of narrow supernodes.
 bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
                   index_t n, bool panels_bound_to_l) {
   if (layout.n != n)
@@ -182,12 +183,13 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
         if (layout.srows[base + u] != layout.sn.start[s] + u)
           return c.fail("structure.layout", s,
                         "first width(s) panel rows must be the own columns");
+      const index_t last = layout.sn.start[s + 1] - 1;
+      if (rows != w + layout.colcount[last] - 1)
+        return c.fail("structure.layout", s,
+                      cat("panel has ", rows, " rows, width ", w,
+                          " plus colcount[", last, "] - 1 = ",
+                          w + layout.colcount[last] - 1));
     }
-    if (layout.colcount[layout.sn.start[s]] != rows)
-      return c.fail("structure.layout", s,
-                    cat("colcount[", layout.sn.start[s], "] = ",
-                        layout.colcount[layout.sn.start[s]],
-                        ", panel has ", rows, " rows"));
     if (layout.panel_ptr[s + 1] - layout.panel_ptr[s] !=
         static_cast<std::int64_t>(rows) * w)
       return c.fail("structure.layout", s,
@@ -375,30 +377,47 @@ void check_structure(Report& report, const core::CholeskyPlan& plan) {
     layout_ok = check_layout(c, plan.sets.layout, n,
                              /*panels_bound_to_l=*/lp_ok);
     if (layout_ok && lp_ok) {
-      // Supernodal invariant, bound to the layout: every column of a
-      // supernode must equal the suffix of its panel's row list starting
-      // at its own diagonal. This subsumes supernodes_consistent (dense
-      // diagonal block + shared tails) and additionally pins the srows
-      // content to the L pattern, all as contiguous range compares.
+      // Supernodal invariant, bound to the layout: a supernode's panel
+      // rows are its own columns followed by the below-diagonal pattern of
+      // its last column, and every other column's pattern lies inside the
+      // panel rows from its own diagonal on (an amalgamated panel stores
+      // the rows a column lacks as explicit zeros). So the last column
+      // must equal its suffix exactly, and each earlier column must start
+      // at its own panel row and be found, in order, in the rows after it.
+      // With L's diagonal-first invariant this pins the srows content to
+      // the L pattern.
       c.note();
       const solvers::SupernodalLayout& layout = plan.sets.layout;
+      const index_t* sr = layout.srows.data();
       bool sn_ok = true;
       for (index_t s = 0; s < layout.nsuper() && sn_ok; ++s) {
         const index_t c1 = layout.sn.start[s];
         const index_t c2 = layout.sn.start[s + 1];
         const index_t base = layout.srow_ptr[s];
-        const index_t rows = layout.srow_ptr[s + 1] - base;
+        const index_t end = layout.srow_ptr[s + 1];
         for (index_t j = c1; j < c2 && sn_ok; ++j) {
-          const index_t off = j - c1;
           const index_t b = lp.colptr[j];
-          if (lp.colptr[j + 1] - b != rows - off ||
-              !std::equal(lp.rowind.begin() + b,
-                          lp.rowind.begin() + lp.colptr[j + 1],
-                          layout.srows.begin() + base + off))
+          const index_t e = lp.colptr[j + 1];
+          index_t q = base + (j - c1);
+          bool inside;
+          if (j == c2 - 1) {
+            inside = e - b == end - q &&
+                     std::equal(lp.rowind.begin() + b,
+                                lp.rowind.begin() + e, sr + q);
+          } else {
+            inside = q < end && sr[q] == lp.rowind[b];
+            for (index_t p = b + 1; p < e && inside; ++p) {
+              ++q;
+              while (q < end && sr[q] < lp.rowind[p]) ++q;
+              inside = q < end && sr[q] == lp.rowind[p];
+            }
+          }
+          if (!inside)
             sn_ok = c.fail(
                 "structure.supernode-invariant", j,
-                cat("column ", j, " pattern is not the suffix of supernode ",
-                    s, "'s panel rows"));
+                cat("column ", j, " pattern is not ",
+                    j == c2 - 1 ? "the suffix" : "inside the suffix",
+                    " of supernode ", s, "'s panel rows"));
         }
       }
     }

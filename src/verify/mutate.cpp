@@ -89,6 +89,42 @@ bool reorder_chain(parallel::AggregateSchedule& agg) {
   return false;
 }
 
+/// Delete one explicit-zero row of an amalgamated panel: a below-diagonal
+/// row that the supernode's first column lacks — the bug class of a
+/// layout builder that takes a merged panel's rows from its first column.
+/// Every offset stays consistent (later panels' row and value offsets,
+/// the row windows of the supernode's own update refs), so only the
+/// supernode-invariant check can see that the last column's row went
+/// missing.
+bool drop_panel_zero_row(core::CholeskySets& sets) {
+  solvers::SupernodalLayout& layout = sets.layout;
+  const CscMatrix& lp = sets.sym.l_pattern;
+  const index_t nsuper = layout.nsuper();
+  for (index_t s = 0; s < nsuper; ++s) {
+    const index_t c1 = layout.sn.start[s];
+    const index_t w = layout.width(s);
+    const index_t base = layout.srow_ptr[s];
+    index_t p = lp.col_begin(c1);
+    for (index_t u = w; u < layout.nrows(s); ++u) {
+      const index_t r = layout.srows[base + u];
+      while (p < lp.col_end(c1) && lp.rowind[p] < r) ++p;
+      if (p < lp.col_end(c1) && lp.rowind[p] == r) continue;
+      layout.srows.erase(layout.srows.begin() + base + u);
+      for (index_t t = s + 1; t <= nsuper; ++t) {
+        --layout.srow_ptr[t];
+        layout.panel_ptr[t] -= w;
+      }
+      for (solvers::UpdateRef& ref : sets.updates.refs) {
+        if (ref.d != s) continue;
+        if (ref.p1 > u) --ref.p1;
+        if (ref.p2 > u) --ref.p2;
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Drop the last scheduled item: the schedule still looks well-formed but
 /// silently loses work.
 bool drop_schedule_item(parallel::LevelSchedule& schedule) {
@@ -118,6 +154,8 @@ const char* to_string(Corruption c) {
       return "schedule-gap";
     case Corruption::kChainReorder:
       return "chain-reorder";
+    case Corruption::kDroppedPanelZeroRow:
+      return "dropped-panel-zero-row";
   }
   return "?";
 }
@@ -218,6 +256,8 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
       return drop_schedule_item(plan.schedule);
     case Corruption::kChainReorder:
       return !plan.agg.empty() && reorder_chain(plan.agg);
+    case Corruption::kDroppedPanelZeroRow:
+      return has_layout && drop_panel_zero_row(sets);
   }
   return false;
 }
@@ -316,6 +356,8 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
     }
     case Corruption::kChainReorder:
       return !plan.agg.empty() && reorder_chain(plan.agg);
+    case Corruption::kDroppedPanelZeroRow:
+      return false;  // trisolve plans carry no panels
   }
   return false;
 }

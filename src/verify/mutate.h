@@ -31,6 +31,7 @@ enum class Corruption {
   kWorkspaceTrim,         // workspace dims below the executors' reach
   kScheduleGap,           // schedule silently drops an item
   kChainReorder,          // chain task members swapped out of dep order
+  kDroppedPanelZeroRow,   // amalgamated panel loses an explicit-zero row
 };
 
 const char* to_string(Corruption c);

@@ -122,6 +122,29 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PlanCompiledCholesky,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Range(0, 4)));
 
+TEST(PlanCompiledMerged, KernelFactorEqualsInterpreterOnMergedPlan) {
+  // The compiled kernel zero-fills and scatters every panel up front; the
+  // interpreter scatters A into each panel inside its supernode's body.
+  // On an amalgamated plan the two must still agree bit for bit.
+  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
+  const CscMatrix a = gen::grid2d_laplacian(24, 24);
+  SympilerOptions opt;
+  opt.vsblock_min_avg_size = 0.0;
+  opt.vsblock_min_avg_width = 0.0;
+  const auto plan = sequential_cholesky_plan(a, opt);
+  ASSERT_EQ(plan->path, ExecutionPath::Supernodal);
+  ASSERT_LT(plan->sets.blocks.count(),
+            supernodes_cholesky(plan->sets.sym.parent, plan->sets.sym.colcount)
+                .count());
+
+  CholeskyExecutor exec(plan);
+  exec.factorize(a);
+  const CscMatrix l_interp = exec.factor_csc();
+  ASSERT_NE(PlanCompiler::compile(*plan), nullptr) << plan->jit->failure();
+  exec.factorize(a);
+  EXPECT_TRUE(exec.factor_csc().equals(l_interp));
+}
+
 class PlanCompiledTriSolve
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

@@ -220,7 +220,7 @@ TEST(LevelSet, ParallelCholeskyMatchesSequential) {
     std::vector<value_t> panels(
         static_cast<std::size_t>(sets.layout.total_values()));
     parallel::parallel_cholesky(sets, sched, a, panels);
-    const CscMatrix l = panels_to_csc(sets.layout, panels);
+    const CscMatrix l = panels_to_csc(sets.layout, panels, sets.sym.l_pattern);
     solvers::SimplicialCholesky ref(a);
     ref.factorize(a);
     ASSERT_TRUE(l.same_pattern(ref.factor()));

@@ -396,16 +396,44 @@ TEST(Supernodes, SupernodeEtreeIsForest) {
   }
 }
 
-TEST(Supernodes, RelaxedAmalgamationCoarsensPartition) {
-  const CscMatrix a = gen::grid2d_laplacian(16, 16);
+TEST(Supernodes, AmalgamationMergesEtreeParentsWithinThresholds) {
+  const CscMatrix a =
+      gen::grid2d_laplacian(32, 32, gen::GridOrder::NestedDissection);
   const SymbolicFactor s = symbolic_cholesky(a);
-  const SupernodePartition strict = supernodes_cholesky(s.parent, s.colcount);
-  SupernodeOptions relax;
-  relax.relax = true;
-  relax.relax_ratio = 0.5;
-  const SupernodePartition relaxed =
-      supernodes_cholesky(s.parent, s.colcount, relax);
-  EXPECT_LE(relaxed.count(), strict.count());
+  const SupernodePartition fund = supernodes_cholesky(s.parent, s.colcount);
+  const SupernodePartition merged =
+      amalgamate_supernodes(fund, s.parent, s.colcount);
+  ASSERT_TRUE(merged.valid(a.cols()));
+  EXPECT_LT(merged.count(), fund.count());
+
+  // Every merge joins a fundamental supernode to its supernodal-etree
+  // parent: a merged supernode is a run of fundamental ones, each the
+  // etree child of the next.
+  const std::vector<index_t> fparent = supernode_etree(fund, s.parent);
+  for (index_t m = 0; m < merged.count(); ++m) {
+    const index_t f1 = fund.col_to_super[merged.start[m]];
+    const index_t f2 = fund.col_to_super[merged.start[m + 1] - 1];
+    ASSERT_EQ(fund.start[f1], merged.start[m]) << "supernode " << m;
+    for (index_t f = f1; f < f2; ++f)
+      EXPECT_EQ(fparent[f], f + 1) << "supernode " << m << " piece " << f;
+  }
+
+  // No merged panel breaks CHOLMOD's threshold table. The panel rows are
+  // the own columns plus the last column's below-diagonal rows; the zero
+  // fraction is the share of the lower trapezoid L leaves empty.
+  for (index_t m = 0; m < merged.count(); ++m) {
+    const index_t w = merged.width(m);
+    const index_t last = merged.start[m + 1] - 1;
+    const double rows = w + s.colcount[last] - 1;
+    double nnz = 0.0;
+    for (index_t j = merged.start[m]; j <= last; ++j) nnz += s.colcount[j];
+    const double trapezoid = w * (w + 1) / 2.0 + w * (rows - w);
+    const double z = 1.0 - nnz / trapezoid;
+    EXPECT_LE(w, 256);
+    EXPECT_TRUE(w <= 4 || (w <= 16 && z < 0.8) || (w <= 48 && z < 0.1) ||
+                z < 0.05)
+        << "supernode " << m << ": width " << w << ", zero fraction " << z;
+  }
 }
 
 }  // namespace

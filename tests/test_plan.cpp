@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -177,7 +178,8 @@ TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
     ASSERT_EQ(panels_plan[i], panels_direct[i]) << "panel value " << i;
 
   // And the result is a correct factorization.
-  const CscMatrix l = solvers::panels_to_csc(plan->sets.layout, panels_plan);
+  const CscMatrix l = solvers::panels_to_csc(plan->sets.layout, panels_plan,
+                                             plan->sets.sym.l_pattern);
   EXPECT_LT(llt_residual_inf_norm(l, a), 1e-8);
 }
 
@@ -201,7 +203,8 @@ TEST(ExecutionPlan, FacadeParallelPathMatchesDirectParallelCallBitwise) {
       static_cast<std::size_t>(plan.sets.layout.total_values()), 0.0);
   parallel::parallel_cholesky(plan, a, panels);
   ASSERT_TRUE(solver.factor_csc().equals(
-      solvers::panels_to_csc(plan.sets.layout, panels)));
+      solvers::panels_to_csc(plan.sets.layout, panels,
+                             plan.sets.sym.l_pattern)));
 }
 
 // ------------------------------------------------- trisolve plan paths
@@ -791,6 +794,115 @@ TEST(Planner, ColdPlanBitIdenticalToNaiveReferenceOnEveryPattern) {
           fast, naive,
           "pattern " + std::to_string(m) + " config " + std::to_string(c));
     }
+  }
+}
+
+// ------------------------------------------- amalgamated supernodal plans
+
+/// Supernode count of the fundamental partition of a plan's factor — what
+/// the plan's block-set held before amalgamation.
+index_t fundamental_supernodes(const CholeskyPlan& plan) {
+  return supernodes_cholesky(plan.sets.sym.parent, plan.sets.sym.colcount)
+      .count();
+}
+
+TEST(MergedPlan, FactorCscHasTheSimplicialPattern) {
+  const CscMatrix a = gen::grid2d_laplacian(32, 32);
+  const auto plan = std::make_shared<const CholeskyPlan>(
+      Planner(supernodal_config()).plan_cholesky(a));
+  ASSERT_EQ(plan->path, ExecutionPath::Supernodal);
+  ASSERT_LT(plan->sets.blocks.count(), fundamental_supernodes(*plan));
+  // The evidence keeps the partition the VS-Block gate read apart from
+  // the one the plan executes, and --explain prints both.
+  EXPECT_EQ(plan->evidence.fundamental_supernodes,
+            fundamental_supernodes(*plan));
+  EXPECT_EQ(plan->evidence.supernodes, plan->sets.blocks.count());
+  EXPECT_NE(plan->summary().find(
+                std::to_string(plan->evidence.fundamental_supernodes) +
+                " fundamental"),
+            std::string::npos);
+
+  core::CholeskyExecutor exec(plan);
+  exec.factorize(a);
+  const CscMatrix l = exec.factor_csc();
+  l.validate();
+  solvers::SimplicialCholesky ref(a);
+  ref.factorize(a);
+  ASSERT_TRUE(l.same_pattern(ref.factor()));
+  for (index_t p = 0; p < l.nnz(); ++p)
+    ASSERT_NEAR(l.values[p], ref.factor().values[p], 1e-10) << "nz " << p;
+  // The panels really hold explicit zeros the exact factor drops.
+  EXPECT_GT(plan->sets.layout.total_values(), l.nnz());
+}
+
+TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
+  // Direct overloads, so every build runs the flat and coarsened sweeps
+  // (sequentially without OpenMP). The panels start out holding different
+  // garbage on every run: A is scattered into each panel inside its
+  // supernode's body, so no stale value may leak into the factor.
+  const CscMatrix a = gen::grid2d_laplacian(40, 40);
+  const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
+  ASSERT_LT(plan.sets.blocks.count(), fundamental_supernodes(plan));
+  const parallel::LevelSchedule flat = parallel::level_schedule_supernodes(
+      plan.sets.blocks, plan.sets.sym.parent);
+  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
+  for (std::size_t u = 0; u < dep_src.size(); ++u)
+    dep_src[u] = plan.sets.updates.refs[u].d;
+  const parallel::AggregateSchedule agg =
+      parallel::coarsen_schedule_supernodes(plan.sets.blocks,
+                                            plan.sets.sym.parent,
+                                            plan.sets.updates.ptr, dep_src,
+                                            flat);
+  ASSERT_FALSE(agg.empty());
+
+  const auto values =
+      static_cast<std::size_t>(plan.sets.layout.total_values());
+  std::vector<value_t> ref;
+  value_t garbage = 1.0;
+  for (const int threads : {1, 2, 4}) {
+#ifdef SYMPILER_HAS_OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    for (const bool coarsen : {false, true}) {
+      std::vector<value_t> panels(values, garbage);
+      garbage += 1.0;
+      if (coarsen)
+        parallel::parallel_cholesky(plan.sets, agg, a, panels);
+      else
+        parallel::parallel_cholesky(plan.sets, flat, a, panels);
+      if (ref.empty()) {
+        ref = panels;
+        continue;
+      }
+      ASSERT_EQ(std::memcmp(panels.data(), ref.data(),
+                            values * sizeof(value_t)),
+                0)
+          << "threads=" << threads << " coarsen=" << coarsen;
+    }
+  }
+  const CscMatrix l =
+      solvers::panels_to_csc(plan.sets.layout, ref, plan.sets.sym.l_pattern);
+  solvers::SimplicialCholesky simplicial(a);
+  simplicial.factorize(a);
+  ASSERT_TRUE(l.same_pattern(simplicial.factor()));
+  EXPECT_LT(llt_residual_inf_norm(l, a), 1e-8);
+}
+
+TEST(MergedPlan, NaivePlanMatchesFastProductByProduct) {
+  const CscMatrix a = gen::grid2d_laplacian(32, 32);
+  PlannerConfig parallel_config = supernodal_config();
+  parallel_config.enable_parallel = true;
+  parallel_config.parallel_min_supernodes = 1;
+  parallel_config.parallel_min_avg_level_width = 0.0;
+  for (const PlannerConfig& config : {supernodal_config(), parallel_config}) {
+    const Planner planner(config);
+    const CholeskyPlan fast = planner.plan_cholesky(a);
+    const CholeskyPlan naive = planner.plan_cholesky_naive(a);
+    ASSERT_LT(fast.sets.blocks.count(), fundamental_supernodes(fast));
+    expect_plans_bit_identical(
+        fast, naive, config.enable_parallel ? "parallel" : "sequential");
   }
 }
 

@@ -86,6 +86,7 @@ constexpr Corruption kAllCorruptions[] = {
     Corruption::kReorderedFold,        Corruption::kCrossDependentBundle,
     Corruption::kOutOfBoundsIndex,     Corruption::kWorkspaceTrim,
     Corruption::kScheduleGap,          Corruption::kChainReorder,
+    Corruption::kDroppedPanelZeroRow,
 };
 
 /// Allocations performed by fn().
@@ -224,6 +225,17 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
     return v;
   }();
 
+  // The supernodal variants run amalgamated panels (explicit zeros), so
+  // the matrix covers merged plans.
+  for (std::size_t v = 1; v < variants.size(); ++v) {
+    const CholeskyPlan& plan = variants[v].second;
+    ASSERT_LT(plan.sets.blocks.count(),
+              supernodes_cholesky(plan.sets.sym.parent,
+                                  plan.sets.sym.colcount)
+                  .count())
+        << variants[v].first;
+  }
+
   KillTally tally;
   for (const auto& [name, base] : variants) {
     // Every base plan must verify clean before corruption.
@@ -247,6 +259,7 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
   // 100% kill rate: every corruption class that applied was caught.
   EXPECT_EQ(tally.killed, tally.applied);
   EXPECT_GE(tally.applied.size(), 6u);
+  EXPECT_TRUE(tally.applied.count(Corruption::kDroppedPanelZeroRow));
 }
 
 TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
@@ -290,9 +303,25 @@ TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
   EXPECT_FALSE(variants.back().plan.agg.empty());
   EXPECT_GE(tally.applicable, 16);
   // 100% kill rate, and across the trisolve paths alone every corruption
-  // class in the taxonomy must both apply somewhere and be caught.
+  // class in the taxonomy must both apply somewhere and be caught — all
+  // but the panel-row drop, since trisolve plans carry no panels.
   EXPECT_EQ(tally.killed, tally.applied);
-  EXPECT_EQ(tally.applied.size(), std::size(kAllCorruptions));
+  EXPECT_EQ(tally.applied.size(), std::size(kAllCorruptions) - 1);
+  EXPECT_FALSE(tally.applied.count(Corruption::kDroppedPanelZeroRow));
+}
+
+// Dropping an explicit-zero row from an amalgamated panel keeps every
+// offset, extent and update window consistent; the one thing that breaks
+// is that the supernode's last column no longer finds its row in the
+// panel. Only the supernode-invariant check can see that.
+TEST(VerifyKillMatrix, DroppedPanelZeroRowDiagnosedOnlyBySupernodeInvariant) {
+  CholeskyPlan plan = supernodal_plan();
+  ASSERT_TRUE(verify::verify_plan(plan).ok());
+  ASSERT_TRUE(PlanMutator::apply(plan, Corruption::kDroppedPanelZeroRow));
+  const Report report = verify::verify_plan(plan);
+  ASSERT_FALSE(report.ok());
+  for (const auto& f : report.findings)
+    EXPECT_EQ(f.check, "structure.supernode-invariant") << report.to_string();
 }
 
 // The races pass must diagnose an out-of-order chain as its own
