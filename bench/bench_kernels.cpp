@@ -320,15 +320,17 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
     return {};  // sequential build: the planner never opens the path
 
   // Coarsening ablation variants of the same plan: the planner-built
-  // `plan` carries chains + SIMD bundles; `flat` drops the aggregate
-  // schedule (flat level sweep), `chains` re-coarsens with bundling off.
-  // All three interpret identical slot maps, so the rows isolate the
-  // scheduling rewrite.
+  // `plan` carries chains + SIMD bundles; `flat` runs the identity
+  // aggregate (one task per column at its flat level — the plain level
+  // sweep), `chains` re-coarsens with bundling off. All three interpret
+  // identical slot maps, so the rows isolate the scheduling rewrite.
+  const parallel::LevelSchedule levels = parallel::level_schedule_columns(l);
   core::TriSolvePlan flat = *plan;
-  flat.agg = parallel::AggregateSchedule{};
+  flat.agg = parallel::coarsen_schedule_columns(
+      l, levels, parallel::CoarsenOptions{false, false});
   core::TriSolvePlan chains = *plan;
   chains.agg = parallel::coarsen_schedule_columns(
-      l, plan->schedule, parallel::CoarsenOptions{true, false});
+      l, levels, parallel::CoarsenOptions{true, false});
 
   const int reps = smoke ? 3 : 5;
   std::vector<ParTriRow> rows;
@@ -393,11 +395,14 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
     auto bplan = std::make_shared<const core::TriSolvePlan>(
         core::Planner(pc).plan_trisolve(lb, bbeta, /*with_key=*/false));
     if (bplan->path == core::ExecutionPath::ParallelTriSolve) {
+      const parallel::LevelSchedule blevels =
+          parallel::level_schedule_columns(lb);
       core::TriSolvePlan bflat = *bplan;
-      bflat.agg = parallel::AggregateSchedule{};
+      bflat.agg = parallel::coarsen_schedule_columns(
+          lb, blevels, parallel::CoarsenOptions{false, false});
       core::TriSolvePlan bchains = *bplan;
       bchains.agg = parallel::coarsen_schedule_columns(
-          lb, bplan->schedule, parallel::CoarsenOptions{true, false});
+          lb, blevels, parallel::CoarsenOptions{true, false});
       const std::vector<value_t> bb =
           random_vec(static_cast<std::size_t>(lb.cols()));
       std::vector<value_t> bx(bb.size());

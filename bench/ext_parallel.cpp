@@ -1,6 +1,8 @@
 // Extension bench: level-set (wavefront) parallel executors — the paper's
 // stated extension to shared memory (realized by the ParSy follow-on).
-// Compares sequential executors against the OpenMP level-set versions.
+// Compares sequential executors against the OpenMP level-set versions,
+// run over identity aggregates (one task per item at its level, no chain
+// fusion or bundling) so the rows time the plain wavefront.
 #include <cstdio>
 #include <vector>
 
@@ -41,8 +43,15 @@ int main() {
     core::CholeskyExecutor exec(a, opt);
     const double t_seq_chol = bench::bench_seconds([&] { exec.factorize(a); });
 
-    const parallel::LevelSchedule sn_sched =
-        parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent);
+    const parallel::CoarsenOptions identity{false, false};
+    std::vector<index_t> dep_src(sets.updates.refs.size());
+    for (std::size_t u = 0; u < dep_src.size(); ++u)
+      dep_src[u] = sets.updates.refs[u].d;
+    const parallel::AggregateSchedule sn_sched =
+        parallel::coarsen_schedule_supernodes(
+            sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
+            parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent),
+            identity);
     std::vector<value_t> panels(
         static_cast<std::size_t>(sets.layout.total_values()));
     const double t_par_chol = bench::bench_seconds(
@@ -50,8 +59,9 @@ int main() {
 
     const CscMatrix l =
         panels_to_csc(sets.layout, panels, sets.sym.l_pattern);
-    const parallel::LevelSchedule col_sched =
-        parallel::level_schedule_columns(l);
+    const parallel::AggregateSchedule col_sched =
+        parallel::coarsen_schedule_columns(
+            l, parallel::level_schedule_columns(l), identity);
     const parallel::UpdateSlotMap col_umap = parallel::update_slots_columns(l);
     std::vector<value_t> terms(static_cast<std::size_t>(col_umap.slots()));
     const std::vector<value_t> b(static_cast<std::size_t>(l.cols()), 1.0);

@@ -77,10 +77,11 @@ int run_verify(const CscMatrix& a, core::SympilerOptions opt) {
 //
 // Self-test mode: seed every verify::PlanMutator corruption class into
 // every plan variant the user's matrix admits (sequential simplicial and
-// supernodal, parallel-flat, coarsened; pruned/blocked/parallel trisolve
-// over the factor pattern) and assert the static verifier kills each one.
-// The parallel variants are assembled from the pure schedule builders so
-// the corpus exercises those paths in every build, with or without OpenMP.
+// supernodal, parallel with the identity and the coarsened aggregate;
+// pruned/blocked/parallel trisolve over the factor pattern) and assert the
+// static verifier kills each one. The parallel variants are assembled from
+// the pure schedule builders so the corpus exercises those paths in every
+// build, with or without OpenMP.
 
 core::PlannerConfig sequential_config(const core::SympilerOptions& base,
                                       double vs_gate) {
@@ -100,21 +101,19 @@ core::CholeskyPlan parallel_cholesky_plan(const CscMatrix& a, bool coarsen) {
   core::CholeskyPlan plan;
   plan.options = opt;
   plan.sets = core::inspect_cholesky(a, opt);
-  plan.schedule = parallel::level_schedule_supernodes(plan.sets.blocks,
-                                                      plan.sets.sym.parent);
   plan.solve_update_map = parallel::update_slots_supernodes(plan.sets.layout);
   plan.workspace = core::cholesky_workspace_dims(plan.sets.layout);
   plan.workspace.need_dense = false;
   plan.workspace.update_slots = plan.solve_update_map.slots();
   plan.path = core::ExecutionPath::ParallelSupernodal;
-  if (coarsen) {
-    std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-    for (std::size_t u = 0; u < dep_src.size(); ++u)
-      dep_src[u] = plan.sets.updates.refs[u].d;
-    plan.agg = parallel::coarsen_schedule_supernodes(
-        plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr,
-        dep_src, plan.schedule);
-  }
+  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
+  for (std::size_t u = 0; u < dep_src.size(); ++u)
+    dep_src[u] = plan.sets.updates.refs[u].d;
+  plan.agg = parallel::coarsen_schedule_supernodes(
+      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
+      parallel::level_schedule_supernodes(plan.sets.blocks,
+                                          plan.sets.sym.parent),
+      parallel::CoarsenOptions{coarsen, coarsen});
   return plan;
 }
 
@@ -127,7 +126,6 @@ core::TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
   core::TriSolvePlan plan;
   plan.options = opt;
   plan.sets = core::inspect_trisolve(l, beta, opt);
-  plan.schedule = parallel::level_schedule_columns(l);
   plan.update_map = parallel::update_slots_columns(l, plan.sets.reach);
   plan.workspace.n = l.cols();
   plan.workspace.need_map = false;
@@ -135,21 +133,11 @@ core::TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
   plan.workspace.update_slots = plan.update_map.slots();
   plan.workspace.rhs_block = core::kRhsBlockWidth;
   plan.path = core::ExecutionPath::ParallelTriSolve;
-  if (coarsen) plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
+  plan.agg = parallel::coarsen_schedule_columns(
+      l, parallel::level_schedule_columns(l),
+      parallel::CoarsenOptions{coarsen, coarsen});
   return plan;
 }
-
-constexpr verify::Corruption kCorpus[] = {
-    verify::Corruption::kDepViolation,
-    verify::Corruption::kAliasedSlot,
-    verify::Corruption::kReorderedFold,
-    verify::Corruption::kCrossDependentBundle,
-    verify::Corruption::kOutOfBoundsIndex,
-    verify::Corruption::kWorkspaceTrim,
-    verify::Corruption::kScheduleGap,
-    verify::Corruption::kChainReorder,
-    verify::Corruption::kDroppedPanelZeroRow,
-};
 
 struct CorpusTally {
   int applicable = 0;
@@ -164,7 +152,8 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
   chol.emplace_back(
       "chol/supernodal",
       core::Planner(sequential_config(opt, 0.0)).plan_cholesky(a));
-  chol.emplace_back("chol/parallel-flat", parallel_cholesky_plan(a, false));
+  chol.emplace_back("chol/parallel-identity",
+                    parallel_cholesky_plan(a, false));
   chol.emplace_back("chol/coarsened", parallel_cholesky_plan(a, true));
 
   const CscMatrix& l = chol[1].second.sets.sym.l_pattern;
@@ -186,7 +175,7 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
        core::Planner(sequential_config(opt, 0.0)).plan_trisolve(l, sparse_beta),
        sparse_beta});
   tri.push_back(
-      {"tri/parallel-flat", parallel_trisolve_plan(l, full_beta, false),
+      {"tri/parallel-identity", parallel_trisolve_plan(l, full_beta, false),
        full_beta});
   tri.push_back(
       {"tri/coarsened", parallel_trisolve_plan(l, full_beta, true), full_beta});
@@ -212,7 +201,7 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
 
   std::map<verify::Corruption, CorpusTally> table;
   std::vector<std::string> survivors;
-  for (const verify::Corruption c : kCorpus) {
+  for (const verify::Corruption c : verify::kAllCorruptions) {
     CorpusTally& tally = table[c];
     for (const auto& [name, base] : chol) {
       core::CholeskyPlan mutant = base;
@@ -239,11 +228,11 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
 
   std::printf("=== corruption-kill table (%zu classes x %zu plan variants) "
               "===\n",
-              std::size(kCorpus), chol.size() + tri.size());
+              std::size(verify::kAllCorruptions), chol.size() + tri.size());
   std::printf("%-24s %10s %6s\n", "class", "applicable", "killed");
   int total_applicable = 0;
   int total_killed = 0;
-  for (const verify::Corruption c : kCorpus) {
+  for (const verify::Corruption c : verify::kAllCorruptions) {
     const CorpusTally& tally = table[c];
     total_applicable += tally.applicable;
     total_killed += tally.killed;

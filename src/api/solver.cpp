@@ -328,7 +328,7 @@ void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solver: batch size mismatch");
   // Thin dispatch on the plan's path: a parallel plan sweeps packed RHS
-  // blocks through its level schedule (parallel inside each level,
+  // blocks through its aggregate schedule (parallel inside each level,
   // slot-privatized forward updates — bit-identical per column to looped
   // solve()); the sequential supernodal path tiles blocks over the
   // multi-RHS panel kernels.
@@ -512,7 +512,7 @@ void TriangularSolver::solve_batch(std::span<value_t> xs, index_t nrhs) const {
                  "triangular solver: batch size mismatch");
   prepare_jit();
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
-    // Blocked level-set path: packed RHS blocks sweep the level schedule
+    // Blocked level-set path: packed RHS blocks sweep the plan schedule
     // (parallel inside each level), per column bit-identical to looped
     // solve().
     const core::Workspace::Borrow guard(pws_);

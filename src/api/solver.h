@@ -38,22 +38,9 @@ namespace sympiler::api {
 using core::ExecutionPath;
 using core::to_string;
 
-/// Facade configuration: the planner inputs plus the cache geometry a
-/// Solver uses when it creates a private context.
-struct SolverConfig {
-  core::SympilerOptions options;
-
-  /// Allow the level-set parallel paths when they look profitable.
-  /// Meaningless (always sequential) without SYMPILER_HAS_OPENMP.
-  bool enable_parallel = true;
-  /// Parallel profitability gates: enough supernodes to schedule, and wide
-  /// enough average levels to beat the barrier cost per level.
-  index_t parallel_min_supernodes = 256;
-  double parallel_min_avg_level_width = 8.0;
-  /// Coarsen committed parallel schedules into chains + SIMD bundles
-  /// (core::PlannerConfig::coarsen_schedule).
-  bool coarsen_schedule = true;
-
+/// Facade configuration: the planner inputs (core::PlannerConfig) plus
+/// the cache geometry a Solver uses when it creates a private context.
+struct SolverConfig : core::PlannerConfig {
   /// Byte budget and shard count of the private SymbolicContext a Solver
   /// creates when it is constructed with an explicitly null context.
   /// Ignored on the default path (sharing SymbolicContext::global() or a
@@ -62,15 +49,7 @@ struct SolverConfig {
   std::size_t cache_shards = core::CholeskyCache::kDefaultShards;
 
   /// Planner view of this config.
-  [[nodiscard]] core::PlannerConfig planner_config() const {
-    core::PlannerConfig pc;
-    pc.options = options;
-    pc.enable_parallel = enable_parallel;
-    pc.parallel_min_supernodes = parallel_min_supernodes;
-    pc.parallel_min_avg_level_width = parallel_min_avg_level_width;
-    pc.coarsen_schedule = coarsen_schedule;
-    return pc;
-  }
+  [[nodiscard]] core::PlannerConfig planner_config() const { return *this; }
 };
 
 /// What the graceful-degradation ladder did on the most recent
@@ -229,7 +208,7 @@ class Solver {
   std::shared_ptr<const core::CholeskyPlan> plan_;
 
   // Sequential paths run through the executor; the parallel path
-  // interprets the plan's level schedule into panels_ directly and uses
+  // interprets the plan's aggregate schedule into panels_ directly and uses
   // ws_ for its panel-solve scratch (mutable: solve() is logically const).
   std::unique_ptr<core::CholeskyExecutor> executor_;
   std::vector<value_t> panels_;

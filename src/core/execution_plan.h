@@ -3,13 +3,13 @@
 //
 // The paper's decoupling makes symbolic analysis a pure function of the
 // sparsity pattern — but the inspection sets are only part of what that
-// function produces. The level-set schedule and the choice of numeric
+// function produces. The parallel schedule and the choice of numeric
 // path (simplicial vs supernodal vs parallel) are equally pattern-pure,
 // so they belong in the same compile-time product. A plan bundles all of
-// it: inspection sets, schedule, the chosen ExecutionPath, the
-// profitability evidence that picked it, the options snapshot it was
-// planned under, and a bytes() accounting that drives the plan cache's
-// byte-budget eviction.
+// it: inspection sets, the aggregate schedule and slot map of a parallel
+// path, the chosen ExecutionPath, the profitability evidence that picked
+// it, the options snapshot it was planned under, and a bytes() accounting
+// that drives the plan cache's byte-budget eviction.
 //
 // Plans are built by core::Planner (planner.h), cached by the sharded
 // PlanCache (symbolic_cache.h) as shared_ptr<const Plan>, and interpreted
@@ -55,8 +55,9 @@ struct PlanEvidence {
                                       ///< supernodal Cholesky paths)
   index_t levels = 0;                 ///< level-set depth (0 = no schedule)
   double avg_level_width = 0.0;       ///< items per level
-  index_t agg_levels = 0;             ///< coarsened barrier count (0 = flat)
-  index_t agg_tasks = 0;              ///< chains + bundles after coarsening
+  index_t agg_levels = 0;             ///< barriers of the executed schedule
+                                      ///< (0 = no parallel path)
+  index_t agg_tasks = 0;              ///< tasks (chains + bundles) it runs
   index_t agg_bundles = 0;            ///< lock-step SIMD bundles among tasks
   double build_seconds = 0.0;         ///< wall time spent planning (cost to
                                       ///< recompute; weighs eviction)
@@ -76,19 +77,18 @@ struct CholeskyPlan {
   PatternKey key;                    ///< identity of (pattern, config)
   SympilerOptions options;           ///< snapshot the plan was built under
   CholeskySets sets;                 ///< inspection sets (owned)
-  parallel::LevelSchedule schedule;  ///< supernode levels; empty unless
-                                     ///< path == ParallelSupernodal
+  /// Always empty: flat levels are a transient coarsener input, kept
+  /// declared only because perfbench's plan census still reads it.
+  parallel::LevelSchedule schedule;
   /// Privatized tail-update slots of the parallel forward panel solve
   /// (one per below-diagonal panel row); empty unless path ==
   /// ParallelSupernodal. Makes the level-set batch solve deterministic
   /// without atomics.
   parallel::UpdateSlotMap solve_update_map;
-  /// Dependence-coarsened rewrite of `schedule` (chain fusion over the
-  /// supernodal update dependences); empty unless path ==
-  /// ParallelSupernodal and coarsening is enabled. When non-empty the
-  /// parallel executors interpret it instead of the flat schedule; the
-  /// flat schedule stays in the plan as the coarsener's provenance and
-  /// for ablation benchmarks.
+  /// Supernode schedule the parallel executors interpret: chain fusion
+  /// over the supernodal update dependences, or the identity aggregate
+  /// when coarsening is off. Non-empty exactly when path ==
+  /// ParallelSupernodal.
   parallel::AggregateSchedule agg;
   ExecutionPath path = ExecutionPath::Simplicial;
   PlanEvidence evidence;
@@ -105,8 +105,8 @@ struct CholeskyPlan {
   /// compiled kernel once published; PlanCache::refresh_bytes re-samples
   /// the resident entry so eviction drops the artifact with its plan.
   [[nodiscard]] std::size_t bytes() const {
-    return sizeof(CholeskyPlan) + sets.bytes() + schedule.bytes() +
-           agg.bytes() + solve_update_map.bytes() + jit->bytes();
+    return sizeof(CholeskyPlan) + sets.bytes() + agg.bytes() +
+           solve_update_map.bytes() + jit->bytes();
   }
 
   /// One-paragraph human summary (CLI --explain).
@@ -119,18 +119,16 @@ struct TriSolvePlan {
   PatternKey key;
   SympilerOptions options;
   TriSolveSets sets;
-  parallel::LevelSchedule schedule;  ///< column levels; empty unless
-                                     ///< path == ParallelTriSolve
+  /// Always empty (see CholeskyPlan::schedule).
+  parallel::LevelSchedule schedule;
   /// Privatized column-update slots (one per strictly-lower nonzero of L);
   /// empty unless path == ParallelTriSolve. The level-set solve scatters
   /// into these instead of racing on x, so it is bit-identical to the
   /// serial pruned solve at any thread count.
   parallel::UpdateSlotMap update_map;
-  /// Dependence-coarsened rewrite of `schedule` (chain fusion + SIMD row
-  /// bundles over DG_L); empty unless path == ParallelTriSolve and
-  /// coarsening is enabled. Interpreted in place of the flat schedule
-  /// when non-empty (parallel/levelset.h); the flat schedule is retained
-  /// for ablation and evidence.
+  /// Column schedule the parallel executors interpret (chain fusion + SIMD
+  /// row bundles over DG_L, or the identity aggregate when coarsening is
+  /// off); non-empty exactly when path == ParallelTriSolve.
   parallel::AggregateSchedule agg;
   ExecutionPath path = ExecutionPath::PrunedTriSolve;
   PlanEvidence evidence;
@@ -140,8 +138,8 @@ struct TriSolvePlan {
   std::shared_ptr<JitSlot> jit = std::make_shared<JitSlot>();
 
   [[nodiscard]] std::size_t bytes() const {
-    return sizeof(TriSolvePlan) + sets.bytes() + schedule.bytes() +
-           agg.bytes() + update_map.bytes() + jit->bytes();
+    return sizeof(TriSolvePlan) + sets.bytes() + agg.bytes() +
+           update_map.bytes() + jit->bytes();
   }
 
   [[nodiscard]] std::string summary() const;

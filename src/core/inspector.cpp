@@ -360,7 +360,7 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     build_schedule();
   }
 #endif
-  if (products.committed && req.coarsen) {
+  if (products.committed) {
     // Coarsening reads the update lists, which may still be under
     // construction while build_schedule runs as a task sibling — so it
     // happens here, after the assembly barrier, in both pipelines
@@ -371,7 +371,8 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
       dep_src[u] = sets.updates.refs[u].d;
     products.agg = parallel::coarsen_schedule_supernodes(
         sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
-        products.schedule);
+        products.schedule,
+        parallel::CoarsenOptions{req.coarsen, req.coarsen});
     ph.schedule += t_coarsen.seconds();
   }
   ph.assemble = t_asm.seconds();

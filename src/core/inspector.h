@@ -136,12 +136,13 @@ struct CholeskyPlanRequest {
   /// before the pattern fill, so skipped products cost nothing.
   bool gate_products = false;
   /// Build the supernode level schedule — and, if the width gate passes,
-  /// the forward-solve slot map — inside the same assembly region.
+  /// the forward-solve slot map (inside the same assembly region) and the
+  /// aggregate schedule.
   bool build_schedule = false;
   index_t parallel_min_supernodes = 0;
   double parallel_min_avg_level_width = 0.0;
-  /// Also coarsen a committed schedule into the aggregate (chain-fused)
-  /// form — see parallel/schedule.h.
+  /// Coarsen a committed schedule (chain fusion) into its aggregate form;
+  /// off yields the identity aggregate — see parallel/schedule.h.
   bool coarsen = false;
   /// Use the retained naive reference pipeline: symbolic_cholesky_naive
   /// plus strictly serial assembly. The equivalence tests pin the fast
@@ -157,10 +158,11 @@ struct CholeskyPlanProducts {
   index_t fundamental_supernodes = 0;
   bool scheduled = false;  ///< supernode-count gate passed; schedule built
   bool committed = false;  ///< level-width gate passed; slot map built
+  /// Flat supernode levels: the gates' evidence and the coarsener's input.
   parallel::LevelSchedule schedule;
   parallel::UpdateSlotMap solve_update_map;
-  /// Dependence-coarsened rewrite of `schedule` (empty unless committed
-  /// and the request asked to coarsen).
+  /// Aggregate rewrite of `schedule` — coarsened or identity, per the
+  /// request (empty unless committed).
   parallel::AggregateSchedule agg;
 };
 

@@ -185,11 +185,12 @@ void emit_cholesky_supernodal(std::ostringstream& os,
   os << "// supernodal left-looking Cholesky, pattern-specialized: the\n"
         "// supernode extents, panel offsets, and the static update\n"
         "// schedule are baked"
-     << (plan.schedule.empty()
+     << (plan.agg.empty()
              ? "; natural supernode order.\n"
-             : ", and the level schedule is flattened\n"
-               "// into straight-line phases (any topological order is\n"
-               "// bit-identical for left-looking updates).\n")
+             : ", and the aggregate schedule is flattened\n"
+               "// into straight-line phases, one per barrier level (any\n"
+               "// topological order is bit-identical for left-looking\n"
+               "// updates).\n")
      << "// Operation order mirrors\n"
         "// CholeskyExecutor::factorize_supernodal exactly, including the\n"
         "// peeled single-target-column update when SPECIALIZED.\n";
@@ -272,19 +273,20 @@ void emit_cholesky_supernodal(std::ostringstream& os,
         "      }\n"
         "    }\n"
         "  }\n";
-  if (plan.schedule.empty()) {
+  if (plan.agg.empty()) {
     os << "  for (int s = 0; s < NSUPER; ++s) {\n"
           "    const int rc = factor_one(s, Ax, panels, work, map);\n"
           "    if (rc != 0) return rc;\n"
           "  }\n";
   } else {
-    // Level-flattened straight-line phases: one loop per level over the
-    // baked topological order, dependencies resolved by construction.
-    emit_array(os, "snOrder", plan.schedule.items);
-    const index_t levels = plan.schedule.levels();
-    for (index_t lv = 0; lv < levels; ++lv) {
-      const index_t b = plan.schedule.level_ptr[lv];
-      const index_t e = plan.schedule.level_ptr[lv + 1];
+    // Straight-line phases: one loop per aggregate level over the baked
+    // task-major item order (chain members in chain order), dependencies
+    // resolved by construction.
+    const parallel::AggregateSchedule& agg = plan.agg;
+    emit_array(os, "snOrder", agg.items);
+    for (index_t lv = 0; lv < agg.levels(); ++lv) {
+      const index_t b = agg.task_ptr[agg.level_ptr[lv]];
+      const index_t e = agg.task_ptr[agg.level_ptr[lv + 1]];
       os << "  /* phase " << lv << ": " << (e - b) << " supernode(s) */\n"
          << "  for (int t = " << b << "; t < " << e
          << "; ++t) {\n"
@@ -520,7 +522,7 @@ std::string PlanCompiler::emit(const CholeskyPlan& plan) {
     emit_cholesky_simplicial(os, plan);
   } else {
     // Supernodal and ParallelSupernodal: one supernodal emission; the
-    // parallel plan's level schedule is flattened into phases.
+    // parallel plan's aggregate schedule is flattened into phases.
     emit_cholesky_supernodal(os, plan);
   }
   return os.str();

@@ -4,7 +4,7 @@
 // This is the codegen half of the paper, and the repo's only emitter:
 // instead of re-running the inspectors, emission consumes the plan's own
 // inspection sets — the ereach/update chains, supernode extents, panel
-// offsets, and the level schedule are baked into the instruction stream
+// offsets, and the aggregate schedule are baked into the instruction stream
 // as constants (docs/codegen.md maps each paper transformation to the
 // emission that implements it). The simplicial Cholesky shape
 // additionally bakes the replayed per-update column cursors (updStart)

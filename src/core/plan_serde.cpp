@@ -38,17 +38,17 @@ enum SectionId : std::uint32_t {
   kSecBlocks = 3,    ///< supernode partition (+ layout for Cholesky)
   kSecUpdates = 4,   ///< Cholesky: static update schedule
   kSecRowpat = 5,    ///< Cholesky: simplicial row patterns
-  kSecSchedule = 6,  ///< flat level schedule
-  kSecAgg = 7,       ///< coarsened aggregate schedule
+  // 6 held the flat level schedule up to format version 2.
+  kSecAgg = 7,       ///< aggregate schedule of a parallel path
   kSecSlotMap = 8,   ///< privatized update-slot map
   kSecReach = 9,     ///< trisolve: prune-sets + colcounts
 };
 
 constexpr std::uint32_t kCholeskySections[] = {
     kSecMeta,   kSecSymbolic, kSecBlocks, kSecUpdates,
-    kSecRowpat, kSecSchedule, kSecAgg,    kSecSlotMap};
-constexpr std::uint32_t kTriSolveSections[] = {
-    kSecMeta, kSecReach, kSecBlocks, kSecSchedule, kSecAgg, kSecSlotMap};
+    kSecRowpat, kSecAgg,      kSecSlotMap};
+constexpr std::uint32_t kTriSolveSections[] = {kSecMeta, kSecReach, kSecBlocks,
+                                               kSecAgg, kSecSlotMap};
 
 /// File fails validation: torn write, bit flip, truncation, hostile count.
 struct CorruptError {
@@ -549,11 +549,6 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   rowpat.vec(plan.sets.rowpat);
   sections.emplace_back(kSecRowpat, rowpat.take());
 
-  Writer sched;
-  sched.vec(plan.schedule.level_ptr);
-  sched.vec(plan.schedule.items);
-  sections.emplace_back(kSecSchedule, sched.take());
-
   Writer agg;
   agg.vec(plan.agg.level_ptr);
   agg.vec(plan.agg.task_ptr);
@@ -635,11 +630,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     rowpat.vec(&plan.sets.rowpat, "rowpat");
     rowpat.expect_done();
 
-    Reader sched = section_reader(sections, kSecSchedule, "schedule");
-    sched.vec(&plan.schedule.level_ptr, "level_ptr");
-    sched.vec(&plan.schedule.items, "items");
-    sched.expect_done();
-
     Reader agg = section_reader(sections, kSecAgg, "agg");
     agg.vec(&plan.agg.level_ptr, "agg.level_ptr");
     agg.vec(&plan.agg.task_ptr, "agg.task_ptr");
@@ -682,11 +672,6 @@ std::vector<std::uint8_t> serialize_plan(const TriSolvePlan& plan) {
   blocks.vec(plan.sets.blocks.start);
   blocks.vec(plan.sets.blocks.col_to_super);
   sections.emplace_back(kSecBlocks, blocks.take());
-
-  Writer sched;
-  sched.vec(plan.schedule.level_ptr);
-  sched.vec(plan.schedule.items);
-  sections.emplace_back(kSecSchedule, sched.take());
 
   Writer agg;
   agg.vec(plan.agg.level_ptr);
@@ -749,11 +734,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     blocks.vec(&plan.sets.blocks.start, "blocks.start");
     blocks.vec(&plan.sets.blocks.col_to_super, "blocks.col_to_super");
     blocks.expect_done();
-
-    Reader sched = section_reader(sections, kSecSchedule, "schedule");
-    sched.vec(&plan.schedule.level_ptr, "level_ptr");
-    sched.vec(&plan.schedule.items, "items");
-    sched.expect_done();
 
     Reader agg = section_reader(sections, kSecAgg, "agg");
     agg.vec(&plan.agg.level_ptr, "agg.level_ptr");

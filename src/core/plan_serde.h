@@ -39,8 +39,9 @@ namespace sympiler::core {
 /// Bumped on any layout change; a mismatch loads as kStalePlanVersion.
 /// Version 2: the relax_supernodes/relax_ratio option fields are gone, the
 /// evidence records the fundamental supernode count, and supernodal plans
-/// carry amalgamated layouts.
-inline constexpr std::uint32_t kPlanFormatVersion = 2;
+/// carry amalgamated layouts. Version 3: the flat level-schedule section
+/// is gone; parallel plans persist only their aggregate schedule.
+inline constexpr std::uint32_t kPlanFormatVersion = 3;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

@@ -70,8 +70,8 @@ std::string summarize(const char* kind, const PatternKey& key,
     os << "\n  levels: " << ev.levels
        << ", avg level width: " << ev.avg_level_width;
     if (ev.agg_levels > 0)
-      os << "\n  coarsened: " << ev.agg_levels << " levels, " << ev.agg_tasks
-         << " tasks, " << ev.agg_bundles << " SIMD bundles";
+      os << "\n  executed schedule: " << ev.agg_levels << " barrier levels, "
+         << ev.agg_tasks << " tasks, " << ev.agg_bundles << " SIMD bundles";
   } else {
     os << "\n  levels: not scheduled (parallel gates closed)";
   }
@@ -201,8 +201,8 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
 
   // The inspector runs the whole cold pipeline: one shared transpose, GNP
   // counts, the fused pattern sweep, and the parallel assembly of the
-  // path-gated products — including the level schedule + slot map when
-  // the parallel gates are open (the schedule is cheap relative to
+  // path-gated products — including the aggregate schedule + slot map
+  // when the parallel gates are open (the schedule is cheap relative to
   // inspection; building it at plan time makes every warm factor()
   // schedule-free, across all Solvers sharing a cache).
   CholeskyPlanRequest req;
@@ -238,14 +238,13 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
       ev.avg_level_width = products.schedule.avg_level_width();
       if (products.committed) {
         plan.path = ExecutionPath::ParallelSupernodal;
-        plan.schedule = std::move(products.schedule);
         // Slot map of the forward panel solve: privatizes the tail
         // updates so the level-set batch solve needs no atomics and is
         // bit-identical to the serial panel solves (levelset.h).
         plan.solve_update_map = std::move(products.solve_update_map);
         plan.workspace.update_slots = plan.solve_update_map.slots();
-        // Dependence-coarsened rewrite (chain fusion over the supernodal
-        // update dependences) — interpreted in place of the flat levels.
+        // The executed schedule: chain fusion over the supernodal update
+        // dependences (identity aggregate when coarsening is off).
         plan.agg = std::move(products.agg);
         ev.agg_levels = plan.agg.levels();
         ev.agg_tasks = plan.agg.tasks();
@@ -308,12 +307,12 @@ TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
       config_.options.vi_prune &&
       plan.path == ExecutionPath::PrunedTriSolve) {
     ev.parallel_considered = true;
-    parallel::LevelSchedule schedule = parallel::level_schedule_columns(l);
+    const parallel::LevelSchedule schedule =
+        parallel::level_schedule_columns(l);
     ev.levels = schedule.levels();
     ev.avg_level_width = schedule.avg_level_width();
     if (ev.avg_level_width >= config_.parallel_min_avg_level_width) {
       plan.path = ExecutionPath::ParallelTriSolve;
-      plan.schedule = std::move(schedule);
       // Slot map privatizing the column updates: the level-set solve
       // scatters into plan-assigned slots and folds them in serial order,
       // so it is deterministic and atomic-free (levelset.h). The packed
@@ -323,15 +322,16 @@ TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
       plan.update_map = parallel::update_slots_columns(l, plan.sets.reach);
       plan.workspace.update_slots = plan.update_map.slots();
       plan.workspace.rhs_block = kRhsBlockWidth;
-      if (config_.coarsen_schedule) {
-        // Coarsen the committed flat schedule: chain fusion + SIMD row
-        // bundles mined from DG_L. Pattern-pure, so cached with the plan;
-        // the flat schedule stays as provenance and ablation baseline.
-        plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
-        ev.agg_levels = plan.agg.levels();
-        ev.agg_tasks = plan.agg.tasks();
-        ev.agg_bundles = plan.agg.bundles();
-      }
+      // The executed schedule: chain fusion + SIMD row bundles mined from
+      // DG_L, or the identity aggregate when coarsening is off.
+      // Pattern-pure, so cached with the plan.
+      plan.agg = parallel::coarsen_schedule_columns(
+          l, schedule,
+          parallel::CoarsenOptions{config_.coarsen_schedule,
+                                   config_.coarsen_schedule});
+      ev.agg_levels = plan.agg.levels();
+      ev.agg_tasks = plan.agg.tasks();
+      ev.agg_bundles = plan.agg.bundles();
     }
   }
   ev.jit_eligible = plan.path == ExecutionPath::PrunedTriSolve ||

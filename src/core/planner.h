@@ -3,7 +3,7 @@
 // The planning layer absorbs every decision that used to be scattered
 // across api::Solver and the executors: it runs the inspector (the
 // near-linear single-transpose cold pipeline of inspect_cholesky_planned),
-// builds the level-set schedule when the parallel gates clear, and commits
+// builds the aggregate schedule when the parallel gates clear, and commits
 // to one ExecutionPath with the profitability evidence recorded in the
 // plan. Planning is a pure function of (pattern, PlannerConfig), which is
 // what makes plans cacheable and shareable across Solvers and threads.
@@ -39,10 +39,10 @@ struct PlannerConfig {
   /// enough average levels to beat the barrier cost per level.
   index_t parallel_min_supernodes = 256;
   double parallel_min_avg_level_width = 8.0;
-  /// Rewrite committed parallel schedules into the dependence-coarsened
-  /// AggregateSchedule (chain fusion + SIMD row bundles — see
-  /// parallel/schedule.h). Off keeps the flat schedule, which the bench
-  /// ablations and bit-identity tests compare against.
+  /// Coarsen committed parallel schedules (chain fusion + SIMD row
+  /// bundles — see parallel/schedule.h). Off plans the identity aggregate
+  /// (one task per item at its flat level), which the bench ablations and
+  /// bit-identity tests compare against.
   bool coarsen_schedule = true;
 };
 
@@ -71,8 +71,8 @@ class Planner {
   /// Reference cold planning: the retained naive symbolic pipeline
   /// (count-by-materializing-every-ereach, per-row sorts, private
   /// transposes) with strictly serial assembly. Product-for-product
-  /// bit-identical to plan_cholesky by contract — the equivalence tests
-  /// pin that — and the bench baseline the fast path is measured against.
+  /// bit-identical to plan_cholesky by contract — the equivalence tests,
+  /// its only callers, pin that.
   [[nodiscard]] CholeskyPlan plan_cholesky_naive(const CscMatrix& a_lower,
                                                  bool with_key = true) const;
 

@@ -188,56 +188,6 @@ inline void maybe_inject_pivot_fault(index_t j, value_t diag) {
         diag);
 }
 
-void trisolve_levels(const CscMatrix& l, const LevelSchedule& schedule,
-                     const UpdateSlotMap& umap, std::span<value_t> x,
-                     std::span<value_t> terms, [[maybe_unused]] bool serial) {
-  const value_t* Lx = l.values.data();
-  const index_t* slot = umap.slot.data();
-  const index_t* rptr = umap.row_ptr.data();
-  value_t* xp = x.data();
-  value_t* tp = terms.data();
-  util::AbortGuard guard;
-  // One parallel region for the whole solve; each level is a worksharing
-  // loop whose implicit barrier realizes the wavefront dependence (and
-  // publishes the level's slot writes to every later level). Tiny levels
-  // skip the omp-for and run serially in-place (run_level).
-  //
-  // Worksharing uniformity: the level loop must NOT branch on
-  // guard.failed() — a thread can observe the flag (set by a teammate
-  // already inside level N's worksharing body) in the window between
-  // level N-1's barrier and its own entry into level N, exit the loop,
-  // and leave the team split across different barriers: a guaranteed
-  // deadlock. Instead every thread always traverses the identical
-  // construct sequence; after a failure guard.run turns the remaining
-  // bodies into no-ops, so cancellation costs a sweep of empty barriers
-  // (fine — failure is the rare path).
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp parallel if (!serial)
-#endif
-  {
-    const auto solve_column = [&](index_t t) {
-      const index_t j = schedule.items[t];
-      const index_t p0 = l.col_begin(j);
-      maybe_inject_pivot_fault(j, Lx[p0]);
-      // Fold the privatized incoming updates in ascending-column order —
-      // the exact subtraction sequence of the serial solve.
-      value_t xj = xp[j];
-      for (index_t q = rptr[j]; q < rptr[j + 1]; ++q) xj -= tp[q];
-      xj /= Lx[p0];
-      xp[j] = xj;
-      // Scatter this column's updates into its plan-assigned private
-      // slots (compact off-diagonal indexing: position p maps to
-      // p - j - 1); no two columns share a slot, so no atomics are needed.
-      for (index_t p = p0 + 1; p < l.col_end(j); ++p)
-        tp[slot[p - j - 1]] = Lx[p] * xj;
-    };
-    for (index_t lev = 0; lev < schedule.levels(); ++lev)
-      run_level(schedule.level_ptr[lev], schedule.level_ptr[lev + 1],
-                [&](index_t t) { guard.run([&] { solve_column(t); }); });
-  }
-  guard.rethrow_if_failed();
-}
-
 void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
                      const UpdateSlotMap& umap, std::span<value_t> x,
                      std::span<value_t> terms, [[maybe_unused]] bool serial) {
@@ -248,12 +198,24 @@ void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
   value_t* xp = x.data();
   value_t* tp = terms.data();
   util::AbortGuard guard;
-  // Same region/barrier/containment structure as the flat interpreter,
-  // but the worksharing unit is a task: a fused chain runs its members in
-  // flat-level order on one thread (the chain's internal barriers are
-  // gone), and a bundle solves its lanes lock-step in the ISA-dispatched
-  // kernel. Slot fold order is untouched, so results stay bit-identical
-  // to the serial solve at any thread count.
+  // One parallel region for the whole solve; each aggregate level is a
+  // worksharing loop over tasks whose implicit barrier realizes the
+  // wavefront dependence (and publishes the level's slot writes to every
+  // later level). Tiny levels skip the omp-for and run serially in-place
+  // (run_level). A fused chain runs its members in order on one thread,
+  // and a bundle solves its lanes lock-step in the ISA-dispatched kernel.
+  // Slot fold order is untouched, so results stay bit-identical to the
+  // serial solve at any thread count.
+  //
+  // Worksharing uniformity: the level loop must NOT branch on
+  // guard.failed() — a thread can observe the flag (set by a teammate
+  // already inside level N's worksharing body) in the window between
+  // level N-1's barrier and its own entry into level N, exit the loop,
+  // and leave the team split across different barriers: a guaranteed
+  // deadlock. Instead every thread always traverses the identical
+  // construct sequence; after a failure guard.run turns the remaining
+  // bodies into no-ops, so cancellation costs a sweep of empty barriers
+  // (fine — failure is the rare path).
 #ifdef SYMPILER_HAS_OPENMP
 #pragma omp parallel if (!serial)
 #endif
@@ -275,11 +237,16 @@ void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
       }
       for (index_t k = k0; k < k1; ++k) {
         const index_t j = agg.items[k];
+        // Fold the privatized incoming updates in ascending-column order —
+        // the exact subtraction sequence of the serial solve.
         value_t xj = xp[j];
         for (index_t q = rptr[j]; q < rptr[j + 1]; ++q) xj -= tp[q];
         const index_t p0 = colptr[j];
         xj /= Lx[p0];
         xp[j] = xj;
+        // Scatter this column's updates into its plan-assigned private
+        // slots (compact off-diagonal indexing: position p maps to
+        // p - j - 1); no two columns share a slot, so no atomics are needed.
         for (index_t p = p0 + 1; p < colptr[j + 1]; ++p)
           tp[slot[p - j - 1]] = Lx[p] * xj;
       }
@@ -293,12 +260,6 @@ void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
 
 }  // namespace
 
-void parallel_trisolve(const CscMatrix& l, const LevelSchedule& schedule,
-                       const UpdateSlotMap& umap, std::span<value_t> x,
-                       std::span<value_t> terms) {
-  trisolve_levels(l, schedule, umap, x, terms, /*serial=*/false);
-}
-
 void parallel_trisolve(const CscMatrix& l, const AggregateSchedule& agg,
                        const UpdateSlotMap& umap, std::span<value_t> x,
                        std::span<value_t> terms) {
@@ -306,42 +267,6 @@ void parallel_trisolve(const CscMatrix& l, const AggregateSchedule& agg,
 }
 
 namespace {
-
-void trisolve_multi_levels(const CscMatrix& l, const LevelSchedule& schedule,
-                           const UpdateSlotMap& umap, value_t* xp,
-                           index_t nrhs, index_t ldp, value_t* terms,
-                           [[maybe_unused]] bool serial) {
-  const value_t* Lx = l.values.data();
-  const index_t* slot = umap.slot.data();
-  const index_t* rptr = umap.row_ptr.data();
-  util::AbortGuard guard;
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp parallel if (!serial)
-#endif
-  {
-    const auto solve_column = [&](index_t t) {
-      const index_t j = schedule.items[t];
-      const index_t p0 = l.col_begin(j);
-      maybe_inject_pivot_fault(j, Lx[p0]);
-      value_t* xj = xp + static_cast<std::int64_t>(j) * ldp;
-      for (index_t q = rptr[j]; q < rptr[j + 1]; ++q) {
-        const value_t* tq = terms + static_cast<std::int64_t>(q) * ldp;
-        for (index_t r = 0; r < nrhs; ++r) xj[r] -= tq[r];
-      }
-      const value_t piv = Lx[p0];
-      for (index_t r = 0; r < nrhs; ++r) xj[r] /= piv;
-      for (index_t p = p0 + 1; p < l.col_end(j); ++p) {
-        const value_t lv = Lx[p];
-        value_t* tq = terms + static_cast<std::int64_t>(slot[p - j - 1]) * ldp;
-        for (index_t r = 0; r < nrhs; ++r) tq[r] = lv * xj[r];
-      }
-    };
-    for (index_t lev = 0; lev < schedule.levels(); ++lev)
-      run_level(schedule.level_ptr[lev], schedule.level_ptr[lev + 1],
-                [&](index_t t) { guard.run([&] { solve_column(t); }); });
-  }
-  guard.rethrow_if_failed();
-}
 
 void trisolve_multi_levels(const CscMatrix& l, const AggregateSchedule& agg,
                            const UpdateSlotMap& umap, value_t* xp,
@@ -389,19 +314,6 @@ void trisolve_multi_levels(const CscMatrix& l, const AggregateSchedule& agg,
 
 }  // namespace
 
-void parallel_trisolve_multi(const CscMatrix& l, const LevelSchedule& schedule,
-                             const UpdateSlotMap& umap, value_t* xp,
-                             index_t nrhs, index_t ldp, value_t* terms) {
-  trisolve_multi_levels(l, schedule, umap, xp, nrhs, ldp, terms,
-                        /*serial=*/false);
-}
-
-void parallel_trisolve_multi(const CscMatrix& l, const AggregateSchedule& agg,
-                             const UpdateSlotMap& umap, value_t* xp,
-                             index_t nrhs, index_t ldp, value_t* terms) {
-  trisolve_multi_levels(l, agg, umap, xp, nrhs, ldp, terms, /*serial=*/false);
-}
-
 bool parallel_trisolve(const CscMatrix& l, const core::TriSolvePlan& plan,
                        std::span<value_t> x, core::Workspace& ws,
                        Status* fallback_error) {
@@ -415,11 +327,7 @@ bool parallel_trisolve(const CscMatrix& l, const core::TriSolvePlan& plan,
   value_t* snap = ws.rhs_block();
   std::copy(x.begin(), x.end(), snap);
   const auto sweep = [&](bool serial) {
-    if (!plan.agg.empty())
-      trisolve_levels(l, plan.agg, plan.update_map, x, ws.terms(), serial);
-    else
-      trisolve_levels(l, plan.schedule, plan.update_map, x, ws.terms(),
-                      serial);
+    trisolve_levels(l, plan.agg, plan.update_map, x, ws.terms(), serial);
   };
   try {
     sweep(/*serial=*/false);
@@ -441,8 +349,8 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
                  "parallel_trisolve_batch: plan path is not ParallelTriSolve");
   if (nrhs <= 0) return false;
   const index_t n = l.cols();
-  // Blocks sweep the level schedule sequentially (parallelism lives inside
-  // each level), so no lane narrowing applies.
+  // Blocks sweep the schedule sequentially (parallelism lives inside each
+  // level), so no lane narrowing applies.
   const index_t bw =
       core::rhs_block_width(plan.workspace.rhs_block, nrhs, /*lanes=*/1);
   core::WorkspaceDims dims = plan.workspace;
@@ -456,12 +364,8 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
     value_t* x0 = xs.data() + static_cast<std::size_t>(r0) * n;
     blas::pack_rhs(n, nb, x0, n, xp, nb);
     const auto sweep = [&](bool serial) {
-      if (!plan.agg.empty())
-        trisolve_multi_levels(l, plan.agg, plan.update_map, xp, nb, nb, terms,
-                              serial);
-      else
-        trisolve_multi_levels(l, plan.schedule, plan.update_map, xp, nb, nb,
-                              terms, serial);
+      trisolve_multi_levels(l, plan.agg, plan.update_map, xp, nb, nb, terms,
+                            serial);
     };
     try {
       sweep(/*serial=*/false);
@@ -481,13 +385,11 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
 
 namespace {
 
-/// Shared body of the flat and aggregate parallel Cholesky sweeps: one of
-/// `flat` / `agg` is non-null and supplies the level structure. With an
-/// aggregate schedule the worksharing unit is a fused chain of supernodes
-/// executed in flat-level order on one thread (update sources of a chain
-/// member are either earlier members or earlier aggregate levels).
-void cholesky_levels(const core::CholeskySets& sets, const LevelSchedule* flat,
-                     const AggregateSchedule* agg, const CscMatrix& a_lower,
+/// Body of the parallel Cholesky sweep: the worksharing unit is a fused
+/// chain of supernodes executed in order on one thread (update sources of
+/// a chain member are either earlier members or earlier aggregate levels).
+void cholesky_levels(const core::CholeskySets& sets,
+                     const AggregateSchedule& agg, const CscMatrix& a_lower,
                      std::span<value_t> panels,
                      [[maybe_unused]] bool serial) {
   const solvers::SupernodalLayout& layout = sets.layout;
@@ -562,23 +464,15 @@ void cholesky_levels(const core::CholeskySets& sets, const LevelSchedule* flat,
       if (m > w)
         blas::trsm_right_lower_trans(m - w, w, panel, m, panel + w, m);
     };
-    if (agg != nullptr) {
-      for (index_t lev = 0; lev < agg->levels(); ++lev)
-        run_level_dynamic(agg->level_ptr[lev], agg->level_ptr[lev + 1],
-                          [&](index_t t) {
-                            guard.run([&] {
-                              for (index_t k = agg->task_ptr[t];
-                                   k < agg->task_ptr[t + 1]; ++k)
-                                factor_supernode(agg->items[k]);
-                            });
+    for (index_t lev = 0; lev < agg.levels(); ++lev)
+      run_level_dynamic(agg.level_ptr[lev], agg.level_ptr[lev + 1],
+                        [&](index_t t) {
+                          guard.run([&] {
+                            for (index_t k = agg.task_ptr[t];
+                                 k < agg.task_ptr[t + 1]; ++k)
+                              factor_supernode(agg.items[k]);
                           });
-    } else {
-      for (index_t lev = 0; lev < flat->levels(); ++lev)
-        run_level_dynamic(
-            flat->level_ptr[lev], flat->level_ptr[lev + 1], [&](index_t t) {
-              guard.run([&] { factor_supernode(flat->items[t]); });
-            });
-    }
+                        });
   }
   guard.rethrow_if_failed();
 }
@@ -586,16 +480,9 @@ void cholesky_levels(const core::CholeskySets& sets, const LevelSchedule* flat,
 }  // namespace
 
 void parallel_cholesky(const core::CholeskySets& sets,
-                       const LevelSchedule& schedule,
-                       const CscMatrix& a_lower, std::span<value_t> panels) {
-  cholesky_levels(sets, &schedule, nullptr, a_lower, panels,
-                  /*serial=*/false);
-}
-
-void parallel_cholesky(const core::CholeskySets& sets,
                        const AggregateSchedule& agg, const CscMatrix& a_lower,
                        std::span<value_t> panels) {
-  cholesky_levels(sets, nullptr, &agg, a_lower, panels, /*serial=*/false);
+  cholesky_levels(sets, agg, a_lower, panels, /*serial=*/false);
 }
 
 bool parallel_cholesky(const core::CholeskyPlan& plan,
@@ -603,10 +490,8 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
                        Status* fallback_error) {
   SYMPILER_CHECK(plan.path == core::ExecutionPath::ParallelSupernodal,
                  "parallel_cholesky: plan path is not ParallelSupernodal");
-  const LevelSchedule* flat = plan.agg.empty() ? &plan.schedule : nullptr;
-  const AggregateSchedule* agg = plan.agg.empty() ? nullptr : &plan.agg;
   try {
-    cholesky_levels(plan.sets, flat, agg, a_lower, panels, /*serial=*/false);
+    cholesky_levels(plan.sets, plan.agg, a_lower, panels, /*serial=*/false);
     return false;
   } catch (const numerical_error&) {
     // A pivot failure is a property of the data: the serial re-run would
@@ -618,7 +503,7 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
     // A and re-run the same schedule serially — bit-identical by the
     // determinism contract.
     if (fallback_error != nullptr) *fallback_error = status_of(e);
-    cholesky_levels(plan.sets, flat, agg, a_lower, panels, /*serial=*/true);
+    cholesky_levels(plan.sets, plan.agg, a_lower, panels, /*serial=*/true);
     return true;
   }
 }
@@ -650,8 +535,7 @@ core::WorkspaceDims panel_tail_dims(index_t max_tail, index_t ldp) {
 /// order), solves its diagonal block, and writes its below-diagonal tail
 /// contributions into its private slots instead of racing on x.
 void panel_forward_levels(const solvers::SupernodalLayout& layout,
-                          const LevelSchedule& schedule,
-                          const AggregateSchedule* agg,
+                          const AggregateSchedule& agg,
                           const UpdateSlotMap& umap,
                           std::span<const value_t> panels, value_t* xp,
                           index_t nrhs, index_t ldp, value_t* terms,
@@ -705,34 +589,22 @@ void panel_forward_levels(const solvers::SupernodalLayout& layout,
         }
       }
     };
-    if (agg != nullptr) {
-      for (index_t lev = 0; lev < agg->levels(); ++lev)
-        run_level(agg->level_ptr[lev], agg->level_ptr[lev + 1],
-                  [&](index_t t) {
-                    guard.run([&] {
-                      for (index_t k = agg->task_ptr[t];
-                           k < agg->task_ptr[t + 1]; ++k)
-                        solve_supernode(agg->items[k]);
-                    });
-                  });
-    } else {
-      for (index_t lev = 0; lev < schedule.levels(); ++lev)
-        run_level(
-            schedule.level_ptr[lev], schedule.level_ptr[lev + 1],
-            [&](index_t t) {
-              guard.run([&] { solve_supernode(schedule.items[t]); });
-            });
-    }
+    for (index_t lev = 0; lev < agg.levels(); ++lev)
+      run_level(agg.level_ptr[lev], agg.level_ptr[lev + 1], [&](index_t t) {
+        guard.run([&] {
+          for (index_t k = agg.task_ptr[t]; k < agg.task_ptr[t + 1]; ++k)
+            solve_supernode(agg.items[k]);
+        });
+      });
   }
   guard.rethrow_if_failed();
 }
 
 /// Backward sweep over reversed levels. No privatization needed: each
 /// supernode writes only its own block rows and reads tail rows owned by
-/// ancestors, which live in strictly later levels and are already final.
+/// ancestors, which finish earlier in the reversed sweep and are final.
 void panel_backward_levels(const solvers::SupernodalLayout& layout,
-                           const LevelSchedule& schedule,
-                           const AggregateSchedule* agg,
+                           const AggregateSchedule& agg,
                            std::span<const value_t> panels, value_t* xp,
                            index_t nrhs, index_t ldp, index_t max_tail,
                            [[maybe_unused]] bool serial) {
@@ -767,28 +639,17 @@ void panel_backward_levels(const solvers::SupernodalLayout& layout,
       blas::trsm_lower_transpose_multi(
           w, nrhs, panel, m, xp + static_cast<std::int64_t>(c1) * ldp, ldp);
     };
-    if (agg != nullptr) {
-      // Backward validity needs both reversals: levels in reverse order,
-      // and items inside each chain in reverse order (a chain member's
-      // forward-dependent is either a later member of the same chain or
-      // lives at a strictly later aggregate level).
-      for (index_t lev = agg->levels() - 1; lev >= 0; --lev)
-        run_level(agg->level_ptr[lev], agg->level_ptr[lev + 1],
-                  [&](index_t t) {
-                    guard.run([&] {
-                      for (index_t k = agg->task_ptr[t + 1] - 1;
-                           k >= agg->task_ptr[t]; --k)
-                        solve_supernode(agg->items[k]);
-                    });
-                  });
-    } else {
-      for (index_t lev = schedule.levels() - 1; lev >= 0; --lev)
-        run_level(
-            schedule.level_ptr[lev], schedule.level_ptr[lev + 1],
-            [&](index_t t) {
-              guard.run([&] { solve_supernode(schedule.items[t]); });
-            });
-    }
+    // Backward validity needs both reversals: levels in reverse order,
+    // and items inside each chain in reverse order (a chain member's
+    // forward-dependent is either a later member of the same chain or
+    // lives at a strictly later aggregate level).
+    for (index_t lev = agg.levels() - 1; lev >= 0; --lev)
+      run_level(agg.level_ptr[lev], agg.level_ptr[lev + 1], [&](index_t t) {
+        guard.run([&] {
+          for (index_t k = agg.task_ptr[t + 1] - 1; k >= agg.task_ptr[t]; --k)
+            solve_supernode(agg.items[k]);
+        });
+      });
   }
   guard.rethrow_if_failed();
 }
@@ -829,16 +690,14 @@ bool parallel_panel_solve_batch(const core::CholeskyPlan& plan,
   value_t* xp = ws.rhs_block();
   value_t* terms = ws.terms().data();
   bool degraded = false;
-  const AggregateSchedule* agg = plan.agg.empty() ? nullptr : &plan.agg;
   for (index_t r0 = 0; r0 < nrhs; r0 += bw) {
     const index_t nb = std::min(bw, nrhs - r0);
     value_t* x0 = bx.data() + static_cast<std::size_t>(r0) * n;
     blas::pack_rhs(n, nb, x0, n, xp, nb);
     const auto sweep = [&](bool serial) {
-      panel_forward_levels(layout, plan.schedule, agg, plan.solve_update_map,
-                           panels, xp, nb, nb, terms, plan.workspace.max_tail,
-                           serial);
-      panel_backward_levels(layout, plan.schedule, agg, panels, xp, nb, nb,
+      panel_forward_levels(layout, plan.agg, plan.solve_update_map, panels,
+                           xp, nb, nb, terms, plan.workspace.max_tail, serial);
+      panel_backward_levels(layout, plan.agg, panels, xp, nb, nb,
                             plan.workspace.max_tail, serial);
     };
     try {

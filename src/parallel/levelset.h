@@ -2,9 +2,11 @@
 // direction ("the transformations ... should extend to improve performance
 // on shared and distributed memory systems"; realized by the authors'
 // ParSy follow-on). The symbolic inspector computes one more inspection
-// set: a level schedule of the dependence structure; columns/supernodes
-// within a level are independent and run in parallel (OpenMP when built
-// with SYMPILER_HAS_OPENMP, sequentially otherwise).
+// set: a schedule of the dependence structure, coarsened into an
+// AggregateSchedule (parallel/schedule.h); tasks within an aggregate level
+// are independent and run in parallel (OpenMP when built with
+// SYMPILER_HAS_OPENMP, sequentially otherwise), and a fused chain runs its
+// members in order on one thread.
 //
 // Determinism. Two same-level items can update the same later row, which
 // a naive wavefront would resolve with atomics — making result bits vary
@@ -19,8 +21,8 @@
 // executor and invariant to the thread count — by construction, not by
 // tolerance.
 //
-// The level schedule and slot map are part of a core::ExecutionPlan: the
-// Planner builds them once per pattern and the plan-driven overloads
+// The aggregate schedule and slot map are part of a core::ExecutionPlan:
+// the Planner builds them once per pattern and the plan-driven overloads
 // below interpret them.
 //
 // Failure domains. Every parallel region below contains exceptions with a
@@ -58,44 +60,22 @@ struct SupernodalLayout;  // solvers/supernodal.h
 
 namespace sympiler::parallel {
 
-// LevelSchedule / UpdateSlotMap and their builders live in
+// AggregateSchedule / UpdateSlotMap and their builders live in
 // parallel/schedule.h (shared with the planning layer); this header holds
 // the executors that interpret them.
 
-/// Parallel full forward solve L x = b using a precomputed level schedule
-/// and slot map. `terms` is caller scratch of at least umap.slots()
-/// values. Bit-identical to the sequential pruned solve and deterministic
-/// across runs and thread counts (see the header comment).
-void parallel_trisolve(const CscMatrix& l, const LevelSchedule& schedule,
-                       const UpdateSlotMap& umap, std::span<value_t> x,
-                       std::span<value_t> terms);
-
-/// Coarsened-schedule variant: interprets an AggregateSchedule instead of
-/// the flat levels — fused chains run sequentially on one thread, SIMD
-/// bundles go through the ISA-dispatched bundle kernels (blas/bundle.h).
-/// Same slot map, same fold order, so still bit-identical to the serial
-/// solve at any thread count.
+/// Parallel full forward solve L x = b over an aggregate schedule and slot
+/// map: fused chains run sequentially on one thread, SIMD bundles go
+/// through the ISA-dispatched bundle kernels (blas/bundle.h). `terms` is
+/// caller scratch of at least umap.slots() values. Bit-identical to the
+/// sequential pruned solve and deterministic across runs and thread
+/// counts (see the header comment).
 void parallel_trisolve(const CscMatrix& l, const AggregateSchedule& agg,
                        const UpdateSlotMap& umap, std::span<value_t> x,
                        std::span<value_t> terms);
 
-/// Packed multi-RHS variant: X(i, r) at xp[r + i * ldp], nrhs <=
-/// blas::kRhsBlockMax, `terms` holds umap.slots() RHS-major rows of ldp
-/// values. Per RHS column the arithmetic is bit-identical to the
-/// single-RHS parallel_trisolve (and hence to the serial pruned solve).
-void parallel_trisolve_multi(const CscMatrix& l, const LevelSchedule& schedule,
-                             const UpdateSlotMap& umap, value_t* xp,
-                             index_t nrhs, index_t ldp, value_t* terms);
-
-/// Coarsened-schedule multi-RHS variant: chain fusion collapses barriers;
-/// bundle tasks run their lanes sequentially (the RHS loop is already the
-/// vector direction), which is bit-identical by the bundle contract.
-void parallel_trisolve_multi(const CscMatrix& l, const AggregateSchedule& agg,
-                             const UpdateSlotMap& umap, value_t* xp,
-                             index_t nrhs, index_t ldp, value_t* terms);
-
-/// Plan-driven interpreter: runs the schedule + slot map carried by a
-/// trisolve plan whose path is ExecutionPath::ParallelTriSolve. `ws` is
+/// Plan-driven interpreter: runs the aggregate schedule + slot map carried
+/// by a trisolve plan whose path is ExecutionPath::ParallelTriSolve. `ws` is
 /// the caller's plan-sized workspace (holds the shared terms buffer plus a
 /// one-column snapshot of x; grow-only, so a warm solve allocates
 /// nothing). On a parallel-sweep failure the input is restored from the
@@ -108,36 +88,33 @@ bool parallel_trisolve(const CscMatrix& l, const core::TriSolvePlan& plan,
 
 /// Plan-driven blocked multi-RHS level-set solve: `xs` holds nrhs
 /// column-major dense RHS of length n. RHS columns are tiled into packed
-/// blocks (core::rhs_block_width) and each block sweeps the level schedule
-/// once; per column the result is bit-identical to looped single-RHS
-/// solves. `ws` carries the packed block and terms buffers. A failing
-/// block is repacked from its (still pristine) input columns and re-swept
-/// serially; returns true when any block degraded, recording the first
-/// failure in `*fallback_error` when non-null.
+/// blocks (core::rhs_block_width) and each block sweeps the aggregate
+/// schedule once — bundle lanes run sequentially there, since the RHS loop
+/// is already the vector direction; per column the result is
+/// bit-identical to looped single-RHS solves. `ws` carries the packed
+/// block and terms buffers. A failing block is repacked from its (still
+/// pristine) input columns and re-swept serially; returns true when any
+/// block degraded, recording the first failure in `*fallback_error` when
+/// non-null.
 bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
                              std::span<value_t> xs, index_t nrhs,
                              core::Workspace& ws,
                              Status* fallback_error = nullptr);
 
 /// Parallel supernodal left-looking Cholesky using the static inspection
-/// sets plus a supernode level schedule. Writes the factor into `panels`
-/// (layout in sets.layout). Each level's supernodes factor concurrently;
-/// left-looking updates only read descendants, which live in earlier
-/// levels. Deterministic: every panel's updates are applied by its owning
-/// thread in static schedule order.
-void parallel_cholesky(const core::CholeskySets& sets,
-                       const LevelSchedule& schedule,
-                       const CscMatrix& a_lower, std::span<value_t> panels);
-
-/// Coarsened-schedule variant: fused supernode chains factor sequentially
-/// on one thread, collapsing the barrier cascade of deep, narrow levels.
+/// sets plus a supernode aggregate schedule. Writes the factor into
+/// `panels` (layout in sets.layout). Each aggregate level's tasks factor
+/// concurrently; a fused chain factors its supernodes in order on one
+/// thread. Left-looking updates only read descendants, which finish in
+/// earlier levels or earlier in the same chain. Deterministic: every
+/// panel's updates are applied by its owning thread in static schedule
+/// order.
 void parallel_cholesky(const core::CholeskySets& sets,
                        const AggregateSchedule& agg, const CscMatrix& a_lower,
                        std::span<value_t> panels);
 
-/// Plan-driven interpreter: sets + schedule come from the plan (path must
-/// be ExecutionPath::ParallelSupernodal); interprets the plan's coarsened
-/// schedule when present, the flat levels otherwise. An infrastructure
+/// Plan-driven interpreter: sets + aggregate schedule come from the plan
+/// (path must be ExecutionPath::ParallelSupernodal). An infrastructure
 /// fault re-scatters A and re-runs the schedule serially (bit-identical);
 /// returns true when that fallback was taken, recording the failure in
 /// `*fallback_error` when non-null. numerical_error propagates — a pivot
@@ -147,9 +124,10 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
                        Status* fallback_error = nullptr);
 
 /// Plan-driven blocked multi-RHS solve over factored supernodal panels:
-/// packed RHS blocks sweep the plan's supernode level schedule — forward
-/// with slot-privatized tail updates, backward over reversed levels (which
-/// races on nothing: each supernode writes only its own block rows). Per
+/// packed RHS blocks sweep the plan's supernode aggregate schedule —
+/// forward with slot-privatized tail updates, backward over reversed
+/// levels and reversed chains (which races on nothing: each supernode
+/// writes only its own block rows). Per
 /// RHS column, bit-identical to the sequential panel solves; parallel
 /// inside each level. `ws` is the caller's shared workspace (packed block
 /// + terms); per-thread tail scratch lives in grow-only thread_local

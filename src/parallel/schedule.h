@@ -1,8 +1,13 @@
-// Level-set schedule and privatized update-slot map — the pattern-pure
+// Schedules and the privatized update-slot map — the pattern-pure
 // symbolic products of the parallel executors, split out of levelset.h so
 // the planning layer (core/inspector.h) can build them inside its parallel
 // assembly region without an include cycle (levelset.h's executors consume
 // core::CholeskySets and therefore include inspector.h).
+//
+// A plan carries, verifies, persists and executes one schedule format: the
+// AggregateSchedule. The flat LevelSchedule is only the coarsener's input
+// (and the source of the planner's level-width evidence); it never reaches
+// a plan's executors, its file or its verifier.
 //
 // See levelset.h for the execution model these products drive and the
 // determinism argument for the slot map.
@@ -23,7 +28,8 @@ struct SupernodalLayout;  // solvers/supernodal.h
 namespace sympiler::parallel {
 
 /// Level schedule: levels partition [0, count) items such that an item's
-/// dependencies all live in strictly earlier levels.
+/// dependencies all live in strictly earlier levels. Transient: built by
+/// the planner and consumed by coarsen_schedule_*, never executed.
 struct LevelSchedule {
   std::vector<index_t> level_ptr;  ///< size nlevels + 1
   std::vector<index_t> items;      ///< permutation of items, bucketed
@@ -46,7 +52,10 @@ struct LevelSchedule {
 };
 
 /// Dependence-coarsened (aggregate) schedule: the flat level schedule
-/// rewritten into super-tasks mined from the actual dependence DAG.
+/// rewritten into super-tasks mined from the actual dependence DAG. The
+/// only schedule a plan carries; with both rewrites off
+/// (CoarsenOptions{false, false}) it is the identity aggregate — one
+/// singleton chain per item at its flat level.
 ///
 /// Two task kinds:
 ///  - **chain** (`bundle[t] == 0`): a run of items, one per consecutive
@@ -63,8 +72,8 @@ struct LevelSchedule {
 /// within an aggregate level are mutually independent (a dependence into
 /// a chain implies a strictly earlier aggregate level — see
 /// docs/architecture.md, "Schedule coarsening"), so levels keep the
-/// barrier-per-level execution model of LevelSchedule. Backward sweeps
-/// reverse both the level order and the item order inside each task.
+/// barrier-per-level execution model. Backward sweeps reverse both the
+/// level order and the item order inside each task.
 /// Pattern-pure — built by the Planner, cached with the plan; bit-identity
 /// is untouched because the UpdateSlotMap fold order never depends on the
 /// execution schedule.
@@ -97,7 +106,8 @@ struct AggregateSchedule {
 };
 
 /// Which coarsening rewrites to apply (bench ablations run them
-/// separately; the Planner applies both).
+/// separately; the Planner applies both, or neither for the identity
+/// aggregate when PlannerConfig::coarsen_schedule is off).
 struct CoarsenOptions {
   bool chains = true;   ///< fuse dependence runs into sequential chains
   bool bundles = true;  ///< group same-shape independent rows lock-step

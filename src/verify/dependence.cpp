@@ -1,6 +1,6 @@
 // kStructure + kDependence passes: inspection-set internal consistency,
-// and legality of the flat/coarsened schedules against the dependence
-// relation recomputed from those sets.
+// and legality of the aggregate schedule against the dependence relation
+// recomputed from those sets.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -276,6 +276,15 @@ bool check_updates(Checker& c, const solvers::SupernodalLayout& layout,
   return true;
 }
 
+/// A parallel path executes nothing but its aggregate schedule, so a plan
+/// on that path without one would silently skip every item.
+bool require_schedule(Checker& c, const parallel::AggregateSchedule& agg) {
+  c.note();
+  if (!agg.empty()) return true;
+  return c.fail("dep.missing-schedule", -1,
+                "parallel plan carries no aggregate schedule");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Cholesky
@@ -430,7 +439,7 @@ void check_structure(Report& report, const core::CholeskyPlan& plan) {
 
 void check_dependence(Report& report, const core::CholeskyPlan& plan) {
   Checker c(report, Pass::kDependence);
-  if (plan.schedule.empty() && plan.agg.empty()) return;  // sequential plan
+  if (plan.path != core::ExecutionPath::ParallelSupernodal) return;
 
   const solvers::SupernodalLayout& layout = plan.sets.layout;
   c.note();
@@ -446,96 +455,53 @@ void check_dependence(Report& report, const core::CholeskyPlan& plan) {
     c.fail("dep.missing-sets", -1, "update lists inconsistent with layout");
     return;
   }
+  if (!require_schedule(c, plan.agg)) return;
 
-  const ItemOrder flat = check_flat_schedule(c, plan.schedule, nsuper);
-  ItemOrder agg;
-  const bool has_agg = !plan.agg.empty();
-  if (has_agg) {
-    agg = check_agg_schedule(c, plan.agg, nsuper);
-    c.note();
-    if (plan.agg.bundles() > 0)
-      c.fail("agg.bundle-unsupported", -1,
-             "supernodal coarsening is chain-only; no bundle kernels exist "
-             "for supernode panels");
-  }
+  const ItemOrder order = check_agg_schedule(c, plan.agg, nsuper);
+  c.note();
+  if (plan.agg.bundles() > 0)
+    c.fail("agg.bundle-unsupported", -1,
+           "supernodal coarsening is chain-only; no bundle kernels exist "
+           "for supernode panels");
+  if (!order.usable) return;
 
   // Every update edge d -> s must complete strictly before its target
-  // starts, under the flat barriers and under the coarsened ones.
-  const auto check_edges = [&](const ItemOrder& order, const char* check) {
-    c.note();
-    for (index_t s = 0; s < nsuper; ++s) {
-      for (index_t q = plan.sets.updates.ptr[s];
-           q < plan.sets.updates.ptr[s + 1]; ++q) {
-        const index_t d = plan.sets.updates.refs[q].d;
-        if (d < 0 || d >= nsuper) continue;  // structure pass reports this
-        if (!order.before(d, s)) {
-          c.fail(check, s,
-                 cat("descendant ", d, " (level ", order.level[d],
-                     ") does not complete before target ", s, " (level ",
-                     order.level[s], ")"));
-          return;
-        }
-      }
+  // starts: an earlier barrier level, or earlier in the same chain.
+  c.note();
+  bool ok = true;
+  for (index_t s = 0; s < nsuper && ok; ++s) {
+    for (index_t q = plan.sets.updates.ptr[s];
+         q < plan.sets.updates.ptr[s + 1] && ok; ++q) {
+      const index_t d = plan.sets.updates.refs[q].d;
+      if (d < 0 || d >= nsuper) continue;  // structure pass reports this
+      if (!order.before(d, s))
+        ok = c.fail("dep.update-edge-agg", s,
+                    cat("descendant ", d, " (level ", order.level[d],
+                        ") does not complete before target ", s, " (level ",
+                        order.level[s], ")"));
     }
-  };
+  }
   // Converse direction, from the layout instead of the update lists: the
   // owner of every below-diagonal panel row consumes s's tail, so it must
   // start strictly after s — catches a deleted update ref as well as a
   // mis-levelled supernode.
-  const auto check_row_owners = [&](const ItemOrder& order,
-                                    const char* check) {
-    c.note();
-    for (index_t s = 0; s < nsuper; ++s) {
-      const index_t base = layout.srow_ptr[s];
-      const index_t w = layout.width(s);
-      const index_t rows = layout.nrows(s);
-      for (index_t u = w; u < rows; ++u) {
-        const index_t r = layout.srows[base + u];
-        if (r < 0 || r >= layout.n) continue;  // structure pass reports this
-        const index_t owner = layout.sn.col_to_super[r];
-        if (owner < 0 || owner >= nsuper || owner == s) continue;
-        if (!order.before(s, owner)) {
-          c.fail(check, s,
-                 cat("tail row ", r, "'s owner ", owner, " (level ",
-                     order.level[owner], ") does not start after producer ",
-                     s, " (level ", order.level[s], ")"));
-          return;
-        }
-      }
-    }
-  };
-
-  if (flat.usable) {
-    check_edges(flat, "dep.update-edge");
-    check_row_owners(flat, "dep.row-owner");
-  }
-  if (has_agg && agg.usable) {
-    check_edges(agg, "dep.update-edge-agg");
-    check_row_owners(agg, "dep.row-owner-agg");
-    if (flat.usable) {
-      // Chain fusion preserves program order: members occupy consecutive
-      // flat levels, so running them back-to-back on one thread replays
-      // the barrier sequence they were mined from.
-      c.note();
-      for (index_t t = 0; t < plan.agg.tasks(); ++t) {
-        if (t < static_cast<index_t>(plan.agg.bundle.size()) &&
-            plan.agg.bundle[t] != 0)
-          continue;
-        bool bad = false;
-        for (index_t q = plan.agg.task_ptr[t] + 1;
-             q < plan.agg.task_ptr[t + 1]; ++q) {
-          const index_t a = plan.agg.items[q - 1];
-          const index_t b = plan.agg.items[q];
-          if (flat.level[b] != flat.level[a] + 1) {
-            c.fail("agg.chain-consecutive", t,
-                   cat("chain jumps flat levels ", flat.level[a], " -> ",
-                       flat.level[b], " between items ", a, " and ", b));
-            bad = true;
-            break;
-          }
-        }
-        if (bad) break;
-      }
+  c.note();
+  ok = true;
+  for (index_t s = 0; s < nsuper && ok; ++s) {
+    const index_t base = layout.srow_ptr[s];
+    const index_t w = layout.width(s);
+    const index_t rows = layout.nrows(s);
+    for (index_t u = w; u < rows && ok; ++u) {
+      const index_t r = layout.srows[base + u];
+      if (r < 0 || r >= layout.n) continue;  // structure pass reports this
+      const index_t owner = layout.sn.col_to_super[r];
+      if (owner < 0 || owner >= nsuper || owner == s) continue;
+      if (!order.before(s, owner))
+        ok = c.fail("dep.row-owner-agg", s,
+                    cat("tail row ", r, "'s owner ", owner, " (level ",
+                        order.level[owner],
+                        ") does not start after producer ", s, " (level ",
+                        order.level[s], ")"));
     }
   }
 }
@@ -703,100 +669,66 @@ void check_structure(Report& report, const core::TriSolvePlan& plan,
 void check_dependence(Report& report, const core::TriSolvePlan& plan,
                       const CscMatrix& l) {
   Checker c(report, Pass::kDependence);
-  if (plan.schedule.empty() && plan.agg.empty()) return;
+  if (plan.path != core::ExecutionPath::ParallelTriSolve) return;
+  if (!require_schedule(c, plan.agg)) return;
 
   const index_t n = l.cols();
-  const ItemOrder flat = check_flat_schedule(c, plan.schedule, n);
-  ItemOrder agg;
-  const bool has_agg = !plan.agg.empty();
-  if (has_agg) agg = check_agg_schedule(c, plan.agg, n);
+  const ItemOrder order = check_agg_schedule(c, plan.agg, n);
+  if (!order.usable) return;
 
   // Every DG_L edge j -> i (L(i, j) != 0, i > j) is a dependence of the
-  // forward solve: x[j] must be final before column j updates x[i].
-  const auto check_edges = [&](const ItemOrder& order, const char* check) {
-    c.note();
-    for (index_t j = 0; j < n; ++j) {
-      for (index_t p = l.col_begin(j); p < l.col_end(j); ++p) {
-        const index_t i = l.rowind[p];
-        if (i <= j || i >= n) continue;
-        if (!order.before(j, i)) {
-          c.fail(check, i,
-                 cat("column ", j, " (level ", order.level[j],
-                     ") does not complete before dependent column ", i,
-                     " (level ", order.level[i], ")"));
-          return;
-        }
-      }
+  // forward solve: x[j] must be final before column j updates x[i]. A
+  // bundle's lanes share one barrier level and run lock-step, so this
+  // also rejects a dependence between two lanes of one bundle.
+  c.note();
+  bool clean = true;
+  for (index_t j = 0; j < n && clean; ++j) {
+    for (index_t p = l.col_begin(j); p < l.col_end(j) && clean; ++p) {
+      const index_t i = l.rowind[p];
+      if (i <= j || i >= n) continue;
+      if (!order.before(j, i))
+        clean = c.fail("dep.edge-agg", i,
+                       cat("column ", j, " (level ", order.level[j],
+                           ") does not complete before dependent column ", i,
+                           " (level ", order.level[i], ")"));
     }
-  };
+  }
 
-  if (flat.usable) check_edges(flat, "dep.edge");
-  if (has_agg && agg.usable) {
-    check_edges(agg, "dep.edge-agg");
-
-    if (flat.usable) {
-      c.note();
-      bool clean = true;
-      for (index_t t = 0; t < plan.agg.tasks() && clean; ++t) {
-        const bool bundled = plan.agg.bundle[t] != 0;
-        for (index_t q = plan.agg.task_ptr[t] + 1;
-             q < plan.agg.task_ptr[t + 1] && clean; ++q) {
-          const index_t a = plan.agg.items[q - 1];
-          const index_t b = plan.agg.items[q];
-          if (bundled && flat.level[b] != flat.level[a])
-            clean = c.fail("agg.bundle-level", t,
-                           cat("bundle lanes ", a, " and ", b,
-                               " sit on different flat levels (", flat.level[a],
-                               " vs ", flat.level[b], ")"));
-          else if (!bundled && flat.level[b] != flat.level[a] + 1)
-            clean = c.fail("agg.chain-consecutive", t,
-                           cat("chain jumps flat levels ", flat.level[a],
-                               " -> ", flat.level[b], " between columns ", a,
-                               " and ", b));
-        }
-      }
+  // Bundle lanes run lock-step: they must be pairwise independent (no
+  // DG_L edge between lanes) and shape-homogeneous (equal incoming-term
+  // and update counts — the bundle kernels' layout contract).
+  c.note();
+  std::vector<index_t> indeg(static_cast<std::size_t>(n), 0);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t p = l.col_begin(j); p < l.col_end(j); ++p) {
+      const index_t i = l.rowind[p];
+      if (i > j && i < n) ++indeg[i];
     }
-
-    // Bundle lanes run lock-step: they must be pairwise independent (no
-    // DG_L edge between lanes) and shape-homogeneous (equal incoming-term
-    // and update counts — the bundle kernels' layout contract).
-    c.note();
-    std::vector<index_t> indeg(static_cast<std::size_t>(n), 0);
-    for (index_t j = 0; j < n; ++j)
-      for (index_t p = l.col_begin(j); p < l.col_end(j); ++p) {
+  std::vector<index_t> member_of(static_cast<std::size_t>(n), -1);
+  clean = true;
+  for (index_t t = 0; t < plan.agg.tasks() && clean; ++t) {
+    if (plan.agg.bundle[t] == 0) continue;
+    const index_t qb = plan.agg.task_ptr[t], qe = plan.agg.task_ptr[t + 1];
+    for (index_t q = qb; q < qe; ++q) member_of[plan.agg.items[q]] = t;
+    index_t in0 = -1, out0 = -1;
+    for (index_t q = qb; q < qe && clean; ++q) {
+      const index_t j = plan.agg.items[q];
+      const index_t out = l.col_end(j) - l.col_begin(j) - 1;
+      if (q == qb) {
+        in0 = indeg[j];
+        out0 = out;
+      } else if (indeg[j] != in0 || out != out0) {
+        clean = c.fail("agg.bundle-shape", t,
+                       cat("lane ", j, " shape (", indeg[j], " in, ", out,
+                           " out) differs from lane ", plan.agg.items[qb],
+                           " (", in0, " in, ", out0, " out)"));
+      }
+      for (index_t p = l.col_begin(j); p < l.col_end(j) && clean; ++p) {
         const index_t i = l.rowind[p];
-        if (i > j && i < n) ++indeg[i];
-      }
-    std::vector<index_t> member_of(static_cast<std::size_t>(n), -1);
-    bool clean = true;
-    for (index_t t = 0; t < plan.agg.tasks() && clean; ++t) {
-      if (plan.agg.bundle[t] == 0) continue;
-      const index_t qb = plan.agg.task_ptr[t], qe = plan.agg.task_ptr[t + 1];
-      for (index_t q = qb; q < qe; ++q) {
-        const index_t j = plan.agg.items[q];
-        if (j >= 0 && j < n) member_of[j] = t;
-      }
-      index_t in0 = -1, out0 = -1;
-      for (index_t q = qb; q < qe && clean; ++q) {
-        const index_t j = plan.agg.items[q];
-        if (j < 0 || j >= n) continue;
-        const index_t out = l.col_end(j) - l.col_begin(j) - 1;
-        if (q == qb) {
-          in0 = indeg[j];
-          out0 = out;
-        } else if (indeg[j] != in0 || out != out0) {
-          clean = c.fail("agg.bundle-shape", t,
-                         cat("lane ", j, " shape (", indeg[j], " in, ", out,
-                             " out) differs from lane ", plan.agg.items[qb],
-                             " (", in0, " in, ", out0, " out)"));
-        }
-        for (index_t p = l.col_begin(j); p < l.col_end(j) && clean; ++p) {
-          const index_t i = l.rowind[p];
-          if (i > j && i < n && member_of[i] == t)
-            clean = c.fail("agg.bundle-dependent", t,
-                           cat("lane ", i, " depends on lane ", j,
-                               " within one lock-step bundle"));
-        }
+        if (i > j && i < n && member_of[i] == t)
+          clean = c.fail("agg.bundle-dependent", t,
+                         cat("lane ", i, " depends on lane ", j,
+                             " within one lock-step bundle"));
       }
     }
   }

@@ -257,8 +257,7 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
                        3 * plan.sets.updates.refs.size() +
                        2 * plan.sets.layout.srow_ptr.size() +
                        2 * plan.sets.layout.panel_ptr.size() +
-                       plan.sets.updates.ptr.size() +
-                       plan.schedule.items.size();
+                       plan.sets.updates.ptr.size() + plan.agg.items.size();
   if (!audit_within_cap(baked_ints, plan.options)) return;
 
   const std::string src = core::PlanCompiler::emit(plan);
@@ -330,16 +329,16 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
         match_enum(c, baked, "N", layout.n) &&
         match_enum(c, baked, "NSUPER", layout.nsuper()) &&
         match_enum(c, baked, "SPECIALIZED", specialized ? 1 : 0) &&
-        !plan.schedule.empty()) {
-      // A scheduled plan's sequential interpretation bakes the level
+        !plan.agg.empty()) {
+      // A scheduled plan's sequential interpretation bakes the aggregate
       // schedule: the item order verbatim, one phase comment per barrier.
       c.note();
-      if (match_array<index_t>(c, baked, "snOrder", plan.schedule.items) &&
+      if (match_array<index_t>(c, baked, "snOrder", plan.agg.items) &&
           static_cast<index_t>(count_occurrences(src, "/* phase ")) !=
-              plan.schedule.levels())
+              plan.agg.levels())
         c.fail("emitted.phase-count", -1,
                cat("emitted ", count_occurrences(src, "/* phase "),
-                   " phase markers, schedule has ", plan.schedule.levels(),
+                   " phase markers, schedule has ", plan.agg.levels(),
                    " levels"));
     }
   }

@@ -54,14 +54,14 @@ class Checker {
   Pass pass_;
 };
 
-/// Happens-before order of schedule items, derived from a validated flat
-/// or aggregate schedule. `before(a, b)` = a completes before b starts in
+/// Happens-before order of schedule items, derived from a validated
+/// aggregate schedule. `before(a, b)` = a completes before b starts in
 /// *every* execution of the schedule: a strictly earlier barrier level, or
 /// an earlier position within the same sequential chain. Bundle members
 /// run lock-step, so they are ordered only by level.
 struct ItemOrder {
   std::vector<index_t> level;         ///< barrier level of each item
-  std::vector<index_t> task;          ///< owning task (flat: == level)
+  std::vector<index_t> task;          ///< owning task
   std::vector<index_t> pos;           ///< position within the task
   std::vector<std::uint8_t> bundled;  ///< item sits in a lock-step bundle
   bool usable = false;  ///< schedule was structurally valid
@@ -71,12 +71,6 @@ struct ItemOrder {
     return task[a] == task[b] && bundled[a] == 0 && pos[a] < pos[b];
   }
 };
-
-/// Validate a flat LevelSchedule over `count` items (monotone level_ptr,
-/// items a permutation of [0, count)) and build its ItemOrder. Findings go
-/// under "sched.*"; order.usable is false when the structure is broken.
-[[nodiscard]] ItemOrder check_flat_schedule(
-    Checker& c, const parallel::LevelSchedule& schedule, index_t count);
 
 /// Validate an AggregateSchedule over `count` items (level_ptr/task_ptr
 /// monotone and aligned, items a permutation, bundle sizes within

@@ -13,17 +13,10 @@ namespace {
 
 using core::ExecutionPath;
 
-/// Swap one item between the first and last levels of a flat schedule.
-/// Any item at the last level of a longest-path levelling has an incoming
-/// dependence, so pulling it to level 0 always breaks an edge.
-bool swap_flat_levels(parallel::LevelSchedule& schedule) {
-  if (schedule.levels() < 2 || schedule.items.empty()) return false;
-  const index_t last = schedule.level_ptr[schedule.levels() - 1];
-  std::swap(schedule.items[0], schedule.items[last]);
-  return true;
-}
-
-/// Same exchange across the coarsened schedule's level groups.
+/// Swap the first items of the first and last aggregate levels. A task's
+/// level is the flat level of its first item, and any item past flat
+/// level 0 of a longest-path levelling has an incoming dependence, so
+/// pulling it to level 0 always breaks an edge.
 bool swap_agg_levels(parallel::AggregateSchedule& agg) {
   if (agg.levels() < 2 || agg.items.empty()) return false;
   const index_t q1 = agg.task_ptr[agg.level_ptr[0]];
@@ -127,10 +120,19 @@ bool drop_panel_zero_row(core::CholeskySets& sets) {
 
 /// Drop the last scheduled item: the schedule still looks well-formed but
 /// silently loses work.
-bool drop_schedule_item(parallel::LevelSchedule& schedule) {
-  if (schedule.items.empty()) return false;
-  schedule.items.pop_back();
-  schedule.level_ptr.back() -= 1;
+bool drop_schedule_item(parallel::AggregateSchedule& agg) {
+  if (agg.items.empty()) return false;
+  agg.items.pop_back();
+  agg.task_ptr.back() -= 1;
+  return true;
+}
+
+/// Clear a schedule or slot map a parallel plan executes; false when the
+/// plan carries none (sequential paths).
+template <typename T>
+bool drop(T& product) {
+  if (product.empty()) return false;
+  product = T{};
   return true;
 }
 
@@ -156,6 +158,10 @@ const char* to_string(Corruption c) {
       return "chain-reorder";
     case Corruption::kDroppedPanelZeroRow:
       return "dropped-panel-zero-row";
+    case Corruption::kDroppedSchedule:
+      return "dropped-schedule";
+    case Corruption::kDroppedSlotMap:
+      return "dropped-slot-map";
   }
   return "?";
 }
@@ -170,7 +176,6 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
   switch (c) {
     case Corruption::kDepViolation: {
       if (swap_agg_levels(plan.agg)) return true;
-      if (swap_flat_levels(plan.schedule)) return true;
       if (!sets.rowpat.empty()) {
         // Sequential simplicial: claim row i is updated by itself — a
         // dependence no elimination order can satisfy.
@@ -253,11 +258,15 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
       return false;
     }
     case Corruption::kScheduleGap:
-      return drop_schedule_item(plan.schedule);
+      return drop_schedule_item(plan.agg);
     case Corruption::kChainReorder:
       return !plan.agg.empty() && reorder_chain(plan.agg);
     case Corruption::kDroppedPanelZeroRow:
       return has_layout && drop_panel_zero_row(sets);
+    case Corruption::kDroppedSchedule:
+      return drop(plan.agg);
+    case Corruption::kDroppedSlotMap:
+      return drop(plan.solve_update_map);
   }
   return false;
 }
@@ -272,7 +281,6 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
   switch (c) {
     case Corruption::kDepViolation: {
       if (swap_agg_levels(plan.agg)) return true;
-      if (swap_flat_levels(plan.schedule)) return true;
       if (!sets.reach.empty()) {
         // Sequential pruned: place a successor before its producer in the
         // reach sequence — find any DG_L edge inside the reach and invert
@@ -341,7 +349,7 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
       return false;
     }
     case Corruption::kScheduleGap: {
-      if (drop_schedule_item(plan.schedule)) return true;
+      if (drop_schedule_item(plan.agg)) return true;
       if (plan.path == ExecutionPath::BlockedTriSolve &&
           plan.options.vi_prune && !sets.sn_reach.empty()) {
         sets.sn_reach.pop_back();
@@ -358,6 +366,10 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
       return !plan.agg.empty() && reorder_chain(plan.agg);
     case Corruption::kDroppedPanelZeroRow:
       return false;  // trisolve plans carry no panels
+    case Corruption::kDroppedSchedule:
+      return drop(plan.agg);
+    case Corruption::kDroppedSlotMap:
+      return drop(plan.update_map);
   }
   return false;
 }

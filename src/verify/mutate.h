@@ -9,7 +9,8 @@
 // schedule that silently drops work. apply() mutates the plan in place the
 // way a real Planner/scheduler bug would, returning false when the class
 // does not apply to the plan's execution path (a sequential plan has no
-// slots to alias). The kill matrix in tests/test_verify.cpp asserts
+// slots to alias). The kill matrix in tests/test_verify.cpp and
+// `sympiler_cli --verify-corpus` iterate kAllCorruptions and assert
 // verify_plan flags every applicable (corruption x path) cell.
 //
 // Test-only by intent, but shipped in src/verify/ so the corruptions stay
@@ -32,6 +33,19 @@ enum class Corruption {
   kScheduleGap,           // schedule silently drops an item
   kChainReorder,          // chain task members swapped out of dep order
   kDroppedPanelZeroRow,   // amalgamated panel loses an explicit-zero row
+  kDroppedSchedule,       // parallel plan loses its aggregate schedule
+  kDroppedSlotMap,        // parallel plan loses its update-slot map
+};
+
+/// Every corruption class, in declaration order — the one list the kill
+/// matrix and the CLI corpus iterate, so a new class cannot be missed.
+inline constexpr Corruption kAllCorruptions[] = {
+    Corruption::kDepViolation,         Corruption::kAliasedSlot,
+    Corruption::kReorderedFold,        Corruption::kCrossDependentBundle,
+    Corruption::kOutOfBoundsIndex,     Corruption::kWorkspaceTrim,
+    Corruption::kScheduleGap,          Corruption::kChainReorder,
+    Corruption::kDroppedPanelZeroRow,  Corruption::kDroppedSchedule,
+    Corruption::kDroppedSlotMap,
 };
 
 const char* to_string(Corruption c);

@@ -28,12 +28,6 @@ namespace {
 /// Schedule coordinates for the happens-before replay, validated into a
 /// scratch report: a structurally broken schedule is the dependence pass's
 /// finding, not a second copy here — the replay simply skips.
-ItemOrder quiet_flat(const parallel::LevelSchedule& schedule, index_t count) {
-  Report scratch;
-  Checker sc(scratch, Pass::kRaces);
-  return check_flat_schedule(sc, schedule, count);
-}
-
 ItemOrder quiet_agg(const parallel::AggregateSchedule& agg, index_t count) {
   Report scratch;
   Checker sc(scratch, Pass::kRaces);
@@ -46,8 +40,10 @@ ItemOrder quiet_agg(const parallel::AggregateSchedule& agg, index_t count) {
 
 void check_races(Report& report, const core::CholeskyPlan& plan) {
   Checker c(report, Pass::kRaces);
+  // Sequential plans share no terms buffer; a parallel one must carry the
+  // slot map its sweeps scatter into (an empty map fails the shape check).
+  if (plan.path != core::ExecutionPath::ParallelSupernodal) return;
   const parallel::UpdateSlotMap& m = plan.solve_update_map;
-  if (m.empty()) return;  // sequential plan: no shared terms buffer
 
   const solvers::SupernodalLayout& layout = plan.sets.layout;
   c.note();
@@ -136,7 +132,7 @@ void check_races(Report& report, const core::CholeskyPlan& plan) {
   // Happens-before: the supernode owning row r reads r's slots when it
   // factors, so every producer must sit at a strictly earlier barrier (or
   // earlier in the same sequential chain).
-  const auto check_hb = [&](const ItemOrder& order, const char* check) {
+  const auto check_hb = [&](const ItemOrder& order) {
     if (!order.usable) return;
     c.note();
     for (index_t s = 0; s < nsuper; ++s) {
@@ -149,7 +145,7 @@ void check_races(Report& report, const core::CholeskyPlan& plan) {
         const index_t owner = layout.sn.col_to_super[r];
         if (owner < 0 || owner >= nsuper || owner == s) continue;
         if (!order.before(s, owner)) {
-          c.fail(check, r,
+          c.fail("races.read-before-publish-agg", r,
                  cat("row ", r, "'s slot is written by supernode ", s,
                      " (level ", order.level[s], ") but read by supernode ",
                      owner, " (level ", order.level[owner],
@@ -199,13 +195,9 @@ void check_races(Report& report, const core::CholeskyPlan& plan) {
       }
     }
   };
-  if (!plan.schedule.empty())
-    check_hb(quiet_flat(plan.schedule, nsuper), "races.read-before-publish");
-  if (!plan.agg.empty()) {
-    const ItemOrder agg_order = quiet_agg(plan.agg, nsuper);
-    check_hb(agg_order, "races.read-before-publish-agg");
-    check_chain_order(agg_order);
-  }
+  const ItemOrder agg_order = quiet_agg(plan.agg, nsuper);
+  check_hb(agg_order);
+  check_chain_order(agg_order);
 }
 
 // ---------------------------------------------------------------- TriSolve
@@ -213,8 +205,8 @@ void check_races(Report& report, const core::CholeskyPlan& plan) {
 void check_races(Report& report, const core::TriSolvePlan& plan,
                  const CscMatrix& l) {
   Checker c(report, Pass::kRaces);
+  if (plan.path != core::ExecutionPath::ParallelTriSolve) return;
   const parallel::UpdateSlotMap& m = plan.update_map;
-  if (m.empty()) return;
 
   const index_t n = l.cols();
   c.note();
@@ -304,7 +296,7 @@ void check_races(Report& report, const core::TriSolvePlan& plan,
 
   // Happens-before: row i folds its incoming terms when its own level
   // solves it, so every producer column must complete strictly earlier.
-  const auto check_hb = [&](const ItemOrder& ord, const char* check) {
+  const auto check_hb = [&](const ItemOrder& ord) {
     if (!ord.usable) return;
     c.note();
     for (index_t j = 0; j < n; ++j) {
@@ -312,7 +304,7 @@ void check_races(Report& report, const core::TriSolvePlan& plan,
         const index_t i = l.rowind[p];
         if (i <= j || i >= n) continue;
         if (!ord.before(j, i)) {
-          c.fail(check, i,
+          c.fail("races.read-before-publish-agg", i,
                  cat("row ", i, "'s slot is written by column ", j,
                      " (level ", ord.level[j], ") but folded at level ",
                      ord.level[i], " with no barrier between them"));
@@ -349,13 +341,9 @@ void check_races(Report& report, const core::TriSolvePlan& plan,
       }
     }
   };
-  if (!plan.schedule.empty())
-    check_hb(quiet_flat(plan.schedule, n), "races.read-before-publish");
-  if (!plan.agg.empty()) {
-    const ItemOrder agg_order = quiet_agg(plan.agg, n);
-    check_hb(agg_order, "races.read-before-publish-agg");
-    check_chain_order(agg_order);
-  }
+  const ItemOrder agg_order = quiet_agg(plan.agg, n);
+  check_hb(agg_order);
+  check_chain_order(agg_order);
 }
 
 }  // namespace sympiler::verify::detail

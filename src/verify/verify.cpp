@@ -43,60 +43,6 @@ std::string Report::to_string() const {
 
 namespace detail {
 
-ItemOrder check_flat_schedule(Checker& c,
-                              const parallel::LevelSchedule& schedule,
-                              index_t count) {
-  ItemOrder order;
-  c.note();
-  if (schedule.level_ptr.empty() || schedule.level_ptr.front() != 0 ||
-      schedule.level_ptr.back() != count) {
-    c.fail("sched.level-ptr", -1,
-           cat("level_ptr must start at 0 and end at ", count));
-    return order;
-  }
-  for (std::size_t v = 1; v < schedule.level_ptr.size(); ++v) {
-    if (schedule.level_ptr[v] < schedule.level_ptr[v - 1]) {
-      c.fail("sched.level-ptr", static_cast<index_t>(v),
-             cat("level_ptr decreases at level ", v - 1));
-      return order;
-    }
-  }
-  c.note();
-  if (static_cast<index_t>(schedule.items.size()) != count) {
-    c.fail("sched.partition", -1,
-           cat("schedule holds ", schedule.items.size(), " items, expected ",
-               count));
-    return order;
-  }
-  order.level.assign(count, -1);
-  order.task.assign(count, 0);
-  order.pos.assign(count, 0);
-  order.bundled.assign(count, 0);
-  for (index_t lv = 0; lv < schedule.levels(); ++lv) {
-    for (index_t p = schedule.level_ptr[lv]; p < schedule.level_ptr[lv + 1];
-         ++p) {
-      const index_t item = schedule.items[p];
-      if (item < 0 || item >= count) {
-        c.fail("sched.partition", item,
-               cat("item id out of range at position ", p));
-        return order;
-      }
-      if (order.level[item] >= 0) {
-        c.fail("sched.partition", item,
-               cat("item scheduled twice (levels ", order.level[item], " and ",
-                   lv, ")"));
-        return order;
-      }
-      order.level[item] = lv;
-      // Flat same-level items are unordered: give each its own task so
-      // before() never claims an intra-level ordering.
-      order.task[item] = item;
-    }
-  }
-  order.usable = true;
-  return order;
-}
-
 ItemOrder check_agg_schedule(Checker& c,
                              const parallel::AggregateSchedule& agg,
                              index_t count) {

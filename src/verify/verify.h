@@ -3,8 +3,8 @@
 // data structures — no numeric code runs.
 //
 // The pipeline's correctness argument is that every transformation —
-// level scheduling, slot-map privatization, chain/bundle coarsening, JIT
-// lowering — preserves the semantics fixed by the symbolic analysis.
+// aggregate scheduling, slot-map privatization, JIT lowering — preserves
+// the semantics fixed by the symbolic analysis.
 // Those dependence facts are statically decidable from the inspection
 // sets (Mohammadi et al., PAPERS.md), so instead of sampling them with
 // bit-identity tests we can check them per plan:
@@ -13,18 +13,18 @@
 //    pattern invariants, row patterns match the factor's transpose, reach
 //    sets are topological closures of the RHS pattern, supernode layouts
 //    tile correctly, update refs point at real panel rows.
-//  * kDependence — the flat LevelSchedule and the coarsened
-//    AggregateSchedule are legal topological refinements of the
-//    dependence relation recomputed from the sets: every dependence lands
-//    strictly earlier (level, or chain position within one task), chain
-//    members sit on consecutive flat levels, bundle members are pairwise
-//    independent and shape-homogeneous.
+//  * kDependence — a parallel plan carries an AggregateSchedule, and it is
+//    a legal topological refinement of the dependence relation recomputed
+//    from the sets: every dependence lands strictly earlier (level, or
+//    chain position within one task), bundle members are pairwise
+//    independent and shape-homogeneous. Forward legality also makes the
+//    reversed (backward) sweep legal, so no second check exists for it.
 //  * kRaces      — a symbolic happens-before replay of the level-set
-//    interpreters over the UpdateSlotMap: every cross-task write lands in
-//    a private slot (write-once), every row's fold sequence equals the
-//    serial executor's application order exactly (the determinism
-//    contract), and no slot is read before the producer's barrier
-//    publishes it.
+//    interpreters over the UpdateSlotMap a parallel plan must carry:
+//    every cross-task write lands in a private slot (write-once), every
+//    row's fold sequence equals the serial executor's application order
+//    exactly (the determinism contract), and no slot is read before the
+//    producer's barrier publishes it.
 //  * kWorkspace  — the plan's WorkspaceDims cover the maximum extents the
 //    executors will index (the static form of the Workspace::Borrow
 //    guard: a Planner trim bug fails here, not as a runtime overrun).
@@ -101,7 +101,7 @@ struct VerifyOptions {
 };
 
 /// Verify a Cholesky plan. Everything the passes need (pattern of L,
-/// layout, update lists, schedules, slot map) lives in the plan.
+/// layout, update lists, aggregate schedule, slot map) lives in the plan.
 [[nodiscard]] Report verify_plan(const core::CholeskyPlan& plan,
                                  const VerifyOptions& opts = {});
 

@@ -62,8 +62,7 @@ void check_workspace(Report& report, const core::CholeskyPlan& plan) {
     c.fail("workspace.rhs-block", -1,
            "supernodal panel solves need at least one packed RHS lane");
 
-  if (plan.path == core::ExecutionPath::ParallelSupernodal &&
-      !plan.solve_update_map.empty()) {
+  if (plan.path == core::ExecutionPath::ParallelSupernodal) {
     c.note();
     if (d.update_slots < plan.solve_update_map.slots())
       c.fail("workspace.update-slots", -1,
@@ -107,8 +106,7 @@ void check_workspace(Report& report, const core::TriSolvePlan& plan,
              "blocked batch solves need at least one packed RHS lane");
   }
 
-  if (plan.path == core::ExecutionPath::ParallelTriSolve &&
-      !plan.update_map.empty()) {
+  if (plan.path == core::ExecutionPath::ParallelTriSolve) {
     c.note();
     if (d.update_slots < plan.update_map.slots())
       c.fail("workspace.update-slots", -1,

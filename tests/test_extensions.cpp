@@ -194,12 +194,15 @@ TEST(LevelSet, ParallelTrisolveMatchesSequentialBitwise) {
   solvers::SimplicialCholesky chol(a);
   chol.factorize(a);
   const CscMatrix& l = chol.factor();
-  const parallel::LevelSchedule s = parallel::level_schedule_columns(l);
+  // The identity aggregate: one task per column at its flat level.
+  const parallel::AggregateSchedule agg = parallel::coarsen_schedule_columns(
+      l, parallel::level_schedule_columns(l),
+      parallel::CoarsenOptions{false, false});
   const parallel::UpdateSlotMap umap = parallel::update_slots_columns(l);
   std::vector<value_t> terms(static_cast<std::size_t>(umap.slots()));
   const std::vector<value_t> b = gen::dense_rhs(l.cols(), 4);
   std::vector<value_t> x_par(b), x_seq(b);
-  parallel::parallel_trisolve(l, s, umap, x_par, terms);
+  parallel::parallel_trisolve(l, agg, umap, x_par, terms);
   solvers::trisolve_naive(l, x_seq);
   // Level-private accumulation folds each row's updates in the serial
   // column order: the parallel solve is bit-identical, not merely close.
@@ -215,11 +218,17 @@ TEST(LevelSet, ParallelCholeskyMatchesSequential) {
     opt.vsblock_min_avg_size = 0.0;
     opt.vsblock_min_avg_width = 0.0;
     const core::CholeskySets sets = core::inspect_cholesky(a, opt);
-    const parallel::LevelSchedule sched = parallel::level_schedule_supernodes(
-        sets.blocks, sets.sym.parent);
+    std::vector<index_t> dep_src(sets.updates.refs.size());
+    for (std::size_t u = 0; u < dep_src.size(); ++u)
+      dep_src[u] = sets.updates.refs[u].d;
+    const parallel::AggregateSchedule identity =
+        parallel::coarsen_schedule_supernodes(
+            sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
+            parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent),
+            parallel::CoarsenOptions{false, false});
     std::vector<value_t> panels(
         static_cast<std::size_t>(sets.layout.total_values()));
-    parallel::parallel_cholesky(sets, sched, a, panels);
+    parallel::parallel_cholesky(sets, identity, a, panels);
     const CscMatrix l = panels_to_csc(sets.layout, panels, sets.sym.l_pattern);
     solvers::SimplicialCholesky ref(a);
     ref.factorize(a);

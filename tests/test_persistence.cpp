@@ -119,8 +119,6 @@ CholeskyPlan coarsened_cholesky_plan(const CscMatrix& a) {
   plan.key = core::cholesky_pattern_key(a, opt);
   plan.options = opt;
   plan.sets = core::inspect_cholesky(a, opt);
-  plan.schedule = parallel::level_schedule_supernodes(plan.sets.blocks,
-                                                      plan.sets.sym.parent);
   plan.solve_update_map = parallel::update_slots_supernodes(plan.sets.layout);
   plan.workspace = core::cholesky_workspace_dims(plan.sets.layout);
   plan.workspace.need_dense = false;
@@ -131,7 +129,8 @@ CholeskyPlan coarsened_cholesky_plan(const CscMatrix& a) {
     dep_src[u] = plan.sets.updates.refs[u].d;
   plan.agg = parallel::coarsen_schedule_supernodes(
       plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
-      plan.schedule);
+      parallel::level_schedule_supernodes(plan.sets.blocks,
+                                          plan.sets.sym.parent));
   return plan;
 }
 
@@ -144,7 +143,6 @@ TriSolvePlan coarsened_trisolve_plan(const CscMatrix& l,
   plan.key = core::trisolve_pattern_key(l, beta, opt);
   plan.options = opt;
   plan.sets = core::inspect_trisolve(l, beta, opt);
-  plan.schedule = parallel::level_schedule_columns(l);
   plan.update_map = parallel::update_slots_columns(l, plan.sets.reach);
   plan.workspace.n = l.cols();
   plan.workspace.need_map = false;
@@ -152,7 +150,8 @@ TriSolvePlan coarsened_trisolve_plan(const CscMatrix& l,
   plan.workspace.update_slots = plan.update_map.slots();
   plan.workspace.rhs_block = core::kRhsBlockWidth;
   plan.path = ExecutionPath::ParallelTriSolve;
-  plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
+  plan.agg = parallel::coarsen_schedule_columns(
+      l, parallel::level_schedule_columns(l));
   return plan;
 }
 
@@ -395,6 +394,10 @@ TEST(PlanSerde, CholeskyRoundTripIsByteIdentical) {
   expect_round_trip(simplicial_plan(a), "simplicial");
   expect_round_trip(supernodal_plan(a), "supernodal");
   expect_round_trip(coarsened_cholesky_plan(a), "coarsened");
+  // Format 3 carries no flat level-schedule section.
+  EXPECT_EQ(rd<std::uint16_t>(core::serialize_plan(coarsened_cholesky_plan(a)),
+                              kSectionCountOffset),
+            7);
 }
 
 TEST(PlanSerde, TriSolveRoundTripIsByteIdentical) {
@@ -408,6 +411,10 @@ TEST(PlanSerde, TriSolveRoundTripIsByteIdentical) {
       Planner(sequential_config(0.0)).plan_trisolve(l, sparse_beta),
       "blocked");
   expect_round_trip(coarsened_trisolve_plan(l, full_beta), "coarsened");
+  EXPECT_EQ(rd<std::uint16_t>(
+                core::serialize_plan(coarsened_trisolve_plan(l, full_beta)),
+                kSectionCountOffset),
+            5);
 }
 
 TEST(PlanSerde, LoadedPlanVerifiesCleanWithZeroFindings) {
@@ -471,6 +478,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
   };
   const Lie lies[] = {
       {"format version bump", 8, 99, 4, ErrorCode::kStalePlanVersion},
+      {"format version 2 (flat schedule section)", 8, 2, 4,
+       ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
       {"index ABI", 16, 8, 2, ErrorCode::kStalePlanVersion},

@@ -36,6 +36,29 @@ using core::Planner;
 using core::PlannerConfig;
 using core::TriSolvePlan;
 
+/// Aggregate schedule of a supernodal plan's sets: chain-coarsened, or the
+/// identity aggregate (one task per supernode at its flat level).
+parallel::AggregateSchedule supernode_agg(const core::CholeskySets& sets,
+                                          bool coarsen) {
+  std::vector<index_t> dep_src(sets.updates.refs.size());
+  for (std::size_t u = 0; u < dep_src.size(); ++u)
+    dep_src[u] = sets.updates.refs[u].d;
+  return parallel::coarsen_schedule_supernodes(
+      sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
+      parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent),
+      parallel::CoarsenOptions{coarsen, coarsen});
+}
+
+/// What coarsen_schedule=false plans: the identity aggregate — one
+/// singleton task per item, no bundles, one barrier level per flat level.
+void expect_identity_aggregate(const parallel::AggregateSchedule& agg,
+                               const core::PlanEvidence& ev) {
+  EXPECT_EQ(agg.tasks(), static_cast<index_t>(agg.items.size()));
+  EXPECT_EQ(agg.bundles(), 0);
+  EXPECT_EQ(agg.levels(), ev.levels);
+  EXPECT_EQ(ev.agg_levels, ev.levels);
+}
+
 PlannerConfig supernodal_config() {
   PlannerConfig config;
   config.options.vsblock_min_avg_size = 0.0;
@@ -54,6 +77,7 @@ TEST(Planner, PicksSimplicialWhenVsBlockUnprofitable) {
   EXPECT_EQ(plan.path, ExecutionPath::Simplicial);
   EXPECT_FALSE(plan.evidence.vs_block_profitable);
   EXPECT_TRUE(plan.schedule.empty());
+  EXPECT_TRUE(plan.agg.empty());
 }
 
 TEST(Planner, PicksSupernodalWhenProfitableAndParallelDisabled) {
@@ -63,6 +87,7 @@ TEST(Planner, PicksSupernodalWhenProfitableAndParallelDisabled) {
   EXPECT_TRUE(plan.evidence.vs_block_profitable);
   EXPECT_GT(plan.evidence.supernodes, 0);
   EXPECT_TRUE(plan.schedule.empty());  // no schedule unless parallel
+  EXPECT_TRUE(plan.agg.empty());
 }
 
 TEST(Planner, ParallelPathCarriesScheduleOnlyUnderOpenMp) {
@@ -72,17 +97,19 @@ TEST(Planner, ParallelPathCarriesScheduleOnlyUnderOpenMp) {
   config.parallel_min_supernodes = 1;
   config.parallel_min_avg_level_width = 0.0;
   const CholeskyPlan plan = Planner(config).plan_cholesky(a);
+  // One schedule format: the plan carries the aggregate only, the flat
+  // levels survive as evidence.
+  EXPECT_TRUE(plan.schedule.empty());
   if (Planner::parallel_enabled()) {
     EXPECT_EQ(plan.path, ExecutionPath::ParallelSupernodal);
-    EXPECT_FALSE(plan.schedule.empty());
     EXPECT_GT(plan.evidence.levels, 0);
     EXPECT_GT(plan.evidence.avg_level_width, 0.0);
     // The schedule covers every supernode exactly once.
-    EXPECT_EQ(static_cast<index_t>(plan.schedule.items.size()),
+    EXPECT_EQ(static_cast<index_t>(plan.agg.items.size()),
               plan.sets.layout.nsuper());
   } else {
     EXPECT_EQ(plan.path, ExecutionPath::Supernodal);
-    EXPECT_TRUE(plan.schedule.empty());
+    EXPECT_TRUE(plan.agg.empty());
   }
 }
 
@@ -153,9 +180,9 @@ TEST(ExecutionPlan, SupernodalInterpreterMatchesDirectPathBitwise) {
 }
 
 TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
-  // The plan-driven parallel_cholesky must reproduce the direct
-  // (sets, schedule) call bit for bit — in every build: without OpenMP
-  // both run the same sequential interpretation.
+  // The plan-driven parallel_cholesky over the identity aggregate must
+  // reproduce the direct (sets, schedule) call bit for bit — in every
+  // build: without OpenMP both run the same sequential interpretation.
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   core::SympilerOptions opt;
   opt.vsblock_min_avg_size = 0.0;
@@ -164,18 +191,15 @@ TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
   auto plan = std::make_shared<CholeskyPlan>();
   plan->options = opt;
   plan->sets = core::inspect_cholesky(a, opt);
-  plan->schedule = parallel::level_schedule_supernodes(plan->sets.blocks,
-                                                       plan->sets.sym.parent);
+  plan->agg = supernode_agg(plan->sets, /*coarsen=*/false);
   plan->path = ExecutionPath::ParallelSupernodal;
 
   std::vector<value_t> panels_plan(
       static_cast<std::size_t>(plan->sets.layout.total_values()), 0.0);
   std::vector<value_t> panels_direct = panels_plan;
   parallel::parallel_cholesky(*plan, a, panels_plan);
-  parallel::parallel_cholesky(plan->sets, plan->schedule, a, panels_direct);
-  ASSERT_EQ(panels_plan.size(), panels_direct.size());
-  for (std::size_t i = 0; i < panels_plan.size(); ++i)
-    ASSERT_EQ(panels_plan[i], panels_direct[i]) << "panel value " << i;
+  parallel::parallel_cholesky(plan->sets, plan->agg, a, panels_direct);
+  ASSERT_EQ(panels_plan, panels_direct);
 
   // And the result is a correct factorization.
   const CscMatrix l = solvers::panels_to_csc(plan->sets.layout, panels_plan,
@@ -264,7 +288,8 @@ TEST(ExecutionPlan, DenseRhsTriSolvePlanStaysCorrectOnEveryPath) {
                                std::make_shared<api::SymbolicContext>());
   if (core::Planner::parallel_enabled()) {
     EXPECT_EQ(facade.path(), ExecutionPath::ParallelTriSolve);
-    EXPECT_FALSE(facade.plan()->schedule.empty());
+    EXPECT_FALSE(facade.plan()->agg.empty());
+    EXPECT_TRUE(facade.plan()->schedule.empty());
   } else {
     EXPECT_EQ(facade.path(), ExecutionPath::PrunedTriSolve);
   }
@@ -326,8 +351,10 @@ TEST(ParallelDeterminism, TrisolveBitIdenticalToSerialAtOneTwoFourThreads) {
   ASSERT_EQ(plan->path, ExecutionPath::ParallelTriSolve);
   // The racy structure is really there: one level holds all n-2
   // independent columns, each updating the shared rows n-2 and n-1.
-  ASSERT_GE(plan->schedule.levels(), 2);
-  EXPECT_EQ(plan->schedule.level_ptr[1] - plan->schedule.level_ptr[0], n - 2);
+  const parallel::AggregateSchedule& agg = plan->agg;
+  ASSERT_GE(agg.levels(), 2);
+  EXPECT_EQ(agg.task_ptr[agg.level_ptr[1]] - agg.task_ptr[agg.level_ptr[0]],
+            n - 2);
   EXPECT_FALSE(plan->update_map.empty());
 
   // Serial reference: the sequential pruned interpretation of the same
@@ -457,7 +484,7 @@ TEST(ScheduleCoarsening, FullBandChainCollapsesToOneAggregateLevel) {
   if (!Planner::parallel_enabled()) return;
   ASSERT_EQ(plan->path, ExecutionPath::ParallelTriSolve);
   // Flat: one column per level — the barrier cascade coarsening removes.
-  ASSERT_EQ(plan->schedule.levels(), n);
+  ASSERT_EQ(plan->evidence.levels, n);
   // Coarsened: the whole solve is one sequential chain, zero barriers.
   const auto& agg = plan->agg;
   ASSERT_FALSE(agg.empty());
@@ -505,10 +532,10 @@ TEST(ScheduleCoarsening, ArrowheadBundlesWideLevelAndFusesSharedTail) {
   EXPECT_EQ(plan->evidence.agg_bundles, agg.bundles());
 }
 
-TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToFlatAndSerial) {
+TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToIdentityAndSerial) {
   // The coarsening contract: chains, bundles, and the compacted slot map
   // change scheduling and data movement only — at 1/2/4 threads both the
-  // coarsened and the flat interpretation must reproduce the serial
+  // coarsened and the identity aggregate must reproduce the serial
   // solve's exact bits (ASSERT_EQ on doubles, no tolerance).
   std::vector<CscMatrix> factors;
   factors.push_back(racy_arrowhead_lower(257));   // bundle-heavy
@@ -516,36 +543,36 @@ TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToFlatAndSerial) {
   for (const CscMatrix& l : factors) {
     const index_t n = l.cols();
     const auto coarse = racy_parallel_plan(l, /*coarsen=*/true);
-    const auto flat = racy_parallel_plan(l, /*coarsen=*/false);
+    const auto identity = racy_parallel_plan(l, /*coarsen=*/false);
     if (!Planner::parallel_enabled()) {
       EXPECT_EQ(coarse->path, ExecutionPath::PrunedTriSolve);
       return;
     }
     ASSERT_EQ(coarse->path, ExecutionPath::ParallelTriSolve);
-    ASSERT_EQ(flat->path, ExecutionPath::ParallelTriSolve);
+    ASSERT_EQ(identity->path, ExecutionPath::ParallelTriSolve);
     ASSERT_FALSE(coarse->agg.empty());
-    ASSERT_TRUE(flat->agg.empty());  // coarsen_schedule=false keeps it flat
+    expect_identity_aggregate(identity->agg, identity->evidence);
 
     core::TriSolveExecutor serial(coarse, l);
     const std::vector<value_t> b = gen::dense_rhs(n, 91);
     std::vector<value_t> x_ref(b);
     serial.solve(x_ref);
 
-    core::Workspace ws_c, ws_f;
+    core::Workspace ws_c, ws_i;
     for (const int threads : {1, 2, 4}) {
 #ifdef SYMPILER_HAS_OPENMP
       omp_set_num_threads(threads);
 #endif
-      std::vector<value_t> x_c(b), x_f(b);
+      std::vector<value_t> x_c(b), x_i(b);
       parallel::parallel_trisolve(l, *coarse, x_c, ws_c);
-      parallel::parallel_trisolve(l, *flat, x_f, ws_f);
+      parallel::parallel_trisolve(l, *identity, x_i, ws_i);
       for (index_t i = 0; i < n; ++i) {
         ASSERT_EQ(x_c[static_cast<std::size_t>(i)],
                   x_ref[static_cast<std::size_t>(i)])
             << "coarse threads=" << threads << " row " << i;
-        ASSERT_EQ(x_f[static_cast<std::size_t>(i)],
+        ASSERT_EQ(x_i[static_cast<std::size_t>(i)],
                   x_ref[static_cast<std::size_t>(i)])
-            << "flat threads=" << threads << " row " << i;
+            << "identity threads=" << threads << " row " << i;
       }
       // Batch path: the coarsened multi-RHS interpreter too.
       const index_t nrhs = 3;
@@ -566,7 +593,7 @@ TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToFlatAndSerial) {
   }
 }
 
-TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
+TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToIdentityAcrossThreads) {
   // Supernodal chain fusion on the factorization and both panel-solve
   // sweeps: coarsen on vs off, 1/2/4 threads, all one set of bits. The
   // banded pattern makes thin levels (chain-heavy), the grid wide ones.
@@ -579,10 +606,10 @@ TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
     cfg.options.vsblock_min_avg_width = 0.0;
     cfg.parallel_min_supernodes = 1;
     cfg.parallel_min_avg_level_width = 0.0;
-    api::SolverConfig cfg_flat = cfg;
-    cfg_flat.coarsen_schedule = false;
+    api::SolverConfig cfg_identity = cfg;
+    cfg_identity.coarsen_schedule = false;
     api::Solver on(cfg, std::make_shared<api::SymbolicContext>());
-    api::Solver off(cfg_flat, std::make_shared<api::SymbolicContext>());
+    api::Solver off(cfg_identity, std::make_shared<api::SymbolicContext>());
     if (!Planner::parallel_enabled()) return;
 
     const auto n = static_cast<std::size_t>(a.cols());
@@ -603,14 +630,14 @@ TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
       off.factor(a);
       ASSERT_EQ(on.path(), ExecutionPath::ParallelSupernodal);
       ASSERT_FALSE(on.plan()->agg.empty());
-      ASSERT_TRUE(off.plan()->agg.empty());
+      expect_identity_aggregate(off.plan()->agg, off.plan()->evidence);
       // Compacted supernodal slot map: one entry per below-diagonal panel
       // row, the per-supernode diagonal-block prefixes squeezed out.
       EXPECT_EQ(on.plan()->solve_update_map.slot.size(),
                 on.plan()->sets.layout.srows.size() - n);
       // Chain fusion must strictly reduce barriers on the banded pattern;
       // never increase them anywhere.
-      EXPECT_LE(on.plan()->agg.levels(), on.plan()->schedule.levels());
+      EXPECT_LE(on.plan()->agg.levels(), on.plan()->evidence.levels);
       std::vector<value_t> x_on = base, x_off = base;
       on.solve_batch(x_on, nrhs);
       off.solve_batch(x_off, nrhs);
@@ -631,7 +658,7 @@ TEST(ScheduleCoarsening, PlanBytesCountAggScheduleAndSlotMapIsCompact) {
   const index_t n = 129;
   const CscMatrix l = racy_arrowhead_lower(n);
   const auto coarse = racy_parallel_plan(l, /*coarsen=*/true);
-  const auto flat = racy_parallel_plan(l, /*coarsen=*/false);
+  const auto identity = racy_parallel_plan(l, /*coarsen=*/false);
   if (!Planner::parallel_enabled()) return;
   ASSERT_EQ(coarse->path, ExecutionPath::ParallelTriSolve);
   // The compacted slot map holds exactly one entry per strictly-lower
@@ -640,10 +667,12 @@ TEST(ScheduleCoarsening, PlanBytesCountAggScheduleAndSlotMapIsCompact) {
             l.nnz() - n);
   EXPECT_EQ(coarse->update_map.slots(),
             static_cast<index_t>(coarse->update_map.slot.size()));
-  // bytes() accounts for the aggregate schedule: the two plans differ in
-  // nothing else.
-  EXPECT_EQ(coarse->bytes() - flat->bytes(), coarse->agg.bytes());
-  EXPECT_GT(coarse->agg.bytes(), 0u);
+  // bytes() accounts for the aggregate schedule, the only schedule a plan
+  // carries: the two plans differ in nothing else.
+  EXPECT_TRUE(coarse->schedule.empty());
+  EXPECT_EQ(coarse->bytes() - coarse->agg.bytes(),
+            identity->bytes() - identity->agg.bytes());
+  EXPECT_LT(coarse->agg.bytes(), identity->agg.bytes());
 }
 
 // ------------------------------- shared-context zero-schedule regression
@@ -752,9 +781,7 @@ void expect_plans_bit_identical(const CholeskyPlan& fast,
     EXPECT_EQ(fast.sets.updates.refs[u].p1, naive.sets.updates.refs[u].p1);
     EXPECT_EQ(fast.sets.updates.refs[u].p2, naive.sets.updates.refs[u].p2);
   }
-  // Level schedule + privatized slot map (order included).
-  EXPECT_EQ(fast.schedule.level_ptr, naive.schedule.level_ptr) << label;
-  EXPECT_EQ(fast.schedule.items, naive.schedule.items) << label;
+  // Privatized slot map (order included).
   EXPECT_EQ(fast.solve_update_map.slot, naive.solve_update_map.slot) << label;
   EXPECT_EQ(fast.solve_update_map.row_ptr, naive.solve_update_map.row_ptr)
       << label;
@@ -836,24 +863,18 @@ TEST(MergedPlan, FactorCscHasTheSimplicialPattern) {
 }
 
 TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
-  // Direct overloads, so every build runs the flat and coarsened sweeps
-  // (sequentially without OpenMP). The panels start out holding different
-  // garbage on every run: A is scattered into each panel inside its
-  // supernode's body, so no stale value may leak into the factor.
+  // Direct overloads, so every build runs the identity and the coarsened
+  // aggregate (sequentially without OpenMP). The panels start out holding
+  // different garbage on every run: A is scattered into each panel inside
+  // its supernode's body, so no stale value may leak into the factor.
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
   ASSERT_LT(plan.sets.blocks.count(), fundamental_supernodes(plan));
-  const parallel::LevelSchedule flat = parallel::level_schedule_supernodes(
-      plan.sets.blocks, plan.sets.sym.parent);
-  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-  for (std::size_t u = 0; u < dep_src.size(); ++u)
-    dep_src[u] = plan.sets.updates.refs[u].d;
+  const parallel::AggregateSchedule identity =
+      supernode_agg(plan.sets, /*coarsen=*/false);
   const parallel::AggregateSchedule agg =
-      parallel::coarsen_schedule_supernodes(plan.sets.blocks,
-                                            plan.sets.sym.parent,
-                                            plan.sets.updates.ptr, dep_src,
-                                            flat);
-  ASSERT_FALSE(agg.empty());
+      supernode_agg(plan.sets, /*coarsen=*/true);
+  ASSERT_LT(agg.tasks(), identity.tasks());
 
   const auto values =
       static_cast<std::size_t>(plan.sets.layout.total_values());
@@ -868,10 +889,8 @@ TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
     for (const bool coarsen : {false, true}) {
       std::vector<value_t> panels(values, garbage);
       garbage += 1.0;
-      if (coarsen)
-        parallel::parallel_cholesky(plan.sets, agg, a, panels);
-      else
-        parallel::parallel_cholesky(plan.sets, flat, a, panels);
+      parallel::parallel_cholesky(plan.sets, coarsen ? agg : identity, a,
+                                  panels);
       if (ref.empty()) {
         ref = panels;
         continue;

@@ -3,8 +3,9 @@
 // Three layers:
 //  * mutation-kill matrix — verify::PlanMutator seeds every corruption
 //    class into plans on every execution path (simplicial, supernodal,
-//    parallel-flat, coarsened; pruned/blocked/parallel trisolve); the
-//    verifier must flag 100% of the applicable (corruption x path) cells;
+//    parallel with the identity and the coarsened aggregate;
+//    pruned/blocked/parallel trisolve); the verifier must flag 100% of the
+//    applicable (corruption x path) cells;
 //  * clean-pass sweep — every plan the Planner builds over the generator
 //    suite, at three option configurations, verifies clean with the
 //    emitted-code audit on for jit-eligible paths;
@@ -77,17 +78,10 @@ using core::Planner;
 using core::PlannerConfig;
 using core::TriSolvePlan;
 using verify::Corruption;
+using verify::kAllCorruptions;
 using verify::PlanMutator;
 using verify::Report;
 using verify::VerifyOptions;
-
-constexpr Corruption kAllCorruptions[] = {
-    Corruption::kDepViolation,         Corruption::kAliasedSlot,
-    Corruption::kReorderedFold,        Corruption::kCrossDependentBundle,
-    Corruption::kOutOfBoundsIndex,     Corruption::kWorkspaceTrim,
-    Corruption::kScheduleGap,          Corruption::kChainReorder,
-    Corruption::kDroppedPanelZeroRow,
-};
 
 /// Allocations performed by fn().
 template <class Fn>
@@ -123,9 +117,10 @@ CholeskyPlan supernodal_plan() {
   return Planner(sequential_config(0.0)).plan_cholesky(a);
 }
 
-/// Manually assembled parallel / coarsened plans: the schedule builders
-/// are pure pattern functions available in every build (with or without
-/// OpenMP), so the kill matrix always exercises the parallel paths.
+/// Manually assembled parallel plans carrying the coarsened or the
+/// identity aggregate: the schedule builders are pure pattern functions
+/// available in every build (with or without OpenMP), so the kill matrix
+/// always exercises the parallel paths.
 CholeskyPlan parallel_cholesky_plan(bool coarsen) {
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   core::SympilerOptions opt;
@@ -134,22 +129,20 @@ CholeskyPlan parallel_cholesky_plan(bool coarsen) {
   CholeskyPlan plan;
   plan.options = opt;
   plan.sets = core::inspect_cholesky(a, opt);
-  plan.schedule = parallel::level_schedule_supernodes(plan.sets.blocks,
-                                                      plan.sets.sym.parent);
   plan.solve_update_map =
       parallel::update_slots_supernodes(plan.sets.layout);
   plan.workspace = core::cholesky_workspace_dims(plan.sets.layout);
   plan.workspace.need_dense = false;
   plan.workspace.update_slots = plan.solve_update_map.slots();
   plan.path = ExecutionPath::ParallelSupernodal;
-  if (coarsen) {
-    std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-    for (std::size_t u = 0; u < dep_src.size(); ++u)
-      dep_src[u] = plan.sets.updates.refs[u].d;
-    plan.agg = parallel::coarsen_schedule_supernodes(
-        plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr,
-        dep_src, plan.schedule);
-  }
+  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
+  for (std::size_t u = 0; u < dep_src.size(); ++u)
+    dep_src[u] = plan.sets.updates.refs[u].d;
+  plan.agg = parallel::coarsen_schedule_supernodes(
+      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
+      parallel::level_schedule_supernodes(plan.sets.blocks,
+                                          plan.sets.sym.parent),
+      parallel::CoarsenOptions{coarsen, coarsen});
   return plan;
 }
 
@@ -179,7 +172,6 @@ TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
   TriSolvePlan plan;
   plan.options = opt;
   plan.sets = core::inspect_trisolve(l, beta, opt);
-  plan.schedule = parallel::level_schedule_columns(l);
   plan.update_map = parallel::update_slots_columns(l, plan.sets.reach);
   plan.workspace.n = l.cols();
   plan.workspace.need_map = false;
@@ -187,7 +179,9 @@ TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
   plan.workspace.update_slots = plan.update_map.slots();
   plan.workspace.rhs_block = core::kRhsBlockWidth;
   plan.path = ExecutionPath::ParallelTriSolve;
-  if (coarsen) plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
+  plan.agg = parallel::coarsen_schedule_columns(
+      l, parallel::level_schedule_columns(l),
+      parallel::CoarsenOptions{coarsen, coarsen});
   return plan;
 }
 
@@ -205,6 +199,17 @@ struct KillTally {
   std::set<Corruption> killed;
 };
 
+/// A parallel path executes nothing but its aggregate schedule and slot
+/// map, so dropping either must apply (and be killed) on every parallel
+/// variant — and never apply to a sequential one.
+void expect_drops_apply_iff_parallel(const char* name, bool parallel,
+                                     const std::set<Corruption>& applied) {
+  for (const Corruption c :
+       {Corruption::kDroppedSchedule, Corruption::kDroppedSlotMap})
+    EXPECT_EQ(applied.count(c) == 1, parallel)
+        << name << " x " << verify::to_string(c);
+}
+
 void expect_killed(const char* path, Corruption c, const Report& report,
                    KillTally& tally) {
   ++tally.applicable;
@@ -220,7 +225,7 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
     std::vector<std::pair<const char*, CholeskyPlan>> v;
     v.emplace_back("simplicial", simplicial_plan());
     v.emplace_back("supernodal", supernodal_plan());
-    v.emplace_back("parallel-flat", parallel_cholesky_plan(false));
+    v.emplace_back("parallel-identity", parallel_cholesky_plan(false));
     v.emplace_back("coarsened", parallel_cholesky_plan(true));
     return v;
   }();
@@ -242,19 +247,22 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
     const Report clean = verify::verify_plan(base);
     ASSERT_TRUE(clean.ok()) << name << ": " << clean.to_string();
 
-    int applicable_here = 0;
+    std::set<Corruption> applied_here;
     for (const Corruption c : kAllCorruptions) {
       CholeskyPlan mutant = base;
       if (!PlanMutator::apply(mutant, c)) continue;
-      ++applicable_here;
+      applied_here.insert(c);
       expect_killed(name, c, verify::verify_plan(mutant), tally);
     }
-    EXPECT_GE(applicable_here, 4)
+    EXPECT_GE(applied_here.size(), 4u)
         << name << ": corruption classes stopped applying to this path";
+    expect_drops_apply_iff_parallel(
+        name, base.path == ExecutionPath::ParallelSupernodal, applied_here);
   }
-  // The coarsened variant must genuinely coarsen, or the agg cells above
-  // were vacuous.
-  EXPECT_FALSE(variants.back().second.agg.empty());
+  // The coarsened variant must genuinely fuse chains, or the chain cells
+  // above were vacuous.
+  const parallel::AggregateSchedule& coarse = variants.back().second.agg;
+  EXPECT_LT(coarse.tasks(), static_cast<index_t>(coarse.items.size()));
   EXPECT_GE(tally.applicable, 16);
   // 100% kill rate: every corruption class that applied was caught.
   EXPECT_EQ(tally.killed, tally.applied);
@@ -276,7 +284,7 @@ TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
   variants.push_back({"pruned", pruned_plan(l, sparse_beta), sparse_beta});
   variants.push_back({"blocked", blocked_plan(l, sparse_beta), sparse_beta});
   variants.push_back(
-      {"parallel-flat", parallel_trisolve_plan(l, full_beta, false),
+      {"parallel-identity", parallel_trisolve_plan(l, full_beta, false),
        full_beta});
   variants.push_back(
       {"coarsened", parallel_trisolve_plan(l, full_beta, true), full_beta});
@@ -288,19 +296,23 @@ TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
     const Report clean = verify::verify_plan(variant.plan, l, variant.beta);
     ASSERT_TRUE(clean.ok()) << variant.name << ": " << clean.to_string();
 
-    int applicable_here = 0;
+    std::set<Corruption> applied_here;
     for (const Corruption c : kAllCorruptions) {
       TriSolvePlan mutant = variant.plan;
       if (!PlanMutator::apply(mutant, l, c)) continue;
-      ++applicable_here;
+      applied_here.insert(c);
       expect_killed(variant.name, c,
                     verify::verify_plan(mutant, l, variant.beta), tally);
     }
-    EXPECT_GE(applicable_here, 4)
+    EXPECT_GE(applied_here.size(), 4u)
         << variant.name
         << ": corruption classes stopped applying to this path";
+    expect_drops_apply_iff_parallel(
+        variant.name, variant.plan.path == ExecutionPath::ParallelTriSolve,
+        applied_here);
   }
-  EXPECT_FALSE(variants.back().plan.agg.empty());
+  const parallel::AggregateSchedule& coarse = variants.back().plan.agg;
+  EXPECT_LT(coarse.tasks(), static_cast<index_t>(coarse.items.size()));
   EXPECT_GE(tally.applicable, 16);
   // 100% kill rate, and across the trisolve paths alone every corruption
   // class in the taxonomy must both apply somewhere and be caught — all
