@@ -281,20 +281,23 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
   ws_.set_guard(config_.options.guard_workspace);
 
   if (plan_->path == ExecutionPath::ParallelSupernodal) {
-    panels_.assign(
-        static_cast<std::size_t>(plan_->sets.layout.total_values()), 0.0);
-    // Single-RHS panel-solve tail scratch only; the batch path grows the
-    // shared packed-block + privatized-terms buffers on its first call
-    // (per-thread tail scratch lives in the sweeps' thread_local
-    // workspaces, and the parallel factorization in its own).
+    // What solve()'s level-set sweep shares across the team: one packed
+    // column and the privatized terms (a wider solve_batch grows them on
+    // its first call; per-thread tail scratch lives in the sweeps'
+    // thread_local workspaces, and the parallel factorization in its own).
+    // Sized before the panels: allocated after them, these buffers tend to
+    // sit right above the panels and split the free block a newly routed
+    // Solver's panels would reuse (peak RSS then grew by up to a panel).
     core::WorkspaceDims dims = plan_->workspace;
-    dims.rhs_block = 0;
-    dims.update_slots = 0;
+    dims.rhs_block = 1;
     dims.max_panel_rows = 0;
     dims.max_panel_width = 0;
+    dims.max_tail = 0;
     dims.need_map = false;
     dims.need_dense = false;
     ws_.ensure(dims);
+    panels_.assign(
+        static_cast<std::size_t>(plan_->sets.layout.total_values()), 0.0);
     executor_.reset();
   } else {
     executor_ = std::make_unique<core::CholeskyExecutor>(plan_);
@@ -312,13 +315,10 @@ void Solver::solve(std::span<value_t> bx) const {
   SYMPILER_CHECK(static_cast<index_t>(bx.size()) ==
                      static_cast<index_t>(plan_->sets.sym.parent.size()),
                  "solver: RHS size mismatch");
-  if (plan_->path == ExecutionPath::ParallelSupernodal) {
-    const core::Workspace::Borrow guard(ws_);
-    solvers::panel_forward_solve(plan_->sets.layout, panels_, bx, ws_.tail());
-    solvers::panel_backward_solve(plan_->sets.layout, panels_, bx, ws_.tail());
-  } else {
+  if (plan_->path == ExecutionPath::ParallelSupernodal)
+    solve_batch(bx, 1);  // the level-set sweep over one packed column
+  else
     executor_->solve(bx);
-  }
 }
 
 void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
@@ -329,9 +329,10 @@ void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
                  "solver: batch size mismatch");
   // Thin dispatch on the plan's path: a parallel plan sweeps packed RHS
   // blocks through its aggregate schedule (parallel inside each level,
-  // slot-privatized forward updates — bit-identical per column to looped
-  // solve()); the sequential supernodal path tiles blocks over the
-  // multi-RHS panel kernels.
+  // slot-privatized forward updates — bit-identical per column to the
+  // serial panel solves; solve() takes this path with one column); the
+  // sequential supernodal path tiles blocks over the multi-RHS panel
+  // kernels.
   if (plan_->path == ExecutionPath::ParallelSupernodal) {
     const core::Workspace::Borrow guard(ws_);
     Status fallback;

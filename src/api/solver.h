@@ -148,7 +148,9 @@ class Solver {
 
   /// Solve A x = b in place (requires factor()). Borrows the Solver's
   /// plan-sized workspace: logically const but not concurrently callable
-  /// on one Solver — use solve_batch for many RHS.
+  /// on one Solver — use solve_batch for many RHS. On a parallel plan it
+  /// is solve_batch with one column: the level-set sweep, bit-identical to
+  /// the serial panel solves, with the same serial fallback.
   void solve(std::span<value_t> bx) const;
 
   /// Multi-RHS solve: `bx` holds nrhs column-major dense right-hand sides
@@ -184,8 +186,8 @@ class Solver {
   [[nodiscard]] const std::shared_ptr<SymbolicContext>& context() const {
     return context_;
   }
-  /// Degradation record of the most recent factor() (and any solve_batch()
-  /// serial fallback since). Reset at each factor().
+  /// Degradation record of the most recent factor() (and any solve() or
+  /// solve_batch() serial fallback since). Reset at each factor().
   [[nodiscard]] const FactorReport& report() const { return report_; }
 
  private:
@@ -209,13 +211,14 @@ class Solver {
 
   // Sequential paths run through the executor; the parallel path
   // interprets the plan's aggregate schedule into panels_ directly and uses
-  // ws_ for its panel-solve scratch (mutable: solve() is logically const).
+  // ws_ for its level-set solve sweeps (mutable: solve() is logically
+  // const).
   std::unique_ptr<core::CholeskyExecutor> executor_;
   std::vector<value_t> panels_;
   mutable core::Workspace ws_;
   bool factorized_ = false;
-  /// Mutable: solve_batch() is logically const but records its serial
-  /// fallback here.
+  /// Mutable: solve() and solve_batch() are logically const but record
+  /// their serial fallback here.
   mutable FactorReport report_;
 };
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <string>
 
-#include "blas/kernels.h"
 #include "core/planner.h"
+#include "core/supernode_body.h"
 #include "solvers/trisolve.h"
 #include "util/fault.h"
 
@@ -35,8 +35,7 @@ CholeskyExecutor::CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan)
   sets_ = &plan_->sets;
   const SympilerOptions& opt = plan_->options;
   ws_.set_guard(opt.guard_workspace);
-  specialized_ =
-      opt.low_level && sets_->avg_colcount < opt.blas_switch_colcount;
+  specialized_ = core::specialized_kernels(opt, *sets_);
   // Size all numeric scratch once, from the plan's dimensions: factorize()
   // and solve() never allocate after this point. The executor's own
   // workspace skips the packed-RHS block (solve_batch uses per-thread
@@ -103,96 +102,13 @@ void CholeskyExecutor::factorize(const CscMatrix& a_lower) {
 }
 
 void CholeskyExecutor::factorize_supernodal(const CscMatrix& a_lower) {
-  const solvers::SupernodalLayout& layout = sets_->layout;
-  const index_t nsuper = layout.nsuper();
+  // Supernodes in order, each through the body the parallel interpreter
+  // shares (core/supernode_body.h) — so both agree bit for bit.
   value_t* work = ws_.update().data();
   index_t* map = ws_.map().data();
-
-  for (index_t s = 0; s < nsuper; ++s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t w = layout.width(s);
-    const index_t m = layout.nrows(s);
-    const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
-    value_t* panel = panels_.data() + layout.panel_ptr[s];
-    for (index_t t = 0; t < m; ++t) map[rows[t]] = t;
-    // A enters the panel here, through the row map just built: left-looking
-    // updates only target the supernode being factored, so every entry
-    // still starts from A's value before its first update.
-    solvers::scatter_supernode(layout, a_lower, s, panel, map);
-
-    // Static update schedule — no dynamic discovery (fully decoupled).
-    for (index_t u = sets_->updates.ptr[s]; u < sets_->updates.ptr[s + 1];
-         ++u) {
-      const solvers::UpdateRef ref = sets_->updates.refs[u];
-      const index_t* drows = layout.srows.data() + layout.srow_ptr[ref.d];
-      const index_t dm = layout.nrows(ref.d);
-      const index_t dw = layout.width(ref.d);
-      const value_t* dpanel = panels_.data() + layout.panel_ptr[ref.d];
-      const index_t mu = dm - ref.p1;
-      const index_t nu = ref.p2 - ref.p1;
-      if (specialized_ && nu == 1) {
-        // Peeled single-target-column update: subtract directly, no
-        // scratch buffer (scalar-replacement style).
-        value_t* dst =
-            panel + static_cast<std::int64_t>(drows[ref.p1] - c1) * m;
-        for (index_t p = 0; p < dw; ++p) {
-          const value_t* dcol = dpanel + static_cast<std::int64_t>(p) * dm;
-          const value_t f = dcol[ref.p1];
-          if (f == 0.0) continue;
-          for (index_t r = 0; r < mu; ++r)
-            dst[map[drows[ref.p1 + r]]] -= dcol[ref.p1 + r] * f;
-        }
-        continue;
-      }
-      std::fill(work, work + static_cast<std::int64_t>(mu) * nu, 0.0);
-      blas::gemm_nt_minus(mu, nu, dw, dpanel + ref.p1, dm, dpanel + ref.p1,
-                          dm, work, mu);
-      for (index_t cjj = 0; cjj < nu; ++cjj) {
-        const index_t gcol = drows[ref.p1 + cjj];
-        value_t* dst = panel + static_cast<std::int64_t>(gcol - c1) * m;
-        const value_t* src = work + static_cast<std::int64_t>(cjj) * mu;
-        for (index_t r = cjj; r < mu; ++r)
-          dst[map[drows[ref.p1 + r]]] += src[r];
-      }
-    }
-
-    // Dense factorization of the diagonal block + panel solve, with the
-    // generated small kernels when the column-count heuristic says so.
-    // Pivot failures surface with the supernode's first column and its
-    // current diagonal value (detail of the numerical_error).
-    if (SYMPILER_FAULT_POINT(util::FaultSite::kPivot))
-      throw numerical_error(
-          "cholesky: injected pivot failure (fault site pivot, supernodal)",
-          c1, panel[0]);
-    if (specialized_ && w == 1) {
-      // Peeled single-column supernode: scalar sqrt + column scale.
-      const value_t d = panel[0];
-      if (!(d > 0.0))
-        throw numerical_error(
-            "cholesky: non-positive pivot at column " + std::to_string(c1),
-            c1, d);
-      const value_t ljj = std::sqrt(d);
-      panel[0] = ljj;
-      const value_t inv = 1.0 / ljj;
-      for (index_t t = 1; t < m; ++t) panel[t] *= inv;
-    } else {
-      try {
-        if (specialized_ && w <= blas::kSmallKernelMax)
-          blas::potrf_lower_small(w, panel, m);
-        else
-          blas::potrf_lower(w, panel, m);
-      } catch (const numerical_error& e) {
-        // The dense kernels know only the local column; re-anchor at the
-        // supernode's global first column.
-        throw numerical_error(std::string(e.what()) +
-                                  " (supernode starting at column " +
-                                  std::to_string(c1) + ")",
-                              c1, panel[0]);
-      }
-      if (m > w)
-        blas::trsm_right_lower_trans(m - w, w, panel, m, panel + w, m);
-    }
-  }
+  for (index_t s = 0; s < sets_->layout.nsuper(); ++s)
+    factor_supernode(*sets_, a_lower, s, panels_.data(), map, work,
+                     specialized_);
 }
 
 void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {

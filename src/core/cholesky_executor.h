@@ -9,14 +9,16 @@
 //    schedule is a static list;
 //  * no path decisions at numeric time — the plan already committed to
 //    simplicial vs supernodal from its profitability evidence;
-//  * specialized small dense kernels (unrolled potrf/trsv) and peeled
-//    single-column supernodes when the low-level transformations are on,
-//    with the column-count heuristic switching to the generic blocked
-//    ("BLAS") kernels for large panels.
+//  * peeled single-target-column updates when the low-level
+//    transformations are on and the column-count heuristic picks the
+//    specialized forms (the supernode body in core/supernode_body.h);
+//    the dense kernels run unrolled small kernels on their diagonal
+//    blocks.
 //
 // A plan whose path is ParallelSupernodal is interpreted sequentially here
 // (the sets and layout are identical); parallel::parallel_cholesky is its
-// parallel interpreter.
+// parallel interpreter, and runs the same supernode body, so the two
+// agree bit for bit.
 #pragma once
 
 #include <memory>
@@ -71,8 +73,8 @@ class CholeskyExecutor {
   [[nodiscard]] bool vs_block_applied() const {
     return plan_->path != ExecutionPath::Simplicial;
   }
-  /// True when the generated small kernels are used instead of the generic
-  /// blocked routines (the paper's column-count BLAS switch).
+  /// True when the plan runs the specialized supernode forms (peeled
+  /// single-target-column updates) — the paper's column-count BLAS switch.
   [[nodiscard]] bool specialized_kernels() const { return specialized_; }
   [[nodiscard]] double flops() const { return plan_->sets.flops(); }
 

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/supernode_body.h"
+
 namespace sympiler::core {
 
 namespace {
@@ -170,9 +172,7 @@ void emit_cholesky_supernodal(std::ostringstream& os,
                               const CholeskyPlan& plan) {
   const solvers::SupernodalLayout& layout = plan.sets.layout;
   const index_t nsuper = layout.nsuper();
-  const bool specialized =
-      plan.options.low_level &&
-      plan.sets.avg_colcount < plan.options.blas_switch_colcount;
+  const bool specialized = specialized_kernels(plan.options, plan.sets);
 
   std::vector<index_t> upd_d, upd_p1, upd_p2;
   upd_d.reserve(plan.sets.updates.refs.size());
@@ -192,7 +192,7 @@ void emit_cholesky_supernodal(std::ostringstream& os,
                "// topological order is bit-identical for left-looking\n"
                "// updates).\n")
      << "// Operation order mirrors\n"
-        "// CholeskyExecutor::factorize_supernodal exactly, including the\n"
+        "// core::factor_supernode exactly, including the\n"
         "// peeled single-target-column update when SPECIALIZED.\n";
   emit_dense_helpers(os);
   emit_array(os, "snStart", layout.sn.start);

@@ -1,0 +1,117 @@
+#include "core/supernode_body.h"
+
+#include <algorithm>
+#include <string>
+
+#include "blas/kernels.h"
+#include "util/fault.h"
+
+namespace sympiler::core {
+
+bool specialized_kernels(const SympilerOptions& opt, const CholeskySets& sets) {
+  return opt.low_level && sets.avg_colcount < opt.blas_switch_colcount;
+}
+
+void assemble_supernode_columns(const CholeskySets& sets,
+                                const CscMatrix& a_lower, index_t s,
+                                index_t j0, index_t j1, value_t* panels,
+                                index_t* map, value_t* work, bool peel) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  const index_t c1 = layout.sn.start[s];
+  const index_t m = layout.nrows(s);
+  const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
+  value_t* panel = panels + layout.panel_ptr[s];
+  for (index_t t = 0; t < m; ++t) map[rows[t]] = t;
+  // A enters the panel here, through the row map just built: left-looking
+  // updates only target the supernode being factored, so every entry
+  // still starts from A's value before its first update.
+  solvers::scatter_supernode(layout, a_lower, s, j0, j1, panel, map);
+
+  // Static update schedule — no dynamic discovery (fully decoupled).
+  for (index_t u = sets.updates.ptr[s]; u < sets.updates.ptr[s + 1]; ++u) {
+    const solvers::UpdateRef ref = sets.updates.refs[u];
+    const index_t* drows = layout.srows.data() + layout.srow_ptr[ref.d];
+    const index_t dm = layout.nrows(ref.d);
+    const index_t dw = layout.width(ref.d);
+    const value_t* dpanel = panels + layout.panel_ptr[ref.d];
+    const index_t mu = dm - ref.p1;
+    const index_t nu = ref.p2 - ref.p1;
+    // The update's target columns drows[p1..p2) ascend; [lo, hi) of them
+    // fall in this call's column range.
+    const index_t* tcols = drows + ref.p1;
+    const index_t lo = static_cast<index_t>(
+        std::lower_bound(tcols, tcols + nu, c1 + j0) - tcols);
+    const index_t hi = static_cast<index_t>(
+        std::lower_bound(tcols + lo, tcols + nu, c1 + j1) - tcols);
+    if (lo == hi) continue;
+    if (peel && nu == 1) {
+      // Peeled single-target-column update: subtract directly, no
+      // scratch buffer (scalar-replacement style).
+      value_t* dst = panel + static_cast<std::int64_t>(tcols[0] - c1) * m;
+      for (index_t p = 0; p < dw; ++p) {
+        const value_t* dcol = dpanel + static_cast<std::int64_t>(p) * dm;
+        const value_t f = dcol[ref.p1];
+        if (f == 0.0) continue;
+        for (index_t r = 0; r < mu; ++r)
+          dst[map[drows[ref.p1 + r]]] -= dcol[ref.p1 + r] * f;
+      }
+      continue;
+    }
+    // Tile rows [lo, mu) x target columns [lo, hi): every tile entry is
+    // its own ascending-k reduction, so a sub-tile holds the bits the
+    // full mu x nu tile would.
+    const index_t mt = mu - lo;
+    const index_t nt = hi - lo;
+    std::fill(work, work + static_cast<std::int64_t>(mt) * nt, 0.0);
+    blas::gemm_nt_minus(mt, nt, dw, dpanel + ref.p1 + lo, dm,
+                        dpanel + ref.p1 + lo, dm, work, mt);
+    for (index_t cj = lo; cj < hi; ++cj) {
+      value_t* dst = panel + static_cast<std::int64_t>(tcols[cj] - c1) * m;
+      const value_t* src = work + static_cast<std::int64_t>(cj - lo) * mt;
+      for (index_t r = cj; r < mu; ++r)
+        dst[map[drows[ref.p1 + r]]] += src[r - lo];
+    }
+  }
+}
+
+void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
+                               index_t s, value_t* panels) {
+  const index_t c1 = layout.sn.start[s];
+  value_t* panel = panels + layout.panel_ptr[s];
+  if (SYMPILER_FAULT_POINT(util::FaultSite::kPivot))
+    throw numerical_error(
+        "cholesky: injected pivot failure (fault site pivot, supernodal)", c1,
+        panel[0]);
+  try {
+    blas::potrf_lower(layout.width(s), panel, layout.nrows(s));
+  } catch (const numerical_error& e) {
+    // The dense kernel knows only the local column; re-anchor at the
+    // supernode's global first column.
+    throw numerical_error(std::string(e.what()) +
+                              " (supernode starting at column " +
+                              std::to_string(c1) + ")",
+                          c1, panel[0]);
+  }
+}
+
+void solve_supernode_rows(const solvers::SupernodalLayout& layout, index_t s,
+                          index_t r0, index_t r1, value_t* panels) {
+  if (r1 <= r0) return;
+  const index_t w = layout.width(s);
+  const index_t m = layout.nrows(s);
+  value_t* panel = panels + layout.panel_ptr[s];
+  blas::trsm_right_lower_trans(r1 - r0, w, panel, m, panel + w + r0, m);
+}
+
+void factor_supernode(const CholeskySets& sets, const CscMatrix& a_lower,
+                      index_t s, value_t* panels, index_t* map, value_t* work,
+                      bool peel) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  assemble_supernode_columns(sets, a_lower, s, 0, layout.width(s), panels, map,
+                             work, peel);
+  factor_supernode_diagonal(layout, s, panels);
+  solve_supernode_rows(layout, s, 0, layout.nrows(s) - layout.width(s),
+                       panels);
+}
+
+}  // namespace sympiler::core

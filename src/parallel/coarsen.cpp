@@ -154,6 +154,10 @@ AggregateSchedule coarsen(const LevelSchedule& flat,
     agg.bundle.push_back(is_bundle ? 1 : 0);
   };
   for (index_t l = 0; l < nlevels; ++l) {
+    // A flat level whose every item joined a chain started below it heads
+    // no run: emit no aggregate level (and so no barrier) for it. The
+    // remaining levels keep their order, so legality is unchanged.
+    if (level_run_ptr[l] == level_run_ptr[l + 1]) continue;
     lanes.clear();
     for (index_t t = level_run_ptr[l]; t < level_run_ptr[l + 1]; ++t) {
       const index_t r = level_runs[t];

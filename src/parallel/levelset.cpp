@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 
 #ifdef SYMPILER_HAS_OPENMP
 #include <omp.h>
@@ -11,6 +10,7 @@
 #include "blas/bundle.h"
 #include "blas/kernels.h"
 #include "core/execution_plan.h"
+#include "core/supernode_body.h"
 #include "core/workspace.h"
 #include "solvers/supernodal.h"
 #include "util/abort_guard.h"
@@ -50,24 +50,6 @@ inline void run_level(index_t lo, index_t hi, Body&& body) {
     for (index_t t = lo; t < hi; ++t) body(t);
   } else {
 #pragma omp for schedule(static)
-    for (index_t t = lo; t < hi; ++t) body(t);
-  }
-#else
-  for (index_t t = lo; t < hi; ++t) body(t);
-#endif
-}
-
-/// Same, but wide levels use dynamic scheduling (chunk 4) — the supernodal
-/// factorization's levels mix panel sizes badly enough that static
-/// assignment strands threads behind the big panels.
-template <typename Body>
-inline void run_level_dynamic(index_t lo, index_t hi, Body&& body) {
-#ifdef SYMPILER_HAS_OPENMP
-  if (hi - lo < serial_level_cutoff()) {
-#pragma omp single
-    for (index_t t = lo; t < hi; ++t) body(t);
-  } else {
-#pragma omp for schedule(dynamic, 4)
     for (index_t t = lo; t < hi; ++t) body(t);
   }
 #else
@@ -385,23 +367,38 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
 
 namespace {
 
-/// Body of the parallel Cholesky sweep: the worksharing unit is a fused
-/// chain of supernodes executed in order on one thread (update sources of
-/// a chain member are either earlier members or earlier aggregate levels).
+/// First local column of thread `t`'s share when the w columns of an
+/// m-row panel are split among `nt` threads by lower-trapezoid area
+/// (column j holds m - j entries on or below the diagonal).
+index_t area_split(index_t w, index_t m, index_t t, index_t nt) {
+  const auto area = [m](std::int64_t j) { return j * m - j * (j - 1) / 2; };
+  const std::int64_t total = area(w);
+  index_t j = 0;
+  while (j < w && area(j) * nt < total * t) ++j;
+  return j;
+}
+
+/// Body of the parallel Cholesky sweep. A level of two or more tasks
+/// hands whole tasks to threads one at a time (a task is a fused chain of
+/// supernodes run in order on one thread; its update sources are earlier
+/// members or earlier levels). A single-task level — the root chain — is
+/// factored by the whole team one supernode at a time: columns split by
+/// area, the diagonal block on one thread, below-diagonal rows split.
+/// Every piece is core/supernode_body.h's, so the bits match the
+/// sequential executor at any team size.
 void cholesky_levels(const core::CholeskySets& sets,
                      const AggregateSchedule& agg, const CscMatrix& a_lower,
-                     std::span<value_t> panels,
+                     std::span<value_t> panels, bool peel,
                      [[maybe_unused]] bool serial) {
   const solvers::SupernodalLayout& layout = sets.layout;
   // Plan-sized scratch dimensions (pure layout reads); each OS thread
   // keeps one grow-only workspace across calls and plans, so a warm
-  // factorization allocates nothing on any thread. A is scattered into
-  // each panel inside its supernode's body, in parallel, through the row
-  // map that body builds anyway.
+  // factorization allocates nothing on any thread.
   core::WorkspaceDims dims = core::cholesky_workspace_dims(layout);
   dims.rhs_block = 0;
   dims.need_dense = false;  // factorization uses map + update tiles only
   static thread_local core::Workspace ws;
+  value_t* const pan = panels.data();
   util::AbortGuard guard;
 #ifdef SYMPILER_HAS_OPENMP
 #pragma omp parallel if (!serial)
@@ -414,65 +411,60 @@ void cholesky_levels(const core::CholeskySets& sets,
     guard.run([&] { ws.ensure(dims); });
 #ifdef SYMPILER_HAS_OPENMP
 #pragma omp barrier
+    const auto tid = static_cast<index_t>(omp_get_thread_num());
+    const auto nt = static_cast<index_t>(omp_get_num_threads());
+#else
+    const index_t tid = 0;
+    const index_t nt = 1;
 #endif
-    const std::span<value_t> work_span = ws.update();
-    const std::span<index_t> map_span = ws.map();
-    value_t* const work_data = work_span.data();
-    index_t* const map_data = map_span.data();
-    const auto factor_supernode = [&](index_t s) {
-      const index_t c1 = layout.sn.start[s];
+    value_t* const work = ws.update().data();
+    index_t* const map = ws.map().data();
+    // Every thread of the team calls this with the same s and passes the
+    // same barriers; guard.run turns bodies after a failure into no-ops.
+    const auto team_factor = [&](index_t s) {
       const index_t w = layout.width(s);
       const index_t m = layout.nrows(s);
-      const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
-      value_t* panel = panels.data() + layout.panel_ptr[s];
-      for (index_t r = 0; r < m; ++r) map_data[rows[r]] = r;
-      solvers::scatter_supernode(layout, a_lower, s, panel, map_data);
-      for (index_t u = sets.updates.ptr[s]; u < sets.updates.ptr[s + 1]; ++u) {
-        const solvers::UpdateRef ref = sets.updates.refs[u];
-        const index_t* drows = layout.srows.data() + layout.srow_ptr[ref.d];
-        const index_t dm = layout.nrows(ref.d);
-        const index_t dw = layout.width(ref.d);
-        const value_t* dpanel = panels.data() + layout.panel_ptr[ref.d];
-        const index_t mu = dm - ref.p1;
-        const index_t nu = ref.p2 - ref.p1;
-        std::fill(work_data, work_data + static_cast<std::int64_t>(mu) * nu,
-                  0.0);
-        blas::gemm_nt_minus(mu, nu, dw, dpanel + ref.p1, dm, dpanel + ref.p1,
-                            dm, work_data, mu);
-        for (index_t cj = 0; cj < nu; ++cj) {
-          value_t* dst =
-              panel + static_cast<std::int64_t>(drows[ref.p1 + cj] - c1) * m;
-          const value_t* src = work_data + static_cast<std::int64_t>(cj) * mu;
-          for (index_t r = cj; r < mu; ++r)
-            dst[map_data[drows[ref.p1 + r]]] += src[r];
-        }
-      }
-      if (SYMPILER_FAULT_POINT(util::FaultSite::kPivot))
-        throw numerical_error(
-            "cholesky: injected pivot failure (fault site pivot, parallel)",
-            c1, panel[0]);
-      try {
-        blas::potrf_lower(w, panel, m);
-      } catch (const numerical_error& e) {
-        // The dense kernel knows only the local column; re-anchor at the
-        // supernode's global first column (matches the serial executor).
-        throw numerical_error(std::string(e.what()) +
-                                  " (supernode starting at column " +
-                                  std::to_string(c1) + ")",
-                              c1, panel[0]);
-      }
-      if (m > w)
-        blas::trsm_right_lower_trans(m - w, w, panel, m, panel + w, m);
+      guard.run([&] {
+        core::assemble_supernode_columns(sets, a_lower, s,
+                                         area_split(w, m, tid, nt),
+                                         area_split(w, m, tid + 1, nt), pan,
+                                         map, work, peel);
+      });
+#ifdef SYMPILER_HAS_OPENMP
+#pragma omp barrier
+#pragma omp single
+#endif
+      guard.run([&] { core::factor_supernode_diagonal(layout, s, pan); });
+      // The single's barrier published the diagonal block; a panel with
+      // no rows below it is final here.
+      const index_t below = m - w;
+      if (below == 0) return;
+      guard.run([&] {
+        core::solve_supernode_rows(layout, s, below * tid / nt,
+                                   below * (tid + 1) / nt, pan);
+      });
+#ifdef SYMPILER_HAS_OPENMP
+#pragma omp barrier
+#endif
     };
-    for (index_t lev = 0; lev < agg.levels(); ++lev)
-      run_level_dynamic(agg.level_ptr[lev], agg.level_ptr[lev + 1],
-                        [&](index_t t) {
-                          guard.run([&] {
-                            for (index_t k = agg.task_ptr[t];
-                                 k < agg.task_ptr[t + 1]; ++k)
-                              factor_supernode(agg.items[k]);
-                          });
-                        });
+    for (index_t lev = 0; lev < agg.levels(); ++lev) {
+      const index_t lo = agg.level_ptr[lev];
+      const index_t hi = agg.level_ptr[lev + 1];
+      if (hi - lo == 1) {
+        for (index_t k = agg.task_ptr[lo]; k < agg.task_ptr[lo + 1]; ++k)
+          team_factor(agg.items[k]);
+        continue;
+      }
+#ifdef SYMPILER_HAS_OPENMP
+#pragma omp for schedule(dynamic, 1)
+#endif
+      for (index_t t = lo; t < hi; ++t)
+        guard.run([&] {
+          for (index_t k = agg.task_ptr[t]; k < agg.task_ptr[t + 1]; ++k)
+            core::factor_supernode(sets, a_lower, agg.items[k], pan, map,
+                                   work, peel);
+        });
+    }
   }
   guard.rethrow_if_failed();
 }
@@ -482,7 +474,9 @@ void cholesky_levels(const core::CholeskySets& sets,
 void parallel_cholesky(const core::CholeskySets& sets,
                        const AggregateSchedule& agg, const CscMatrix& a_lower,
                        std::span<value_t> panels) {
-  cholesky_levels(sets, agg, a_lower, panels, /*serial=*/false);
+  cholesky_levels(sets, agg, a_lower, panels,
+                  core::specialized_kernels(core::SympilerOptions{}, sets),
+                  /*serial=*/false);
 }
 
 bool parallel_cholesky(const core::CholeskyPlan& plan,
@@ -490,8 +484,10 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
                        Status* fallback_error) {
   SYMPILER_CHECK(plan.path == core::ExecutionPath::ParallelSupernodal,
                  "parallel_cholesky: plan path is not ParallelSupernodal");
+  const bool peel = core::specialized_kernels(plan.options, plan.sets);
   try {
-    cholesky_levels(plan.sets, plan.agg, a_lower, panels, /*serial=*/false);
+    cholesky_levels(plan.sets, plan.agg, a_lower, panels, peel,
+                    /*serial=*/false);
     return false;
   } catch (const numerical_error&) {
     // A pivot failure is a property of the data: the serial re-run would
@@ -503,7 +499,8 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
     // A and re-run the same schedule serially — bit-identical by the
     // determinism contract.
     if (fallback_error != nullptr) *fallback_error = status_of(e);
-    cholesky_levels(plan.sets, plan.agg, a_lower, panels, /*serial=*/true);
+    cholesky_levels(plan.sets, plan.agg, a_lower, panels, peel,
+                    /*serial=*/true);
     return true;
   }
 }
@@ -533,7 +530,10 @@ core::WorkspaceDims panel_tail_dims(index_t max_tail, index_t ldp) {
 /// Forward level sweep over a packed RHS block: supernode s folds its own
 /// rows' incoming terms (ascending contributing supernode — the serial
 /// order), solves its diagonal block, and writes its below-diagonal tail
-/// contributions into its private slots instead of racing on x.
+/// contributions into its private slots instead of racing on x. A
+/// one-column block (Solver::solve) runs the single-RHS kernels of the
+/// serial panel solve; the multi-RHS ones, bit-identical per column, only
+/// pay off across several columns.
 void panel_forward_levels(const solvers::SupernodalLayout& layout,
                           const AggregateSchedule& agg,
                           const UpdateSlotMap& umap,
@@ -571,13 +571,18 @@ void panel_forward_levels(const solvers::SupernodalLayout& layout,
           for (index_t r = 0; r < nrhs; ++r) xj[r] += tq[r];
         }
       }
-      blas::trsm_lower_multi(w, nrhs, panel, m,
-                             xp + static_cast<std::int64_t>(c1) * ldp, ldp);
+      value_t* xc = xp + static_cast<std::int64_t>(c1) * ldp;
+      if (nrhs == 1)
+        blas::trsv_lower(w, panel, m, xc);
+      else
+        blas::trsm_lower_multi(w, nrhs, panel, m, xc, ldp);
       if (m > w) {
         std::fill(tail, tail + static_cast<std::int64_t>(m - w) * ldp, 0.0);
-        blas::gemm_minus_multi(m - w, w, nrhs, panel + w, m,
-                               xp + static_cast<std::int64_t>(c1) * ldp, ldp,
-                               tail, ldp);
+        if (nrhs == 1)
+          blas::gemv_minus(m - w, w, panel + w, m, xc, tail);
+        else
+          blas::gemm_minus_multi(m - w, w, nrhs, panel + w, m, xc, ldp, tail,
+                                 ldp);
         // Compact below-diagonal slot indexing: srows position
         // srow_ptr[s] + u maps to srow_ptr[s] + u - c1 - w.
         const index_t sbase = layout.srow_ptr[s] - c1 - w;
@@ -626,18 +631,23 @@ void panel_backward_levels(const solvers::SupernodalLayout& layout,
       const index_t m = layout.nrows(s);
       const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
       const value_t* panel = panels.data() + layout.panel_ptr[s];
+      value_t* xc = xp + static_cast<std::int64_t>(c1) * ldp;
       if (m > w) {
         for (index_t u = w; u < m; ++u) {
           const value_t* src = xp + static_cast<std::int64_t>(rows[u]) * ldp;
           value_t* dst = tail + static_cast<std::int64_t>(u - w) * ldp;
           for (index_t r = 0; r < nrhs; ++r) dst[r] = src[r];
         }
-        blas::gemm_trans_minus_multi(
-            m - w, w, nrhs, panel + w, m, tail, ldp,
-            xp + static_cast<std::int64_t>(c1) * ldp, ldp);
+        if (nrhs == 1)
+          blas::gemv_trans_minus(m - w, w, panel + w, m, tail, xc);
+        else
+          blas::gemm_trans_minus_multi(m - w, w, nrhs, panel + w, m, tail,
+                                       ldp, xc, ldp);
       }
-      blas::trsm_lower_transpose_multi(
-          w, nrhs, panel, m, xp + static_cast<std::int64_t>(c1) * ldp, ldp);
+      if (nrhs == 1)
+        blas::trsv_lower_transpose(w, panel, m, xc);
+      else
+        blas::trsm_lower_transpose_multi(w, nrhs, panel, m, xc, ldp);
     };
     // Backward validity needs both reversals: levels in reverse order,
     // and items inside each chain in reverse order (a chain member's

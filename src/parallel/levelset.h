@@ -103,12 +103,17 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
 
 /// Parallel supernodal left-looking Cholesky using the static inspection
 /// sets plus a supernode aggregate schedule. Writes the factor into
-/// `panels` (layout in sets.layout). Each aggregate level's tasks factor
-/// concurrently; a fused chain factors its supernodes in order on one
-/// thread. Left-looking updates only read descendants, which finish in
-/// earlier levels or earlier in the same chain. Deterministic: every
-/// panel's updates are applied by its owning thread in static schedule
-/// order.
+/// `panels` (layout in sets.layout). A level of two or more tasks hands
+/// them to the team one at a time (dynamic scheduling); a fused chain
+/// factors its supernodes in order on one thread. A single-task level is
+/// factored by the whole team one supernode at a time: columns split by
+/// panel area, the diagonal block on one thread, below-diagonal rows
+/// split. Left-looking updates only read descendants, which finish in
+/// earlier levels or earlier in the same chain. Every piece is the
+/// sequential executor's supernode body (core/supernode_body.h), so the
+/// factor equals CholeskyExecutor's bit for bit at any team size for sets
+/// inspected under the default low-level options (which decide the peeled
+/// updates here; the plan-driven overload reads the plan's).
 void parallel_cholesky(const core::CholeskySets& sets,
                        const AggregateSchedule& agg, const CscMatrix& a_lower,
                        std::span<value_t> panels);

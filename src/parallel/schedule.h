@@ -68,12 +68,14 @@ struct LevelSchedule {
 ///    items of identical sparsity shape at the same aggregate level,
 ///    executed lock-step by the SIMD bundle kernels (blas/bundle.h).
 ///
-/// Aggregate level of a task = the flat level of its first item; tasks
-/// within an aggregate level are mutually independent (a dependence into
-/// a chain implies a strictly earlier aggregate level — see
-/// docs/architecture.md, "Schedule coarsening"), so levels keep the
-/// barrier-per-level execution model. Backward sweeps reverse both the
-/// level order and the item order inside each task.
+/// A task sits at the flat level of its first item, and the aggregate
+/// levels are the flat levels that head at least one task, in flat order
+/// (a flat level whose items all joined earlier chains leaves no empty
+/// level behind). Tasks within an aggregate level are mutually
+/// independent (a dependence into a chain implies a strictly earlier
+/// aggregate level — see docs/architecture.md, "Schedule coarsening"), so
+/// levels keep the barrier-per-level execution model. Backward sweeps
+/// reverse both the level order and the item order inside each task.
 /// Pattern-pure — built by the Planner, cached with the plan; bit-identity
 /// is untouched because the UpdateSlotMap fold order never depends on the
 /// execution schedule.

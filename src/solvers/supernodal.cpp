@@ -85,14 +85,13 @@ UpdateLists compute_update_lists(const SupernodalLayout& layout) {
 }
 
 void scatter_supernode(const SupernodalLayout& layout,
-                       const CscMatrix& a_lower, index_t s, value_t* panel,
-                       const index_t* map) {
+                       const CscMatrix& a_lower, index_t s, index_t j0,
+                       index_t j1, value_t* panel, const index_t* map) {
   const index_t c1 = layout.sn.start[s];
-  const index_t c2 = layout.sn.start[s + 1];
   const index_t m = layout.nrows(s);
-  std::fill(panel, panel + (layout.panel_ptr[s + 1] - layout.panel_ptr[s]),
-            0.0);
-  for (index_t j = c1; j < c2; ++j) {
+  std::fill(panel + static_cast<std::int64_t>(j0) * m,
+            panel + static_cast<std::int64_t>(j1) * m, 0.0);
+  for (index_t j = c1 + j0; j < c1 + j1; ++j) {
     value_t* col = panel + static_cast<std::int64_t>(j - c1) * m;
     for (index_t p = a_lower.col_begin(j); p < a_lower.col_end(j); ++p) {
       const index_t i = a_lower.rowind[p];
@@ -285,7 +284,7 @@ void SupernodalCholesky::factorize(const CscMatrix& a_lower) {
     for (index_t t = 0; t < m; ++t) map[rows[t]] = t;
     // Like CHOLMOD's supernodal numeric phase, clear and scatter A into
     // this supernode's panel inside the main loop.
-    scatter_supernode(layout_, a_lower, s, panel, map.data());
+    scatter_supernode(layout_, a_lower, s, 0, w, panel, map.data());
 
     // Drain the dynamic descendant list of s.
     index_t d = head[s];

@@ -83,14 +83,15 @@ struct UpdateLists {
 };
 [[nodiscard]] UpdateLists compute_update_lists(const SupernodalLayout& layout);
 
-/// Zero the panel of supernode s and scatter A's columns of s into it.
-/// `map` must already map every row of s's panel to its local position
+/// Zero local columns [j0, j1) of supernode s's panel and scatter A's
+/// matching columns into them ([0, width(s)) is the whole panel). `map`
+/// must already map every row of s's panel to its local position
 /// (map[srows[srow_ptr[s] + t]] == t) — the executors build that map at
 /// the top of each supernode's body anyway, so scattering there costs no
 /// second pass over the panels.
 void scatter_supernode(const SupernodalLayout& layout,
-                       const CscMatrix& a_lower, index_t s, value_t* panel,
-                       const index_t* map);
+                       const CscMatrix& a_lower, index_t s, index_t j0,
+                       index_t j1, value_t* panel, const index_t* map);
 
 /// Convert factored panels to a CSC lower-triangular factor on the exact
 /// symbolic pattern `l_pattern` (the pattern the layout was built from):

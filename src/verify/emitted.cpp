@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/plan_compiler.h"
+#include "core/supernode_body.h"
 #include "verify/internal.h"
 
 namespace sympiler::verify::detail {
@@ -315,9 +316,7 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
       upd_p1.push_back(ref.p1);
       upd_p2.push_back(ref.p2);
     }
-    const bool specialized =
-        plan.options.low_level &&
-        plan.sets.avg_colcount < plan.options.blas_switch_colcount;
+    const bool specialized = core::specialized_kernels(plan.options, plan.sets);
     if (match_array<index_t>(c, baked, "snStart", layout.sn.start) &&
         match_array<index_t>(c, baked, "srowPtr", layout.srow_ptr) &&
         match_array<index_t>(c, baked, "srows", layout.srows) &&

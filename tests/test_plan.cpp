@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifdef SYMPILER_HAS_OPENMP
@@ -20,6 +21,7 @@
 #include "core/execution_plan.h"
 #include "core/inspector.h"
 #include "core/planner.h"
+#include "core/supernode_body.h"
 #include "core/trisolve_executor.h"
 #include "gen/generators.h"
 #include "parallel/levelset.h"
@@ -65,6 +67,19 @@ PlannerConfig supernodal_config() {
   config.options.vsblock_min_avg_width = 0.0;
   config.enable_parallel = false;
   return config;
+}
+
+/// Supernodes in the longest task of a single-task aggregate level — the
+/// chain the parallel factor's whole team works through one supernode at
+/// a time; 0 when every level holds several tasks.
+index_t team_factored_chain(const parallel::AggregateSchedule& agg) {
+  index_t longest = 0;
+  for (index_t lv = 0; lv < agg.levels(); ++lv) {
+    const index_t t = agg.level_ptr[lv];
+    if (agg.level_ptr[lv + 1] - t == 1)
+      longest = std::max(longest, agg.task_ptr[t + 1] - agg.task_ptr[t]);
+  }
+  return longest;
 }
 
 // ------------------------------------------------------------- planning
@@ -433,7 +448,7 @@ TEST(ParallelDeterminism, CholeskyAndBatchSolveStableAcrossThreadCounts) {
   CscMatrix l_ref;
   std::vector<value_t> x_ref;
   bool have_ref = false;
-  for (const int threads : {1, 2, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
 #ifdef SYMPILER_HAS_OPENMP
     omp_set_num_threads(threads);
 #endif
@@ -458,6 +473,83 @@ TEST(ParallelDeterminism, CholeskyAndBatchSolveStableAcrossThreadCounts) {
       ASSERT_TRUE(l.equals(l_ref)) << "threads=" << threads << " run=" << run;
       ASSERT_EQ(x, x_ref) << "threads=" << threads << " run=" << run;
     }
+  }
+}
+
+TEST(ParallelDeterminism, ParallelCholeskyEqualsSequentialExecutorBitwise) {
+  // Contract 1: the level-set factor and the sequential executor run one
+  // supernode body, so with the default (specialized) options — peeled
+  // single-target-column updates — their factors agree bit for bit at
+  // every team size, including on the single-task level the whole team
+  // shares.
+  const CscMatrix a = gen::grid2d_laplacian(40, 40);
+  const auto seq_plan = std::make_shared<const CholeskyPlan>(
+      Planner(supernodal_config()).plan_cholesky(a));
+  ASSERT_EQ(seq_plan->path, ExecutionPath::Supernodal);
+  ASSERT_TRUE(core::specialized_kernels(seq_plan->options, seq_plan->sets));
+  CholeskyPlan par_plan = *seq_plan;
+  par_plan.agg = supernode_agg(par_plan.sets, /*coarsen=*/true);
+  par_plan.path = ExecutionPath::ParallelSupernodal;
+  ASSERT_GE(team_factored_chain(par_plan.agg), 2);
+
+  core::CholeskyExecutor sequential(seq_plan);
+  sequential.factorize(a);
+  const CscMatrix want = sequential.factor_csc();
+  const auto values =
+      static_cast<std::size_t>(par_plan.sets.layout.total_values());
+  for (const int threads : {1, 2, 3, 4}) {
+#ifdef SYMPILER_HAS_OPENMP
+    omp_set_num_threads(threads);
+#endif
+    std::vector<value_t> panels(values, -1.0);
+    parallel::parallel_cholesky(par_plan, a, panels);
+    const CscMatrix got = solvers::panels_to_csc(
+        par_plan.sets.layout, panels, par_plan.sets.sym.l_pattern);
+    ASSERT_TRUE(got.same_pattern(want));
+    ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                          want.values.size() * sizeof(value_t)),
+              0)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ParallelDeterminism, SolveEqualsSerialPanelSolvesAtOneToFourThreads) {
+  // Solver::solve on a parallel plan is the level-set sweep over one
+  // packed column: bit-identical to the serial panel solves on the same
+  // panels at every team size.
+  const CscMatrix a = gen::grid2d_laplacian(40, 40);
+  api::SolverConfig cfg;
+  cfg.options.vsblock_min_avg_size = 0.0;
+  cfg.options.vsblock_min_avg_width = 0.0;
+  cfg.parallel_min_supernodes = 1;
+  cfg.parallel_min_avg_level_width = 0.0;
+  api::Solver solver(cfg, std::make_shared<api::SymbolicContext>());
+  if (!Planner::parallel_enabled()) return;
+
+  const std::vector<value_t> b = gen::dense_rhs(a.cols(), 91);
+  for (const int threads : {1, 2, 3, 4}) {
+#ifdef SYMPILER_HAS_OPENMP
+    omp_set_num_threads(threads);
+#endif
+    solver.factor(a);
+    ASSERT_EQ(solver.path(), ExecutionPath::ParallelSupernodal);
+    const CholeskyPlan& plan = *solver.plan();
+    ASSERT_GE(team_factored_chain(plan.agg), 2);
+    std::vector<value_t> panels(
+        static_cast<std::size_t>(plan.sets.layout.total_values()));
+    parallel::parallel_cholesky(plan, a, panels);
+    ASSERT_TRUE(solver.factor_csc().equals(solvers::panels_to_csc(
+        plan.sets.layout, panels, plan.sets.sym.l_pattern)));
+
+    std::vector<value_t> want = b;
+    solvers::panel_forward_solve(plan.sets.layout, panels, want);
+    solvers::panel_backward_solve(plan.sets.layout, panels, want);
+    std::vector<value_t> x = b;
+    solver.solve(x);
+    EXPECT_FALSE(solver.report().serial_fallback);
+    ASSERT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(value_t)),
+              0)
+        << "threads=" << threads;
   }
 }
 
@@ -675,6 +767,45 @@ TEST(ScheduleCoarsening, PlanBytesCountAggScheduleAndSlotMapIsCompact) {
   EXPECT_LT(coarse->agg.bytes(), identity->agg.bytes());
 }
 
+TEST(ScheduleCoarsening, CoarsenedSchedulesHaveNoEmptyLevel) {
+  // A flat level whose every item joins a chain started below it heads no
+  // task; it must leave no empty aggregate level behind (each one would
+  // cost a team barrier in the factor and in every solve sweep).
+  const auto expect_no_empty_level = [](const parallel::AggregateSchedule& agg,
+                                        const std::string& what) {
+    ASSERT_FALSE(agg.empty()) << what;
+    for (index_t lv = 0; lv < agg.levels(); ++lv)
+      EXPECT_LT(agg.level_ptr[lv], agg.level_ptr[lv + 1])
+          << what << ": level " << lv << " of " << agg.levels() << " is empty";
+  };
+  std::vector<std::pair<std::string, CscMatrix>> mats;
+  mats.emplace_back("grid24", gen::grid2d_laplacian(24, 24));
+  mats.emplace_back("grid40", gen::grid2d_laplacian(40, 40));
+  mats.emplace_back("grid24 natural",
+                    gen::grid2d_laplacian(24, 24, gen::GridOrder::Natural));
+  mats.emplace_back("banded", gen::banded_spd(180, 9, 3));
+  for (const auto& [name, a] : mats) {
+    const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
+    ASSERT_EQ(plan.path, ExecutionPath::Supernodal) << name;
+    expect_no_empty_level(supernode_agg(plan.sets, /*coarsen=*/true),
+                          name + " supernodes");
+    const CscMatrix& l = plan.sets.sym.l_pattern;
+    expect_no_empty_level(
+        parallel::coarsen_schedule_columns(
+            l, parallel::level_schedule_columns(l)),
+        name + " columns");
+    if (!Planner::parallel_enabled()) continue;
+    PlannerConfig config = supernodal_config();
+    config.enable_parallel = true;
+    config.parallel_min_supernodes = 1;
+    config.parallel_min_avg_level_width = 0.0;
+    const CholeskyPlan parallel_plan = Planner(config).plan_cholesky(a);
+    ASSERT_EQ(parallel_plan.path, ExecutionPath::ParallelSupernodal) << name;
+    expect_no_empty_level(parallel_plan.agg, name + " plan");
+    EXPECT_EQ(parallel_plan.evidence.agg_levels, parallel_plan.agg.levels());
+  }
+}
+
 // ------------------------------- shared-context zero-schedule regression
 
 TEST(ExecutionPlan, SecondSolverSharingContextDoesZeroScheduleWork) {
@@ -880,7 +1011,7 @@ TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
       static_cast<std::size_t>(plan.sets.layout.total_values());
   std::vector<value_t> ref;
   value_t garbage = 1.0;
-  for (const int threads : {1, 2, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
 #ifdef SYMPILER_HAS_OPENMP
     omp_set_num_threads(threads);
 #else

@@ -14,13 +14,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/solver.h"
+#include "core/cholesky_executor.h"
 #include "core/plan_store.h"
+#include "core/planner.h"
 #include "gen/generators.h"
+#include "parallel/levelset.h"
 #include "sparse/io_mm.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -585,6 +589,87 @@ TEST(ParallelDegradation, BatchSolveFallsBackSerially) {
   EXPECT_TRUE(solver.report().serial_fallback);
   expect_bits_equal(got, want);
   (void)n;
+}
+
+TEST(ParallelDegradation, SolveAllocFaultFallsBackSerially) {
+  // solve() on a parallel plan is the level-set sweep over one packed
+  // column. An allocation failure degrades it, never fails it: at the
+  // sweep's entry (1st grow: the shared packed column and terms) the
+  // sequential blocked driver serves the column; inside the sweep (2nd
+  // grow: a thread's tail scratch) the column re-runs serially from its
+  // packed copy. Both report serial_fallback with the unfaulted bits.
+  FaultGuard fg;
+  const api::SolverConfig config = parallel_config();
+  const CscMatrix a = gen::grid2d_laplacian(40, 40);
+  api::Solver solver(config, nullptr);
+  solver.factor(a);
+  ASSERT_EQ(solver.path(), api::ExecutionPath::ParallelSupernodal);
+  const std::vector<value_t> b = gen::dense_rhs(a.cols(), 77);
+  std::vector<value_t> want = b;
+  solver.solve(want);
+  EXPECT_FALSE(solver.report().serial_fallback);
+
+  for (const std::uint64_t nth : {1u, 2u}) {
+    solver.factor(a);  // clears the report
+    FaultInjector::arm(FaultSite::kAlloc, nth);
+    std::vector<value_t> x = b;
+    solver.solve(x);
+    EXPECT_EQ(FaultInjector::fired(), 1u) << "nth=" << nth;
+    EXPECT_TRUE(solver.report().serial_fallback) << "nth=" << nth;
+    EXPECT_EQ(solver.report().last_error.code, ErrorCode::kResourceExhausted);
+    expect_bits_equal(x, want);
+    FaultInjector::reset();
+  }
+}
+
+TEST(ParallelDegradation, TeamFactoredPivotMatchesSequentialExecutor) {
+  // A breaking pivot in the root supernode, which the whole team factors
+  // on the last (single-task) level, surfaces as the sequential
+  // executor's numerical_error: same pivot index, same pivot value. The
+  // pivot fault site is passed once per supernode, on the thread that
+  // factors the diagonal block — not once per thread.
+  FaultGuard fg;
+  const CscMatrix good = gen::grid2d_laplacian(40, 40);
+  const CscMatrix bad = with_diagonal(good, good.cols() - 1, -1.0);
+  const core::CholeskyPlan plan =
+      core::Planner(parallel_config().planner_config()).plan_cholesky(bad);
+  ASSERT_EQ(plan.path, api::ExecutionPath::ParallelSupernodal);
+  const parallel::AggregateSchedule& agg = plan.agg;
+  const index_t nsuper = plan.sets.layout.nsuper();
+  ASSERT_EQ(agg.level_ptr[agg.levels()] - agg.level_ptr[agg.levels() - 1], 1);
+  ASSERT_GE(agg.task_ptr[agg.tasks()] - agg.task_ptr[agg.tasks() - 1], 2);
+  ASSERT_EQ(agg.items.back(), nsuper - 1);  // the root closes that chain
+
+  index_t want_index = -1;
+  value_t want_value = 0.0;
+  try {
+    core::CholeskyExecutor(std::make_shared<const core::CholeskyPlan>(plan))
+        .factorize(bad);
+    FAIL() << "expected numerical_error from the sequential executor";
+  } catch (const numerical_error& e) {
+    want_index = e.pivot_index();
+    want_value = e.pivot_value();
+  }
+  EXPECT_EQ(want_index, plan.sets.layout.sn.start[nsuper - 1]);
+
+  const int original_threads = omp_get_max_threads();
+  omp_set_num_threads(2);
+  std::vector<value_t> panels(
+      static_cast<std::size_t>(plan.sets.layout.total_values()));
+  try {
+    parallel::parallel_cholesky(plan, bad, panels);
+    ADD_FAILURE() << "expected numerical_error from the parallel factor";
+  } catch (const numerical_error& e) {
+    EXPECT_EQ(e.pivot_index(), want_index);
+    EXPECT_EQ(e.pivot_value(), want_value);
+  }
+
+  FaultInjector::arm(FaultSite::kPivot,
+                     std::numeric_limits<std::uint64_t>::max());
+  parallel::parallel_cholesky(plan, good, panels);
+  EXPECT_EQ(FaultInjector::hits(FaultSite::kPivot),
+            static_cast<std::uint64_t>(nsuper));
+  omp_set_num_threads(original_threads);
 }
 
 TEST(ParallelDegradation, TriSolveFaultsFallBackSerially) {
