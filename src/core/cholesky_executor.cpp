@@ -6,7 +6,6 @@
 
 #include "core/planner.h"
 #include "core/supernode_body.h"
-#include "solvers/trisolve.h"
 #include "util/fault.h"
 
 namespace sympiler::core {
@@ -23,7 +22,46 @@ std::shared_ptr<const CholeskyPlan> plan_sequential(const CscMatrix& a_lower,
       Planner(config).plan_cholesky(a_lower, /*with_key=*/false));
 }
 
+/// dst[0..len) -= src[0..len) * s: the dense form of a contiguous row run.
+inline void dense_minus(index_t len, const value_t* __restrict src, value_t s,
+                        value_t* __restrict dst) {
+  for (index_t t = 0; t < len; ++t) dst[t] -= src[t] * s;
+}
+
+/// y[Li[p]] -= Lx[p] * s over positions [pb, pe) of one column of L — the
+/// simplicial factor's update and the forward solve's column update.
+/// Per element the same multiply-then-subtract on either branch.
+inline void column_minus(const index_t* li, const value_t* lx, index_t pb,
+                         index_t pe, value_t s, value_t* y) {
+  if (dense_row_run(li, pb, pe)) {
+    dense_minus(pe - pb, lx + pb, s, y + li[pb]);
+  } else {
+    for (index_t p = pb; p < pe; ++p) y[li[p]] -= lx[p] * s;
+  }
+}
+
 }  // namespace
+
+DenseRunShare dense_run_share(const CscMatrix& l_pattern) {
+  const index_t* li = l_pattern.rowind.data();
+  double factor_all = 0.0, factor_dense = 0.0;
+  double solve_all = 0.0, solve_dense = 0.0;
+  for (index_t k = 0; k < l_pattern.cols(); ++k) {
+    const index_t first = l_pattern.col_begin(k) + 1;  // below the diagonal
+    const index_t pe = l_pattern.col_end(k);
+    for (index_t p = first; p < pe; ++p) {
+      const double len = pe - p;
+      const bool dense = dense_row_run(li, p, pe);
+      factor_all += len;
+      if (dense) factor_dense += len;
+      if (p != first) continue;  // the solve updates once, from `first`
+      solve_all += len;
+      if (dense) solve_dense += len;
+    }
+  }
+  return {factor_all > 0.0 ? factor_dense / factor_all : 0.0,
+          solve_all > 0.0 ? solve_dense / solve_all : 0.0};
+}
 
 CholeskyExecutor::CholeskyExecutor(const CscMatrix& a_lower,
                                    SympilerOptions opt)
@@ -46,10 +84,10 @@ CholeskyExecutor::CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan)
   dims.update_slots = 0;  // privatized terms belong to the parallel
                           // interpreters' workspaces, not this executor
   if (vs_block_applied()) {
-    panels_.resize(static_cast<std::size_t>(sets_->layout.total_values()));
+    values_.resize(static_cast<std::size_t>(sets_->layout.total_values()));
     dims.need_dense = false;  // dense column is simplicial-only scratch
   } else {
-    l_ = sets_->sym.l_pattern;  // simplicial factor storage
+    values_.resize(static_cast<std::size_t>(sets_->sym.l_pattern.nnz()));
   }
   ws_.ensure(dims);
 }
@@ -70,11 +108,11 @@ void CholeskyExecutor::factorize(const CscMatrix& a_lower) {
       throw numerical_error(
           "cholesky: injected pivot failure (fault site pivot, jit path)");
     const auto fn = kernel->entry<PlanCholeskyFn>();
-    value_t* values = vs_block_applied() ? panels_.data() : l_.values.data();
     value_t* scratch =
         vs_block_applied() ? ws_.update().data() : ws_.dense().data();
-    const int rc = fn(a_lower.colptr.data(), a_lower.rowind.data(),
-                      a_lower.values.data(), values, scratch, ws_.map().data());
+    const int rc =
+        fn(a_lower.colptr.data(), a_lower.rowind.data(), a_lower.values.data(),
+           values_.data(), scratch, ws_.map().data());
     if (rc != 0) {
       // The kernel stopped at column c (simplicial) or at the supernode
       // starting there; report the pivot the interpreter would: the dense
@@ -83,7 +121,7 @@ void CholeskyExecutor::factorize(const CscMatrix& a_lower) {
       const solvers::SupernodalLayout& layout = sets_->layout;
       const value_t d =
           vs_block_applied()
-              ? panels_[layout.panel_ptr[layout.sn.col_to_super[c]]]
+              ? values_[layout.panel_ptr[layout.sn.col_to_super[c]]]
               : scratch[c];
       throw numerical_error(
           "cholesky: non-positive pivot at column " + std::to_string(c) +
@@ -107,15 +145,19 @@ void CholeskyExecutor::factorize_supernodal(const CscMatrix& a_lower) {
   value_t* work = ws_.update().data();
   index_t* map = ws_.map().data();
   for (index_t s = 0; s < sets_->layout.nsuper(); ++s)
-    factor_supernode(*sets_, a_lower, s, panels_.data(), map, work,
+    factor_supernode(*sets_, a_lower, s, values_.data(), map, work,
                      specialized_);
 }
 
 void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
   // VI-Prune-only path: Figure 4 with the update iteration space pruned by
-  // the precomputed row patterns. No transpose, no ereach. The dense
-  // accumulation column and the per-row cursors are plan-sized workspace.
-  const index_t n = l_.cols();
+  // the precomputed row patterns. No transpose, no ereach. L's pattern is
+  // the plan's; the dense accumulation column and the per-row cursors are
+  // plan-sized workspace.
+  const CscMatrix& lp = sets_->sym.l_pattern;
+  const index_t n = lp.cols();
+  const index_t* li = lp.rowind.data();
+  value_t* lx = values_.data();
   value_t* f = ws_.dense().data();
   index_t* next = ws_.map().data();
   std::fill(f, f + n, 0.0);
@@ -130,9 +172,7 @@ void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
     for (index_t q = sets_->rowpat_ptr[j]; q < sets_->rowpat_ptr[j + 1]; ++q) {
       const index_t k = rowpat[q];
       const index_t pj = next[k];
-      const value_t lkj = l_.values[pj];
-      for (index_t p = pj; p < l_.col_end(k); ++p)
-        f[l_.rowind[p]] -= l_.values[p] * lkj;
+      column_minus(li, lx, pj, lp.col_end(k), lx[pj], f);
       next[k] = pj + 1;
     }
     const value_t d = f[j];
@@ -144,16 +184,44 @@ void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
       throw numerical_error(
           "cholesky: non-positive pivot at column " + std::to_string(j), j, d);
     const value_t ljj = std::sqrt(d);
-    const index_t pdiag = l_.col_begin(j);
-    l_.values[pdiag] = ljj;
+    const index_t pdiag = lp.col_begin(j);
+    lx[pdiag] = ljj;
     f[j] = 0.0;
     const value_t inv = 1.0 / ljj;
-    for (index_t p = pdiag + 1; p < l_.col_end(j); ++p) {
-      const index_t i = l_.rowind[p];
-      l_.values[p] = f[i] * inv;
+    for (index_t p = pdiag + 1; p < lp.col_end(j); ++p) {
+      const index_t i = li[p];
+      lx[p] = f[i] * inv;
       f[i] = 0.0;
     }
     next[j] = pdiag + 1;
+  }
+}
+
+// The simplicial solves are solvers::trisolve_naive and trisolve_transpose
+// (same operation order, so the same bits) over the plan's pattern and the
+// executor's values. The factorization's pivot test guarantees a positive
+// diagonal, so neither checks for a zero one.
+void CholeskyExecutor::forward_simplicial(value_t* x) const {
+  const CscMatrix& lp = sets_->sym.l_pattern;
+  const index_t* li = lp.rowind.data();
+  const value_t* lx = values_.data();
+  for (index_t j = 0; j < lp.cols(); ++j) {
+    const index_t pdiag = lp.col_begin(j);
+    const value_t xj = x[j] / lx[pdiag];
+    x[j] = xj;
+    column_minus(li, lx, pdiag + 1, lp.col_end(j), xj, x);
+  }
+}
+
+void CholeskyExecutor::backward_simplicial(value_t* x) const {
+  const CscMatrix& lp = sets_->sym.l_pattern;
+  const index_t* li = lp.rowind.data();
+  const value_t* lx = values_.data();
+  for (index_t j = lp.cols() - 1; j >= 0; --j) {
+    const index_t pdiag = lp.col_begin(j);
+    value_t s = x[j];
+    for (index_t p = pdiag + 1; p < lp.col_end(j); ++p) s -= lx[p] * x[li[p]];
+    x[j] = s / lx[pdiag];
   }
 }
 
@@ -163,11 +231,14 @@ void CholeskyExecutor::solve(std::span<value_t> bx) const {
     // solve() borrows the shared tail scratch — loud in debug builds if
     // two threads enter one executor (use solve_batch instead).
     const Workspace::Borrow guard(ws_);
-    panel_forward_solve(sets_->layout, panels_, bx, ws_.tail());
-    panel_backward_solve(sets_->layout, panels_, bx, ws_.tail());
+    panel_forward_solve(sets_->layout, values_, bx, ws_.tail());
+    panel_backward_solve(sets_->layout, values_, bx, ws_.tail());
   } else {
-    solvers::trisolve_naive(l_, bx);
-    solvers::trisolve_transpose(l_, bx);
+    SYMPILER_CHECK(
+        static_cast<index_t>(bx.size()) == sets_->sym.l_pattern.cols(),
+        "solve: size mismatch");
+    forward_simplicial(bx.data());
+    backward_simplicial(bx.data());
   }
 }
 
@@ -178,7 +249,7 @@ void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solve_batch: batch size mismatch");
   if (vs_block_applied()) {
-    blocked_panel_solve_batch(sets_->layout, panels_, plan_->workspace, bx,
+    blocked_panel_solve_batch(sets_->layout, values_, plan_->workspace, bx,
                               nrhs);
   } else {
     // Simplicial solves read only the immutable factor (no workspace), so
@@ -193,9 +264,13 @@ void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
 
 CscMatrix CholeskyExecutor::factor_csc() const {
   SYMPILER_CHECK(factorized_, "factor_csc() before factorize()");
-  if (vs_block_applied())
-    return panels_to_csc(sets_->layout, panels_, sets_->sym.l_pattern);
-  return l_;
+  const CscMatrix& lp = sets_->sym.l_pattern;
+  if (vs_block_applied()) return panels_to_csc(sets_->layout, values_, lp);
+  CscMatrix l(lp.rows(), lp.cols());
+  l.colptr = lp.colptr;
+  l.rowind = lp.rowind;
+  l.values = values_;
+  return l;
 }
 
 }  // namespace sympiler::core

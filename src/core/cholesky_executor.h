@@ -13,7 +13,11 @@
 //    transformations are on and the column-count heuristic picks the
 //    specialized forms (the supernode body in core/supernode_body.h);
 //    the dense kernels run unrolled small kernels on their diagonal
-//    blocks.
+//    blocks;
+//  * no copy of the symbolic products: a simplicial executor reads L's
+//    pattern from the plan and owns only an nnz(L) value buffer, and its
+//    column updates take a dense unit-stride loop wherever the sorted
+//    pattern shows one contiguous row run (dense_row_run below).
 //
 // A plan whose path is ParallelSupernodal is interpreted sequentially here
 // (the sets and layout are identical); parallel::parallel_cholesky is its
@@ -32,6 +36,36 @@
 #include "util/common.h"
 
 namespace sympiler::core {
+
+/// Shortest row run the simplicial loops (the factor's left-looking
+/// update and the forward solve's column update) take as a dense
+/// unit-stride loop; shorter runs and scattered rows keep the indexed
+/// loop. Both loops do the same multiply-then-subtract per element, so
+/// the choice never changes a bit, only speed: on an AVX-512 Xeon the
+/// dense loop beats the indexed one from 2 rows in the library's
+/// baseline-ISA build and from 4 rows under -march=native (the JIT's
+/// flags), where shorter runs pay for the vector loop's set-up. The
+/// PlanCompiler's simplicial emission bakes the same constant.
+inline constexpr index_t kDenseRunMin = 4;
+
+/// Whether positions [pb, pe) of a sorted column pattern hold one
+/// contiguous row run of at least kDenseRunMin rows. O(1): sorted
+/// distinct rows are contiguous iff the last minus the first equals the
+/// count minus one.
+[[nodiscard]] inline bool dense_row_run(const index_t* rowind, index_t pb,
+                                        index_t pe) {
+  return pe - pb >= kDenseRunMin && rowind[pe - 1] - rowind[pb] == pe - 1 - pb;
+}
+
+/// Share of the update entries (multiply-subtracts) of the simplicial
+/// factor and of its forward solve that run in the dense loop, from L's
+/// pattern alone: column k's update of each later row r of its pattern
+/// covers the rows from r to the column's end. 0 for an empty pattern.
+struct DenseRunShare {
+  double factor = 0.0;
+  double solve = 0.0;
+};
+[[nodiscard]] DenseRunShare dense_run_share(const CscMatrix& l_pattern);
 
 class CholeskyExecutor {
  public:
@@ -62,7 +96,8 @@ class CholeskyExecutor {
   /// parallel over blocks under OpenMP); the simplicial path loops.
   void solve_batch(std::span<value_t> bx, index_t nrhs) const;
 
-  /// Extract L as CSC (for inspection and the triangular-solve pipeline).
+  /// Extract L as CSC (for inspection and the triangular-solve pipeline):
+  /// a fresh copy of L's pattern filled with the factor's values.
   [[nodiscard]] CscMatrix factor_csc() const;
 
   [[nodiscard]] const CholeskyPlan& plan() const { return *plan_; }
@@ -82,11 +117,16 @@ class CholeskyExecutor {
   void factorize_supernodal(const CscMatrix& a_lower);
   void factorize_simplicial(const CscMatrix& a_lower);
 
+  void forward_simplicial(value_t* x) const;
+  void backward_simplicial(value_t* x) const;
+
   std::shared_ptr<const CholeskyPlan> plan_;  ///< shared with the cache
   const CholeskySets* sets_ = nullptr;        ///< &plan_->sets
   bool specialized_ = false;
-  std::vector<value_t> panels_;  ///< supernodal factor storage
-  CscMatrix l_;                  ///< simplicial factor storage
+  /// Factor storage, the executor's only copy of anything: the supernodal
+  /// panels, or L's values over the plan's pattern (sets_->sym.l_pattern)
+  /// on the simplicial path.
+  std::vector<value_t> values_;
   /// Plan-sized numeric scratch (update tiles, scatter map, solve tails);
   /// mutable because solve() is logically const but borrows it.
   mutable Workspace ws_;

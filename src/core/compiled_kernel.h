@@ -23,8 +23,9 @@
 namespace sympiler::core {
 
 /// Entry point of a plan-compiled Cholesky kernel. Arguments:
-/// (Ap, Ai, Ax) of the lower triangle of A, the factor value storage
-/// (simplicial: L values in pattern order; supernodal: the dense panels),
+/// (Ap, Ai, Ax) of the lower triangle of A, the executor's factor value
+/// storage (simplicial: L values in the plan's pattern order; supernodal:
+/// the dense panels),
 /// value scratch (simplicial: the length-n accumulation column;
 /// supernodal: the max_panel_rows x max_panel_width update tile), and the
 /// length-n integer scatter map. Returns 0, or -1 - c on a non-positive

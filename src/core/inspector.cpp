@@ -226,17 +226,19 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
                                         sets.sym.colcount, sn_opt);
 
   // Which product families the chosen path consumes. Ungated requests
-  // build both (the inspect_cholesky contract).
+  // build both (the inspect_cholesky contract) plus L's zero value array;
+  // no executor reads that array (executors own their values), so gated
+  // plans of either path skip it.
   const bool want_simplicial = !req.gate_products || !sets.vs_block_profitable;
   const bool want_supernodal = !req.gate_products || sets.vs_block_profitable;
+  const bool want_values = !req.gate_products;
 
   // --- pattern of L: one fused sweep into exact-presized arrays -----------
   std::vector<index_t> row_offdiag;  // rowpat histogram, free from the sweep
   if (!req.naive) {
     Timer t_pat;
     sets.sym.l_pattern = cholesky_fill_pattern(
-        upper, sets.sym.parent, sets.sym.colcount,
-        /*with_values=*/want_simplicial,
+        upper, sets.sym.parent, sets.sym.colcount, want_values,
         want_simplicial ? &row_offdiag : nullptr);
     sets.sym.fill_nnz = sets.sym.l_pattern.colptr[n];
     for (index_t j = 0; j < n; ++j) {
@@ -244,10 +246,10 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
       sets.sym.flops += c * c;
     }
     ph.pattern += t_pat.seconds();
-  } else if (!want_simplicial) {
-    // Match the gated fast plan bit for bit: supernodal plans carry no
-    // |L|-sized zero value array.
-    sets.sym.l_pattern.values = {};
+  } else if (!want_values) {
+    // Match the gated fast plan bit for bit: it carries no |L|-sized zero
+    // value array.
+    std::vector<value_t>().swap(sets.sym.l_pattern.values);
   }
 
   // --- assembly: independent products over the shared symbolic factor ----

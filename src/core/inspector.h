@@ -130,10 +130,11 @@ struct CholeskySets {
 /// What plan_cholesky asks the inspector for beyond the plain sets.
 struct CholeskyPlanRequest {
   /// Build only the sets the profitability-chosen path will consume:
-  /// simplicial plans get rowpat + L values and skip layout/updates;
-  /// supernodal plans get layout/updates and skip rowpat + the |L|-sized
-  /// zero value array. The gate decision (colcount + block-set) is made
-  /// before the pattern fill, so skipped products cost nothing.
+  /// simplicial plans get rowpat and skip layout/updates; supernodal plans
+  /// get layout/updates and skip rowpat. Neither gets the |L|-sized zero
+  /// value array, which no executor reads (each owns its factor values).
+  /// The gate decision (colcount + block-set) is made before the pattern
+  /// fill, so skipped products cost nothing.
   bool gate_products = false;
   /// Build the supernode level schedule — and, if the width gate passes,
   /// the forward-solve slot map (inside the same assembly region) and the

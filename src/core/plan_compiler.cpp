@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cholesky_executor.h"
 #include "core/supernode_body.h"
 
 namespace sympiler::core {
@@ -70,15 +71,22 @@ void emit_cholesky_simplicial(std::ostringstream& os,
   os << "// simplicial left-looking Cholesky, pattern-specialized: the\n"
         "// ereach chains (rowPat) and the replayed column cursors\n"
         "// (updStart) are baked, so the numeric loop chases no cursor\n"
-        "// array. Operation order mirrors\n"
-        "// CholeskyExecutor::factorize_simplicial exactly.\n";
+        "// array. An update whose rows form one contiguous run of at\n"
+        "// least RUN_MIN rows takes the dense loop. Operation order\n"
+        "// mirrors CholeskyExecutor::factorize_simplicial exactly.\n";
   emit_array(os, "Lp", l.colptr);
   emit_array(os, "Li", l.rowind);
   emit_array(os, "rowPatPtr", plan.sets.rowpat_ptr);
   emit_array(os, "rowPat", plan.sets.rowpat);
   emit_array(os, "updStart", upd_start);
-  os << "enum { N = " << n << " };\n\n";
+  os << "enum { N = " << n << ", RUN_MIN = " << kDenseRunMin << " };\n\n";
 
+  os << "static inline void dense_minus(const int len,\n"
+        "                               const double* __restrict src,\n"
+        "                               const double s,\n"
+        "                               double* __restrict dst) {\n"
+        "  for (int t = 0; t < len; ++t) dst[t] -= src[t] * s;\n"
+        "}\n\n";
   os << "extern \"C\" int " << PlanCompiler::kCholeskySymbol
      << "(const int* Ap, const int* Ai, const double* Ax,\n"
         "    double* Lx, double* f, int* iwork) {\n"
@@ -90,10 +98,13 @@ void emit_cholesky_simplicial(std::ostringstream& os,
         "      if (i >= j) f[i] = Ax[p];\n"
         "    }\n"
         "    for (int q = rowPatPtr[j]; q < rowPatPtr[j + 1]; ++q) {\n"
-        "      const int k = rowPat[q];\n"
         "      const int pj = updStart[q];\n"
+        "      const int pe = Lp[rowPat[q] + 1];\n"
         "      const double lkj = Lx[pj];\n"
-        "      for (int p = pj; p < Lp[k + 1]; ++p) f[Li[p]] -= Lx[p] * lkj;\n"
+        "      if (pe - pj >= RUN_MIN && Li[pe - 1] - Li[pj] == pe - 1 - pj)\n"
+        "        dense_minus(pe - pj, Lx + pj, lkj, f + Li[pj]);\n"
+        "      else\n"
+        "        for (int p = pj; p < pe; ++p) f[Li[p]] -= Lx[p] * lkj;\n"
         "    }\n"
         "    const double d = f[j];\n"
         "    if (!(d > 0.0)) return -1 - j;\n"

@@ -40,8 +40,9 @@ namespace sympiler::core {
 /// Version 2: the relax_supernodes/relax_ratio option fields are gone, the
 /// evidence records the fundamental supernode count, and supernodal plans
 /// carry amalgamated layouts. Version 3: the flat level-schedule section
-/// is gone; parallel plans persist only their aggregate schedule.
-inline constexpr std::uint32_t kPlanFormatVersion = 3;
+/// is gone; parallel plans persist only their aggregate schedule. Version
+/// 4: simplicial plans no longer carry L's zero value array.
+inline constexpr std::uint32_t kPlanFormatVersion = 4;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

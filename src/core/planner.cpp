@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iomanip>
 #include <sstream>
 
+#include "core/cholesky_executor.h"
 #include "sparse/ops.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -46,11 +48,25 @@ std::string panel_fill(const CholeskySets& sets) {
   return os.str();
 }
 
+/// Simplicial plans: how much of the factor's and the forward solve's
+/// update work runs in the executor's dense row-run loop, from L's
+/// pattern (cholesky_executor.h). Empty for plans with panels.
+std::string dense_runs(const CholeskyPlan& plan) {
+  if (plan.path != ExecutionPath::Simplicial) return {};
+  const DenseRunShare share = dense_run_share(plan.sets.sym.l_pattern);
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(1) << "\n  dense row runs (>= "
+     << kDenseRunMin << " rows): " << share.factor * 100.0
+     << "% of factor update entries, " << share.solve * 100.0
+     << "% of forward-solve update entries";
+  return os.str();
+}
+
 std::string summarize(const char* kind, const PatternKey& key,
                       ExecutionPath path, const PlanEvidence& ev,
                       const JitSlot& jit, std::size_t bytes,
                       std::size_t workspace_bytes,
-                      const std::string& fill = {}) {
+                      const std::string& path_detail = {}) {
   std::ostringstream os;
   os << kind << " plan for " << key.rows << "x" << key.cols
      << " nnz=" << key.nnz;
@@ -65,7 +81,7 @@ std::string summarize(const char* kind, const PatternKey& key,
      << (merged ? " fundamental" : "")
      << ", avg participating size: " << ev.avg_supernode_size;
   if (merged) os << "; amalgamated to " << ev.supernodes;
-  os << fill;
+  os << path_detail;
   if (ev.parallel_considered) {
     os << "\n  levels: " << ev.levels
        << ", avg level width: " << ev.avg_level_width;
@@ -138,7 +154,7 @@ void verify_fresh(TriSolvePlan& plan, const CscMatrix& l,
 
 std::string CholeskyPlan::summary() const {
   return summarize("cholesky", key, path, evidence, *jit, bytes(),
-                   workspace.bytes(), panel_fill(sets));
+                   workspace.bytes(), panel_fill(sets) + dense_runs(*this));
 }
 
 std::string TriSolvePlan::summary() const {

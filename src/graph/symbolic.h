@@ -49,6 +49,7 @@ struct SymbolicFactor {
   std::vector<index_t> parent;     ///< elimination tree
   std::vector<index_t> colcount;   ///< nnz(L(:,j)) including the diagonal
   CscMatrix l_pattern;             ///< pattern of L, values allocated = 0
+                                   ///< (none in a planned Cholesky plan)
   std::int64_t fill_nnz = 0;       ///< nnz(L)
   double flops = 0.0;              ///< factorization flops: sum cc_j^2
 
@@ -78,7 +79,8 @@ struct SymbolicFactor {
 /// row list come out sorted — no per-column buckets, no per-row sort, and
 /// no intermediate row buffer (entries are written during the etree climb
 /// itself). `with_values` controls whether the |L|-sized zero value array
-/// is allocated (plans whose path never touches L values skip it). When
+/// is allocated (planned Cholesky plans skip it: executors own their
+/// factor values). When
 /// `row_offdiag` is non-null it receives each row's off-diagonal entry
 /// count (size n) — the rowpat histogram, free from this sweep.
 /// O(|A| + |L|) time.

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cholesky_executor.h"
 #include "core/plan_compiler.h"
 #include "core/supernode_body.h"
 #include "verify/internal.h"
@@ -277,7 +278,8 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
         match_array<index_t>(c, baked, "Li", lp.rowind) &&
         match_array<index_t>(c, baked, "rowPatPtr", plan.sets.rowpat_ptr) &&
         match_array<index_t>(c, baked, "rowPat", plan.sets.rowpat) &&
-        match_enum(c, baked, "N", n)) {
+        match_enum(c, baked, "N", n) &&
+        match_enum(c, baked, "RUN_MIN", core::kDenseRunMin)) {
       // updStart[q] is the replayed column cursor: inside column k's
       // off-diagonal run, pointing at exactly the owning row's entry.
       c.note();

@@ -368,6 +368,8 @@ TEST(PlanCompilerSource, SimplicialBakesReplayedCursors) {
   ASSERT_EQ(plan->path, ExecutionPath::Simplicial);
   const std::string source = PlanCompiler::emit(*plan);
   EXPECT_NE(source.find("updStart"), std::string::npos);
+  EXPECT_NE(source.find("RUN_MIN = " + std::to_string(kDenseRunMin)),
+            std::string::npos);
   EXPECT_NE(source.find(PlanCompiler::kCholeskySymbol), std::string::npos);
   EXPECT_NE(source.find("-ffp-contract=off"), std::string::npos);
 }

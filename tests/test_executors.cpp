@@ -26,10 +26,14 @@ CscMatrix case_matrix(int c) {
     case 4: return gen::random_spd(180, 2.5, 7);
     case 5: return gen::banded_spd(100, 12, 21);
     case 6: return gen::power_grid(250, 60, 5);
+    // Natural-order strip: its simplicial updates are contiguous row runs
+    // of 1 to 16 rows, on both sides of kDenseRunMin.
+    case 7: return gen::grid2d_laplacian(16, 30, gen::GridOrder::Natural);
     default: return gen::grid2d_laplacian(3, 3);
   }
 }
-constexpr int kNumCases = 8;
+constexpr int kNumCases = 9;
+constexpr int kStripCase = 7;
 
 core::SympilerOptions make_options(bool vs, bool vi, bool low) {
   core::SympilerOptions opt;
@@ -95,9 +99,26 @@ TEST_P(CholeskyExec, MatchesSimplicialBaseline) {
   ref.factorize(a);
   ASSERT_TRUE(l.same_pattern(ref.factor()))
       << "case " << c << " combo " << combo;
-  for (index_t p = 0; p < l.nnz(); ++p)
-    ASSERT_NEAR(l.values[p], ref.factor().values[p], 1e-8)
-        << "case " << c << " combo " << combo << " at nz " << p;
+  // A simplicial plan runs the baseline's operation sequence (dense row
+  // runs included), so its factor and solve are the same bits;
+  // supernodal plans reassociate the updates.
+  const bool simplicial = !exec.vs_block_applied();
+  for (index_t p = 0; p < l.nnz(); ++p) {
+    if (simplicial) {
+      ASSERT_EQ(l.values[p], ref.factor().values[p])
+          << "case " << c << " combo " << combo << " at nz " << p;
+    } else {
+      ASSERT_NEAR(l.values[p], ref.factor().values[p], 1e-8)
+          << "case " << c << " combo " << combo << " at nz " << p;
+    }
+  }
+  if (!simplicial) return;
+  const std::vector<value_t> b = gen::dense_rhs(a.cols(), 3);
+  std::vector<value_t> x(b), xref(b);
+  exec.solve(x);
+  ref.solve(xref);
+  for (index_t i = 0; i < a.cols(); ++i)
+    ASSERT_EQ(x[i], xref[i]) << "case " << c << " combo " << combo;
 }
 
 TEST_P(CholeskyExec, SolveResidualSmall) {
@@ -118,6 +139,26 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, CholeskyExec,
     ::testing::Combine(::testing::Range(0, kNumCases),
                        ::testing::Range(0, 8)));
+
+TEST(CholeskyExecutor, StripCaseRunsBothUpdateLoops) {
+  // The strip's updates mix runs shorter and longer than kDenseRunMin, so
+  // the bitwise sweep above runs the dense and the indexed loop.
+  const CscMatrix a = case_matrix(kStripCase);
+  const core::CholeskyExecutor exec(a, make_options(false, true, true));
+  ASSERT_FALSE(exec.vs_block_applied());
+  const core::DenseRunShare share =
+      core::dense_run_share(exec.sets().sym.l_pattern);
+  EXPECT_GT(share.factor, 0.5);
+  EXPECT_LT(share.factor, 1.0);
+  EXPECT_GT(share.solve, 0.5);
+  EXPECT_LT(share.solve, 1.0);
+  // --explain reports the share for simplicial plans only.
+  EXPECT_NE(exec.plan().summary().find("dense row runs"), std::string::npos);
+  const core::CholeskyExecutor supernodal(a, make_options(true, true, true));
+  ASSERT_TRUE(supernodal.vs_block_applied());
+  EXPECT_EQ(supernodal.plan().summary().find("dense row runs"),
+            std::string::npos);
+}
 
 TEST(CholeskyExecutor, VsBlockThresholdControlsPath) {
   const CscMatrix a = gen::grid2d_laplacian(12, 12);

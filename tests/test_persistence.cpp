@@ -480,6 +480,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
       {"format version bump", 8, 99, 4, ErrorCode::kStalePlanVersion},
       {"format version 2 (flat schedule section)", 8, 2, 4,
        ErrorCode::kStalePlanVersion},
+      {"format version 3 (simplicial zero value array)", 8, 3, 4,
+       ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
       {"index ABI", 16, 8, 2, ErrorCode::kStalePlanVersion},
@@ -869,6 +871,65 @@ TEST(RestartWarmStart, CorruptedFileTakesRungFiveDiscardReplanRewrite) {
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
   EXPECT_FALSE(rewarmed.degraded());
   expect_bits_equal(again, want);
+}
+
+TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
+  TempDir dir;
+  const CscMatrix a = gen::grid2d_laplacian(30, 30);
+  api::SolverConfig config;
+  config.enable_parallel = false;
+  config.options.vsblock_min_avg_size = 1e9;  // simplicial plan
+  config.options.plan_store_dir = dir.path;
+
+  auto store = PlanStore::open(dir.path);
+  api::FactorReport cold;
+  const std::vector<value_t> want = restart_factor_solve(a, config, &cold);
+  store->flush();
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path))
+    if (entry.path().extension() == ".plan") path = entry.path().string();
+  ASSERT_FALSE(path.empty());
+  const auto read_plan_file = [&path] {
+    std::ifstream f(path, std::ios::binary);
+    const std::vector<char> raw((std::istreambuf_iterator<char>(f)),
+                                std::istreambuf_iterator<char>());
+    CholeskyPlan plan;
+    const Status status = core::deserialize_plan(
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size()),
+        &plan);
+    EXPECT_TRUE(status.ok()) << status.to_string();
+    return plan;
+  };
+
+  // Write the file a version-3 build left under the same name: the same
+  // plan plus L's zero value array.
+  CholeskyPlan old_plan = read_plan_file();
+  ASSERT_EQ(old_plan.path, ExecutionPath::Simplicial);
+  ASSERT_TRUE(old_plan.sets.sym.l_pattern.values.empty());
+  old_plan.sets.sym.l_pattern.values.assign(
+      old_plan.sets.sym.l_pattern.rowind.size(), 0.0);
+  std::vector<std::uint8_t> image = core::serialize_plan(old_plan);
+  wr<std::uint32_t>(image, 8, 3);
+  fix_header_crc(image);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+  }
+
+  // Rung 5: rejected as stale (not loaded into the cache), replanned,
+  // and rewritten in the current version without the array.
+  api::FactorReport upgraded;
+  expect_bits_equal(restart_factor_solve(a, config, &upgraded), want);
+  EXPECT_TRUE(upgraded.store_recovered) << upgraded.to_string();
+  EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
+  store->flush();
+  EXPECT_TRUE(read_plan_file().sets.sym.l_pattern.values.empty());
+  api::FactorReport rewarmed;
+  expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
+  EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
+  EXPECT_FALSE(rewarmed.degraded());
 }
 
 TEST(RestartWarmStart, TriangularSolverWarmStartsFromTheStore) {

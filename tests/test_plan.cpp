@@ -1074,12 +1074,20 @@ TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
   simp.options.vsblock_min_avg_size = 1e9;
   const CholeskyPlan simplicial = Planner(simp).plan_cholesky(a);
   ASSERT_EQ(simplicial.path, ExecutionPath::Simplicial);
-  // Simplicial plans carry rowpat + L values, no supernodal layout.
+  // Simplicial plans carry rowpat and L's pattern, but no supernodal
+  // layout and no value array: the executor owns the factor's values.
+  const CscMatrix& lp = simplicial.sets.sym.l_pattern;
   EXPECT_FALSE(simplicial.sets.rowpat_ptr.empty());
-  EXPECT_EQ(simplicial.sets.sym.l_pattern.values.size(),
-            simplicial.sets.sym.l_pattern.rowind.size());
+  EXPECT_FALSE(lp.rowind.empty());
+  EXPECT_TRUE(lp.values.empty());
   EXPECT_TRUE(simplicial.sets.layout.srows.empty());
   EXPECT_TRUE(simplicial.sets.updates.refs.empty());
+  // The plan weighs exactly 8 bytes per nnz(L) less than one that pinned
+  // the zero value array.
+  CholeskyPlan with_zeros = simplicial;
+  with_zeros.sets.sym.l_pattern.values.assign(lp.rowind.size(), 0.0);
+  EXPECT_EQ(simplicial.bytes(),
+            with_zeros.bytes() - sizeof(value_t) * lp.rowind.size());
 
   // The ungated inspector contract is unchanged: everything present.
   const core::CholeskySets full = core::inspect_cholesky(a, sup.options);
