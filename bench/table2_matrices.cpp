@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "core/inspector.h"
+#include "core/planner.h"
 #include "gen/suite.h"
 
 using namespace sympiler;
@@ -20,17 +20,19 @@ int main() {
       "paper n(1e3)/nnz(1e6)", "n", "nnz(A)", "nnz(L)", "nsuper",
       "vsb-size", "avgCC", "VSB?", "generator");
   bench::print_rule(132);
+  core::PlannerConfig config;
+  config.enable_parallel = false;
+  const core::Planner planner(config);
   for (const auto& spec : gen::suite()) {
     const CscMatrix a = spec.make();
-    core::CholeskyPlanProducts products;
-    const core::CholeskySets sets = core::inspect_cholesky_planned(
-        a, {}, core::CholeskyPlanRequest{}, products);
+    const core::CholeskyPlan plan = planner.plan_cholesky(a, false);
+    const core::CholeskySets& sets = plan.sets;
     std::printf(
         "%2d %-14s %15d / %-9.3f | %8d %9d %11lld %8d %9.1f %7.1f %5s  %s\n",
         spec.id, spec.paper_name.c_str(), spec.paper_n_thousands,
         spec.paper_nnz_millions, a.cols(), a.nnz(),
         static_cast<long long>(sets.sym.fill_nnz),
-        products.fundamental_supernodes,
+        plan.evidence.fundamental_supernodes,
         sets.avg_supernode_size, sets.avg_colcount,
         sets.vs_block_profitable ? "yes" : "no", spec.generator.c_str());
     std::fflush(stdout);

@@ -29,7 +29,7 @@ int main() {
   std::printf("symbolic inspection: %.3f ms (VS-Block %s, %d supernodes)\n",
               t_sym.seconds() * 1e3,
               cholesky.vs_block_applied() ? "applied" : "skipped",
-              cholesky.sets().blocks.count());
+              cholesky.plan().evidence.supernodes);
 
   // --- numeric factorization + solve ---
   Timer t_num;

@@ -26,6 +26,7 @@
 #include "core/workspace.h"
 #include "gen/generators.h"
 #include "gen/suite.h"
+#include "graph/etree.h"
 #include "parallel/schedule.h"
 #include "solvers/simplicial.h"
 #include "solvers/supernodal.h"
@@ -94,26 +95,24 @@ core::PlannerConfig sequential_config(const core::SympilerOptions& base,
   return cfg;
 }
 
-core::CholeskyPlan parallel_cholesky_plan(const CscMatrix& a, bool coarsen) {
-  core::SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-  core::CholeskyPlan plan;
-  plan.options = opt;
-  plan.sets = core::inspect_cholesky(a, opt);
-  plan.solve_update_map = parallel::update_slots_supernodes(plan.sets.layout);
-  plan.workspace = core::cholesky_workspace_dims(plan.sets.layout);
-  plan.workspace.need_dense = false;
+/// The parallel variant of a sequential supernodal plan of `a`: the
+/// aggregate schedule and the forward-solve slot map the Planner adds when
+/// its parallel gates clear. The schedule needs the etree, which plans do
+/// not carry, so it is recomputed from `a`.
+core::CholeskyPlan parallel_cholesky_plan(core::CholeskyPlan plan,
+                                          const CscMatrix& a, bool coarsen) {
+  const std::vector<index_t> parent = elimination_tree(a);
+  const core::CholeskySets& sets = plan.sets;
+  std::vector<index_t> dep_src(sets.updates.refs.size());
+  for (std::size_t u = 0; u < dep_src.size(); ++u)
+    dep_src[u] = sets.updates.refs[u].d;
+  plan.agg = parallel::coarsen_schedule_supernodes(
+      sets.layout.sn, parent, sets.updates.ptr, dep_src,
+      parallel::level_schedule_supernodes(sets.layout.sn, parent),
+      parallel::CoarsenOptions{coarsen, coarsen});
+  plan.solve_update_map = parallel::update_slots_supernodes(sets.layout);
   plan.workspace.update_slots = plan.solve_update_map.slots();
   plan.path = core::ExecutionPath::ParallelSupernodal;
-  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-  for (std::size_t u = 0; u < dep_src.size(); ++u)
-    dep_src[u] = plan.sets.updates.refs[u].d;
-  plan.agg = parallel::coarsen_schedule_supernodes(
-      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
-      parallel::level_schedule_supernodes(plan.sets.blocks,
-                                          plan.sets.sym.parent),
-      parallel::CoarsenOptions{coarsen, coarsen});
   return plan;
 }
 
@@ -153,8 +152,9 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
       "chol/supernodal",
       core::Planner(sequential_config(opt, 0.0)).plan_cholesky(a));
   chol.emplace_back("chol/parallel-identity",
-                    parallel_cholesky_plan(a, false));
-  chol.emplace_back("chol/coarsened", parallel_cholesky_plan(a, true));
+                    parallel_cholesky_plan(chol[1].second, a, false));
+  chol.emplace_back("chol/coarsened",
+                    parallel_cholesky_plan(chol[1].second, a, true));
 
   const CscMatrix& l = chol[1].second.sets.sym.l_pattern;
   const std::vector<index_t> sparse_beta = {0};
@@ -353,7 +353,7 @@ int main(int argc, char** argv) {
         "vsb-size=%.1f, avg colcount=%.1f -> VS-Block %s, %s kernels\n",
         t_ins.seconds() * 1e3,
         static_cast<long long>(chol.sets().sym.fill_nnz),
-        chol.sets().blocks.count(), chol.sets().avg_supernode_size,
+        chol.plan().evidence.supernodes, chol.sets().avg_supernode_size,
         chol.sets().avg_colcount,
         chol.vs_block_applied() ? "applied" : "skipped",
         chol.specialized_kernels() ? "specialized" : "blocked");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/plan_compiler.h"
@@ -106,6 +107,53 @@ void run_jit_tier(const core::SympilerOptions& opt, const Plan& plan,
     if (report.last_error.ok())
       report.last_error = Status{ErrorCode::kJitUnavailable, slot.failure()};
   }
+}
+
+/// Plan lookup of both facades: the in-memory plan cache, and behind it
+/// the persistence tier when opt.plan_store_dir is set (core/plan_store.h,
+/// docs/persistence.md). On a cache miss the store is tried before `build`
+/// replans; a loaded plan is published only after `reverify` passes. A
+/// rejected file — corrupt, stale, or failing re-verification — takes
+/// rung 5 of the degradation ladder: discard it, replan from the matrix,
+/// and let the write-behind rewrite a good file. The write-behind is
+/// gated: plans whose estimated load cost exceeds half their measured
+/// build time are cheaper to replan after a restart than to load, so the
+/// store declines them (counted in its stats) instead of pessimizing
+/// every future warm start.
+template <class Plan, class Build, class Reverify>
+typename core::PlanCache<Plan>::Lookup lookup_plan(
+    core::PlanCache<Plan>& cache, const core::PatternKey& key,
+    const core::SympilerOptions& opt, FactorReport& report,
+    const Build& build, const Reverify& reverify) {
+  if (opt.plan_store_dir.empty()) return cache.get_or_build(key, build);
+  const auto store = core::PlanStore::open(opt.plan_store_dir);
+  return cache.get_or_build_stored(
+      key,
+      [&]() -> std::shared_ptr<const Plan> {
+        Plan from_disk;
+        core::PlanStore::Loaded loaded = store->load(key, &from_disk);
+        if (!loaded.found) return nullptr;
+        if (loaded.status.ok()) {
+          const verify::Report check = reverify(from_disk);
+          if (!check.ok())
+            loaded.status = Status{ErrorCode::kCorruptPlanFile,
+                                   "persisted plan failed load-time "
+                                   "re-verification:\n" +
+                                       check.to_string()};
+        }
+        if (!loaded.status.ok()) {
+          report.store_recovered = true;
+          report.last_error = loaded.status;
+          store->discard(key, std::is_same_v<Plan, core::CholeskyPlan>);
+          return nullptr;
+        }
+        report.store_loaded = true;
+        return std::make_shared<const Plan>(std::move(from_disk));
+      },
+      build,
+      [&](const std::shared_ptr<const Plan>& built) {
+        store->save_async_if_profitable(built);
+      });
 }
 
 }  // namespace
@@ -230,51 +278,10 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
   // old key paired with a half-prepared executor, and the next factor()
   // of that old pattern would take the early return above into it.
   has_key_ = false;
-  core::CholeskyCache::Lookup lookup;
-  if (config_.options.plan_store_dir.empty()) {
-    lookup = context_->cholesky_cache().get_or_build(
-        key, [&] { return planner.plan_cholesky(a_lower); });
-  } else {
-    // Persistence tier (core/plan_store.h, docs/persistence.md): on a
-    // cache miss, try the on-disk store before replanning. Every loaded
-    // plan is re-verified before publication; a rejected file — corrupt,
-    // stale, or failing re-verification — takes rung 5 of the degradation
-    // ladder: discard it, replan from the matrix, and let the write-behind
-    // below rewrite a good file.
-    auto store = core::PlanStore::open(config_.options.plan_store_dir);
-    lookup = context_->cholesky_cache().get_or_build_stored(
-        key,
-        [&]() -> std::shared_ptr<const core::CholeskyPlan> {
-          core::CholeskyPlan from_disk;
-          core::PlanStore::Loaded loaded = store->load(key, &from_disk);
-          if (!loaded.found) return nullptr;
-          if (loaded.status.ok()) {
-            const verify::Report check = verify::verify_plan(from_disk);
-            if (!check.ok())
-              loaded.status = Status{ErrorCode::kCorruptPlanFile,
-                                     "persisted plan failed load-time "
-                                     "re-verification:\n" +
-                                         check.to_string()};
-          }
-          if (!loaded.status.ok()) {
-            report_.store_recovered = true;
-            report_.last_error = loaded.status;
-            store->discard(key, /*cholesky=*/true);
-            return nullptr;
-          }
-          report_.store_loaded = true;
-          return std::make_shared<const core::CholeskyPlan>(
-              std::move(from_disk));
-        },
-        [&] { return planner.plan_cholesky(a_lower); },
-        [&](const std::shared_ptr<const core::CholeskyPlan>& built) {
-          // Write-behind, gated: plans whose estimated load cost exceeds
-          // half their measured build time are cheaper to replan after a
-          // restart than to load — the store declines them (counted in
-          // its stats) instead of pessimizing every future warm start.
-          store->save_async_if_profitable(built);
-        });
-  }
+  core::CholeskyCache::Lookup lookup = lookup_plan(
+      context_->cholesky_cache(), key, config_.options, report_,
+      [&] { return planner.plan_cholesky(a_lower); },
+      [](const core::CholeskyPlan& plan) { return verify::verify_plan(plan); });
   symbolic_cached_ = lookup.hit;
   plan_ = std::move(lookup.plan);
   factorized_ = false;
@@ -312,9 +319,9 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
 
 void Solver::solve(std::span<value_t> bx) const {
   SYMPILER_CHECK(factorized_, "solver: solve() before factor()");
-  SYMPILER_CHECK(static_cast<index_t>(bx.size()) ==
-                     static_cast<index_t>(plan_->sets.sym.parent.size()),
-                 "solver: RHS size mismatch");
+  SYMPILER_CHECK(
+      static_cast<index_t>(bx.size()) == plan_->sets.sym.l_pattern.cols(),
+      "solver: RHS size mismatch");
   if (plan_->path == ExecutionPath::ParallelSupernodal)
     solve_batch(bx, 1);  // the level-set sweep over one packed column
   else
@@ -324,7 +331,7 @@ void Solver::solve(std::span<value_t> bx) const {
 void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   SYMPILER_CHECK(factorized_, "solver: solve_batch() before factor()");
   SYMPILER_CHECK(nrhs >= 0, "solver: negative RHS count");
-  const std::size_t n = plan_->sets.sym.parent.size();
+  const auto n = static_cast<std::size_t>(plan_->sets.sym.l_pattern.cols());
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solver: batch size mismatch");
   // Thin dispatch on the plan's path: a parallel plan sweeps packed RHS
@@ -348,7 +355,7 @@ void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
 
 void Solver::solve_batch(std::vector<std::vector<value_t>>& rhs) const {
   SYMPILER_CHECK(factorized_, "solver: solve_batch() before factor()");
-  const std::size_t n = plan_->sets.sym.parent.size();
+  const auto n = static_cast<std::size_t>(plan_->sets.sym.l_pattern.cols());
   for (const std::vector<value_t>& r : rhs)
     SYMPILER_CHECK(r.size() == n, "solver: RHS size mismatch");
   // Gather the scattered columns into one contiguous batch so they ride
@@ -394,45 +401,12 @@ std::shared_ptr<const core::TriSolvePlan> lookup_trisolve_plan(
     validate_trisolve_input(l, beta, config.options.scan_values);
   const core::Planner planner(config.planner_config());
   const core::PatternKey key = planner.trisolve_key(l, beta);
-  core::TriSolveCache::Lookup lookup;
-  if (config.options.plan_store_dir.empty()) {
-    lookup = context.trisolve_cache().get_or_build(
-        key, [&] { return planner.plan_trisolve(l, beta); });
-  } else {
-    // Same persistence tier as Solver::prepare_symbolic: load + mandatory
-    // re-verification on a cache miss, rung-5 discard/replan/rewrite on a
-    // rejected file, write-behind for fresh builds.
-    auto store = core::PlanStore::open(config.options.plan_store_dir);
-    lookup = context.trisolve_cache().get_or_build_stored(
-        key,
-        [&]() -> std::shared_ptr<const core::TriSolvePlan> {
-          core::TriSolvePlan from_disk;
-          core::PlanStore::Loaded loaded = store->load(key, &from_disk);
-          if (!loaded.found) return nullptr;
-          if (loaded.status.ok()) {
-            const verify::Report check = verify::verify_plan(from_disk, l, beta);
-            if (!check.ok())
-              loaded.status = Status{ErrorCode::kCorruptPlanFile,
-                                     "persisted plan failed load-time "
-                                     "re-verification:\n" +
-                                         check.to_string()};
-          }
-          if (!loaded.status.ok()) {
-            report.store_recovered = true;
-            report.last_error = loaded.status;
-            store->discard(key, /*cholesky=*/false);
-            return nullptr;
-          }
-          report.store_loaded = true;
-          return std::make_shared<const core::TriSolvePlan>(
-              std::move(from_disk));
-        },
-        [&] { return planner.plan_trisolve(l, beta); },
-        [&](const std::shared_ptr<const core::TriSolvePlan>& built) {
-          // Same profitability gate as the Cholesky write-behind.
-          store->save_async_if_profitable(built);
-        });
-  }
+  core::TriSolveCache::Lookup lookup = lookup_plan(
+      context.trisolve_cache(), key, config.options, report,
+      [&] { return planner.plan_trisolve(l, beta); },
+      [&](const core::TriSolvePlan& plan) {
+        return verify::verify_plan(plan, l, beta);
+      });
   symbolic_cached = lookup.hit;
   return std::move(lookup.plan);
 }

@@ -245,7 +245,7 @@ void CholeskyExecutor::solve(std::span<value_t> bx) const {
 void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   SYMPILER_CHECK(factorized_, "solve_batch() before factorize()");
   SYMPILER_CHECK(nrhs >= 0, "solve_batch: negative RHS count");
-  const auto n = static_cast<std::size_t>(sets_->sym.parent.size());
+  const auto n = static_cast<std::size_t>(sets_->sym.l_pattern.cols());
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solve_batch: batch size mismatch");
   if (vs_block_applied()) {

@@ -164,13 +164,6 @@ TriSolveSets inspect_trisolve_dense_rhs(const CscMatrix& l,
   return inspect_trisolve(l, beta, opt);
 }
 
-CholeskySets inspect_cholesky(const CscMatrix& a_lower,
-                              const SympilerOptions& opt) {
-  CholeskyPlanProducts products;  // no schedule requested: stays empty
-  return inspect_cholesky_planned(a_lower, opt, CholeskyPlanRequest{},
-                                  products);
-}
-
 CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
                                       const SympilerOptions& opt,
                                       const CholeskyPlanRequest& req,
@@ -180,111 +173,85 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
   PlanPhaseTimes& ph = phases != nullptr ? *phases : local_phases;
   CholeskySets sets;
   const index_t n = a_lower.cols();
+  SYMPILER_CHECK(a_lower.rows() == n, "inspect_cholesky: not square");
+  SYMPILER_CHECK(a_lower.is_lower_triangular(),
+                 "inspect_cholesky: input must be the lower triangle");
 
   // --- symbolic factorization: etree, column counts -----------------------
-  CscMatrix upper;  // the one shared transpose (fast pipeline only)
-  if (req.naive) {
-    Timer t;
-    sets.sym = symbolic_cholesky_naive(a_lower);
-    ph.pattern = t.seconds();  // undifferentiated two-pass reference
-  } else {
-    SYMPILER_CHECK(a_lower.rows() == n, "inspect_cholesky: not square");
-    SYMPILER_CHECK(a_lower.is_lower_triangular(),
-                   "inspect_cholesky: input must be the lower triangle");
-    Timer t_tr;
-    upper = transpose(a_lower);
-    ph.transpose = t_tr.seconds();
-    Timer t_et;
-    sets.sym.parent = elimination_tree_from_upper(upper);
-    ph.etree = t_et.seconds();
-    Timer t_cc;
-    const std::vector<index_t> post = postorder(sets.sym.parent);
-    sets.sym.colcount = cholesky_counts(a_lower, sets.sym.parent, post);
-    ph.counts = t_cc.seconds();
-  }
+  // Both are planning-time locals: they derive the block-set, the pattern
+  // and the schedule, and no executor reads them.
+  Timer t_tr;
+  const CscMatrix upper = transpose(a_lower);  // the one shared transpose
+  ph.transpose = t_tr.seconds();
+  Timer t_et;
+  const std::vector<index_t> parent = elimination_tree_from_upper(upper);
+  ph.etree = t_et.seconds();
+  Timer t_cc;
+  const std::vector<index_t> colcount =
+      cholesky_counts(a_lower, parent, postorder(parent));
+  ph.counts = t_cc.seconds();
 
   // --- block-set + profitability (cheap: colcount + etree reads) ----------
   // Deciding the path here, before the pattern fill, is what lets the
-  // gated pipeline skip products the path never reads. The VS-Block gate
-  // reads the fundamental partition, so amalgamation never moves a pattern
+  // pipeline skip products the path never reads. The VS-Block gate reads
+  // the fundamental partition, so amalgamation never moves a pattern
   // between the simplicial and supernodal paths; a supernodal plan then
   // executes (and its parallel gates read) the amalgamated partition.
   SupernodeOptions sn_opt;
   sn_opt.max_width = opt.max_supernode_width;
-  sets.blocks = supernodes_cholesky(sets.sym.parent, sets.sym.colcount, sn_opt);
-  products.fundamental_supernodes = sets.blocks.count();
-  sets.avg_supernode_size =
-      participating_avg_rows(sets.blocks, sets.sym.colcount);
+  SupernodePartition blocks = supernodes_cholesky(parent, colcount, sn_opt);
+  products.fundamental_supernodes = blocks.count();
+  sets.avg_supernode_size = participating_avg_rows(blocks, colcount);
   double cc = 0.0;
-  for (index_t j = 0; j < n; ++j) cc += sets.sym.colcount[j];
+  for (index_t j = 0; j < n; ++j) cc += colcount[j];
   sets.avg_colcount = n > 0 ? cc / n : 0.0;
   sets.vs_block_profitable =
       opt.vs_block && sets.avg_supernode_size >= opt.vsblock_min_avg_size &&
-      participating_avg_width(sets.blocks) >= opt.vsblock_min_avg_width;
-  if (sets.vs_block_profitable)
-    sets.blocks = amalgamate_supernodes(sets.blocks, sets.sym.parent,
-                                        sets.sym.colcount, sn_opt);
-
-  // Which product families the chosen path consumes. Ungated requests
-  // build both (the inspect_cholesky contract) plus L's zero value array;
-  // no executor reads that array (executors own their values), so gated
-  // plans of either path skip it.
-  const bool want_simplicial = !req.gate_products || !sets.vs_block_profitable;
-  const bool want_supernodal = !req.gate_products || sets.vs_block_profitable;
-  const bool want_values = !req.gate_products;
+      participating_avg_width(blocks) >= opt.vsblock_min_avg_width;
+  const bool supernodal = sets.vs_block_profitable;
+  if (supernodal)
+    blocks = amalgamate_supernodes(blocks, parent, colcount, sn_opt);
 
   // --- pattern of L: one fused sweep into exact-presized arrays -----------
+  // No |L|-sized zero value array: every executor owns its factor values.
   std::vector<index_t> row_offdiag;  // rowpat histogram, free from the sweep
-  if (!req.naive) {
-    Timer t_pat;
-    sets.sym.l_pattern = cholesky_fill_pattern(
-        upper, sets.sym.parent, sets.sym.colcount, want_values,
-        want_simplicial ? &row_offdiag : nullptr);
-    sets.sym.fill_nnz = sets.sym.l_pattern.colptr[n];
-    for (index_t j = 0; j < n; ++j) {
-      const double c = sets.sym.colcount[j];
-      sets.sym.flops += c * c;
-    }
-    ph.pattern += t_pat.seconds();
-  } else if (!want_values) {
-    // Match the gated fast plan bit for bit: it carries no |L|-sized zero
-    // value array.
-    std::vector<value_t>().swap(sets.sym.l_pattern.values);
+  Timer t_pat;
+  sets.sym.l_pattern =
+      cholesky_fill_pattern(upper, parent, colcount, /*with_values=*/false,
+                            supernodal ? nullptr : &row_offdiag);
+  sets.sym.fill_nnz = sets.sym.l_pattern.colptr[n];
+  for (index_t j = 0; j < n; ++j) {
+    const double c = colcount[j];
+    sets.sym.flops += c * c;
   }
+  ph.pattern = t_pat.seconds();
 
-  // --- assembly: independent products over the shared symbolic factor ----
-  // rowpat (simplicial prune-sets), layout -> updates (supernodal), and
-  // schedule -> slot map (parallel gates) have no cross-dependencies
-  // beyond layout, so they run as tasks; every product is a deterministic
-  // pattern function, so the assembly is bit-reproducible regardless of
-  // which thread builds what.
+  // --- assembly: the chosen path's products -------------------------------
   Timer t_asm;
-  const auto build_rowpat = [&] {
-    // Simplicial prune-sets: the row pattern of L row-by-row — a
-    // transpose walk of the pattern (row pattern of i = columns j < i
-    // with L(i,j) != 0, ascending). The counting pass comes free from
-    // the fused sweep when available.
+  if (!supernodal) {
+    // Simplicial prune-sets: the row pattern of L row-by-row — a transpose
+    // walk of the pattern (row pattern of i = columns j < i with
+    // L(i,j) != 0, ascending), counted by the fused sweep's histogram.
     sets.rowpat_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-    const CscMatrix& lp = sets.sym.l_pattern;
-    if (!row_offdiag.empty()) {
-      for (index_t i = 0; i < n; ++i)
-        sets.rowpat_ptr[i + 1] = sets.rowpat_ptr[i] + row_offdiag[i];
-    } else {
-      for (index_t j = 0; j < n; ++j)
-        for (index_t p = lp.col_begin(j) + 1; p < lp.col_end(j); ++p)
-          ++sets.rowpat_ptr[lp.rowind[p] + 1];
-      for (index_t i = 0; i < n; ++i)
-        sets.rowpat_ptr[i + 1] += sets.rowpat_ptr[i];
-    }
+    for (index_t i = 0; i < n; ++i)
+      sets.rowpat_ptr[i + 1] = sets.rowpat_ptr[i] + row_offdiag[i];
     sets.rowpat.resize(static_cast<std::size_t>(sets.rowpat_ptr[n]));
     std::vector<index_t> next(sets.rowpat_ptr.begin(),
                               sets.rowpat_ptr.end() - 1);
+    const CscMatrix& lp = sets.sym.l_pattern;
     for (index_t j = 0; j < n; ++j)
       for (index_t p = lp.col_begin(j) + 1; p < lp.col_end(j); ++p)
         sets.rowpat[next[lp.rowind[p]]++] = j;
-  };
+    ph.assemble = t_asm.seconds();
+    return sets;
+  }
+
+  // Supernodal: the layout takes over the partition, then the update lists
+  // and the schedule -> slot map, which read only the layout, run as
+  // sibling tasks. Each is a deterministic pattern function, so the
+  // assembly is bit-reproducible regardless of which thread builds what.
   const auto build_layout = [&] {
-    sets.layout = solvers::SupernodalLayout::build(sets.sym, sets.blocks);
+    sets.layout = solvers::SupernodalLayout::build(sets.sym, std::move(blocks));
   };
   const auto build_updates = [&] {
     sets.updates = solvers::compute_update_lists(sets.layout);
@@ -293,11 +260,11 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     // Gates mirror the historical planner: enough supernodes to schedule,
     // then wide enough average levels to commit to the parallel path.
     if (!req.build_schedule ||
-        sets.blocks.count() < req.parallel_min_supernodes)
+        sets.layout.nsuper() < req.parallel_min_supernodes)
       return;
     Timer t_sched;
     products.schedule =
-        parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent);
+        parallel::level_schedule_supernodes(sets.layout.sn, parent);
     ph.schedule = t_sched.seconds();
     products.scheduled = true;
     if (products.schedule.avg_level_width() >=
@@ -309,71 +276,43 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
       products.committed = true;
     }
   };
-
 #ifdef SYMPILER_HAS_OPENMP
-  if (!req.naive) {
-    std::exception_ptr errors[3] = {nullptr, nullptr, nullptr};
+  std::exception_ptr errors[2] = {nullptr, nullptr};
 #pragma omp parallel
 #pragma omp single
-    {
-      if (want_simplicial) {
-#pragma omp task shared(sets, row_offdiag, errors)
-        {
-          try {
-            build_rowpat();
-          } catch (...) {
-            errors[0] = std::current_exception();
-          }
-        }
-      }
-      if (want_supernodal) {
-        try {
-          build_layout();  // critical path: updates + slot map read it
+  {
+    try {
+      build_layout();  // critical path: updates + slot map read it
 #pragma omp task shared(sets, errors)
-          {
-            try {
-              build_updates();
-            } catch (...) {
-              errors[1] = std::current_exception();
-            }
-          }
-          build_schedule();
+      {
+        try {
+          build_updates();
         } catch (...) {
-          errors[2] = std::current_exception();
+          errors[0] = std::current_exception();
         }
       }
-    }  // implicit barrier: all tasks complete
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
-  } else {
-    // Reference pipeline: strictly serial, fixed order.
-    if (want_simplicial) build_rowpat();
-    if (want_supernodal) {
-      build_layout();
-      build_updates();
       build_schedule();
+    } catch (...) {
+      errors[1] = std::current_exception();
     }
-  }
+  }  // implicit barrier: all tasks complete
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 #else
-  if (want_simplicial) build_rowpat();
-  if (want_supernodal) {
-    build_layout();
-    build_updates();
-    build_schedule();
-  }
+  build_layout();
+  build_updates();
+  build_schedule();
 #endif
   if (products.committed) {
     // Coarsening reads the update lists, which may still be under
     // construction while build_schedule runs as a task sibling — so it
-    // happens here, after the assembly barrier, in both pipelines
-    // (deterministic pattern function: naive and fast agree bit for bit).
+    // happens here, after the assembly barrier.
     Timer t_coarsen;
     std::vector<index_t> dep_src(sets.updates.refs.size());
     for (std::size_t u = 0; u < sets.updates.refs.size(); ++u)
       dep_src[u] = sets.updates.refs[u].d;
     products.agg = parallel::coarsen_schedule_supernodes(
-        sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
-        products.schedule,
+        sets.layout.sn, parent, sets.updates.ptr, dep_src, products.schedule,
         parallel::CoarsenOptions{req.coarsen, req.coarsen});
     ph.schedule += t_coarsen.seconds();
   }

@@ -15,9 +15,11 @@
 // sets have two symbolic-work-free consumers: the interpreting executors
 // read them from memory, and the PlanCompiler (plan_compiler.h) bakes
 // them — as part of a whole cached ExecutionPlan — into the plan's
-// compiled kernel. The cold pipeline itself is near-linear: one shared
+// compiled kernel. The Cholesky pipeline is near-linear: one shared
 // transpose(A) feeds the etree, the GNP column counts, and the fused
-// pattern sweep (inspect_cholesky_planned).
+// pattern sweep (inspect_cholesky_planned). The etree, the counts and the
+// block-set only derive the sets the numeric code reads, so they stay
+// local to the inspector.
 #pragma once
 
 #include <span>
@@ -34,17 +36,17 @@
 namespace sympiler::core {
 
 /// Wall seconds of each cold-planning phase, recorded in PlanEvidence and
-/// emitted by bench/cache_reuse as the per-phase cold breakdown. Phases
-/// built inside the parallel assembly region (updates, rowpat) are folded
-/// into `assemble`, which is the region's wall time — under OpenMP the
-/// named phases can overlap it, so the parts need not sum to
-/// build_seconds.
+/// emitted by bench/cache_reuse as the per-phase cold breakdown. The
+/// assembly products (rowpat, or layout and updates) are folded into
+/// `assemble`, the assembly's wall time; `schedule` and `slotmap` are
+/// timed inside it, and under OpenMP they overlap the update lists, so
+/// the parts need not sum to build_seconds.
 struct PlanPhaseTimes {
   double transpose = 0.0;  ///< the one shared transpose(A)
   double etree = 0.0;      ///< elimination tree (Liu, from the upper view)
   double counts = 0.0;     ///< postorder + GNP skeleton column counts
   double pattern = 0.0;    ///< fused single-sweep pattern fill
-  double assemble = 0.0;   ///< layout/updates/rowpat region wall time
+  double assemble = 0.0;   ///< rowpat or layout/updates assembly wall time
   double schedule = 0.0;   ///< supernode level schedule (parallel gate)
   double slotmap = 0.0;    ///< privatized update-slot map (parallel gate)
   double verify = 0.0;     ///< static plan verification (verify/verify.h)
@@ -95,14 +97,17 @@ struct TriSolveSets {
     const CscMatrix& l, std::span<const value_t> b,
     const SympilerOptions& opt = {});
 
-/// Inspection sets for sparse Cholesky A = L L^T.
+/// Inspection sets for sparse Cholesky A = L L^T: only what an executor,
+/// a solve or factor_csc() reads. The simplicial path carries the row
+/// patterns, the supernodal paths the layout and the update lists; both
+/// carry L's pattern, without values.
 struct CholeskySets {
-  SymbolicFactor sym;                 ///< etree, colcounts, pattern of L
-  /// Block-set: fundamental supernodes, amalgamated (graph/supernodes.h)
-  /// when VS-Block is profitable — the partition the layout executes.
-  SupernodePartition blocks;
-  solvers::SupernodalLayout layout;   ///< panel layout of the factor
-  solvers::UpdateLists updates;       ///< static update schedule (decoupled)
+  FactorPattern sym;                  ///< pattern of L, nnz(L), flops
+  /// Supernodal paths: the panel layout of the factor, whose partition is
+  /// the block-set (fundamental supernodes, amalgamated as in
+  /// graph/supernodes.h), and the static update schedule (decoupled).
+  solvers::SupernodalLayout layout;
+  solvers::UpdateLists updates;
   /// Simplicial prune-sets: row pattern of every row of L (CSR-style),
   /// excluding diagonals — the update-loop iteration spaces of Figure 4.
   std::vector<index_t> rowpat_ptr;    ///< size n+1
@@ -114,28 +119,13 @@ struct CholeskySets {
 
   /// Heap bytes of the inspection sets (plan-size accounting).
   [[nodiscard]] std::size_t bytes() const {
-    return sym.bytes() + blocks.bytes() + layout.bytes() + updates.bytes() +
+    return sym.l_pattern.bytes() + layout.bytes() + updates.bytes() +
            (rowpat_ptr.size() + rowpat.size()) * sizeof(index_t);
   }
 };
 
-/// Run the Cholesky inspector on the pattern of A (lower triangle).
-/// Builds every inspection set (pattern with values, rowpat, layout,
-/// updates) — the ungated contract direct callers (executor convenience
-/// constructors, tests) rely on. The Planner goes through
-/// inspect_cholesky_planned instead.
-[[nodiscard]] CholeskySets inspect_cholesky(const CscMatrix& a_lower,
-                                            const SympilerOptions& opt = {});
-
-/// What plan_cholesky asks the inspector for beyond the plain sets.
+/// What plan_cholesky asks the inspector for beyond the sets.
 struct CholeskyPlanRequest {
-  /// Build only the sets the profitability-chosen path will consume:
-  /// simplicial plans get rowpat and skip layout/updates; supernodal plans
-  /// get layout/updates and skip rowpat. Neither gets the |L|-sized zero
-  /// value array, which no executor reads (each owns its factor values).
-  /// The gate decision (colcount + block-set) is made before the pattern
-  /// fill, so skipped products cost nothing.
-  bool gate_products = false;
   /// Build the supernode level schedule — and, if the width gate passes,
   /// the forward-solve slot map (inside the same assembly region) and the
   /// aggregate schedule.
@@ -145,17 +135,13 @@ struct CholeskyPlanRequest {
   /// Coarsen a committed schedule (chain fusion) into its aggregate form;
   /// off yields the identity aggregate — see parallel/schedule.h.
   bool coarsen = false;
-  /// Use the retained naive reference pipeline: symbolic_cholesky_naive
-  /// plus strictly serial assembly. The equivalence tests pin the fast
-  /// path bit-identical to this.
-  bool naive = false;
 };
 
 /// Products of a planned inspection beyond the sets. The schedule fields
 /// are meaningful only when the request set build_schedule.
 struct CholeskyPlanProducts {
   /// Size of the fundamental partition the VS-Block gate read; a
-  /// supernodal plan's sets.blocks is the amalgamated one.
+  /// supernodal plan's layout executes its amalgamation.
   index_t fundamental_supernodes = 0;
   bool scheduled = false;  ///< supernode-count gate passed; schedule built
   bool committed = false;  ///< level-width gate passed; slot map built
@@ -167,12 +153,14 @@ struct CholeskyPlanProducts {
   parallel::AggregateSchedule agg;
 };
 
-/// Planner entry point: the near-linear cold pipeline. One shared
-/// transpose(A) threads through the etree, the GNP column counts, and the
-/// fused pattern sweep; the independent assembly products (rowpat,
-/// layout -> updates, schedule -> slot map) run as OpenMP tasks over the
-/// shared symbolic factor. Product content is identical to the serial
-/// naive pipeline on every build — only wall time differs.
+/// The Cholesky inspector, run by the Planner: the near-linear cold
+/// pipeline. One shared transpose(A) threads through the etree, the GNP
+/// column counts, and the fused pattern sweep. The VS-Block decision is
+/// made from the counts and the block-set before the pattern fill, so
+/// only the chosen path's products are built: the row patterns of a
+/// simplicial plan, or the layout of a supernodal one, whose update lists
+/// and schedule -> slot map then run as OpenMP tasks. Every product is a
+/// deterministic pattern function: the same on every build and team size.
 [[nodiscard]] CholeskySets inspect_cholesky_planned(
     const CscMatrix& a_lower, const SympilerOptions& opt,
     const CholeskyPlanRequest& req, CholeskyPlanProducts& products,

@@ -52,7 +52,7 @@ struct PatternKeyHash {
 /// serve wrong sets.
 [[nodiscard]] std::uint64_t hash_options(const SympilerOptions& opt);
 
-/// Key for inspect_cholesky(a_lower, opt).
+/// Key of a Cholesky plan of a_lower under opt.
 [[nodiscard]] PatternKey cholesky_pattern_key(const CscMatrix& a_lower,
                                               const SympilerOptions& opt);
 

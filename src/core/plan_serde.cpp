@@ -34,8 +34,8 @@ constexpr std::size_t kTableCrcSize = 8;
 
 enum SectionId : std::uint32_t {
   kSecMeta = 1,      ///< options, path, evidence, workspace, set scalars
-  kSecSymbolic = 2,  ///< Cholesky: etree, colcounts, L pattern
-  kSecBlocks = 3,    ///< supernode partition (+ layout for Cholesky)
+  kSecSymbolic = 2,  ///< Cholesky: L pattern
+  kSecBlocks = 3,    ///< trisolve: block-set; Cholesky: panel layout
   kSecUpdates = 4,   ///< Cholesky: static update schedule
   kSecRowpat = 5,    ///< Cholesky: simplicial row patterns
   // 6 held the flat level schedule up to format version 2.
@@ -184,7 +184,6 @@ void put_options(Writer& w, const SympilerOptions& o) {
   w.scalar<index_t>(o.shift_attempts);
   w.scalar<std::uint8_t>(o.guard_workspace);
   w.scalar<std::uint8_t>(o.verify_plan);
-  w.str(o.plan_store_dir);
 }
 
 void get_options(Reader& r, SympilerOptions* o) {
@@ -207,7 +206,6 @@ void get_options(Reader& r, SympilerOptions* o) {
   o->shift_attempts = r.scalar<index_t>("shift_attempts");
   o->guard_workspace = r.scalar<std::uint8_t>("guard_workspace") != 0;
   o->verify_plan = r.scalar<std::uint8_t>("verify_plan") != 0;
-  r.str(&o->plan_store_dir, "plan_store_dir");
 }
 
 void put_evidence(Writer& w, const PlanEvidence& e) {
@@ -522,18 +520,12 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   sections.emplace_back(kSecMeta, meta.take());
 
   Writer sym;
-  sym.vec(plan.sets.sym.parent);
-  sym.vec(plan.sets.sym.colcount);
   put_csc(sym, plan.sets.sym.l_pattern);
   sections.emplace_back(kSecSymbolic, sym.take());
 
   Writer blocks;
-  blocks.vec(plan.sets.blocks.start);
-  blocks.vec(plan.sets.blocks.col_to_super);
   blocks.vec(plan.sets.layout.sn.start);
   blocks.vec(plan.sets.layout.sn.col_to_super);
-  blocks.vec(plan.sets.layout.parent);
-  blocks.vec(plan.sets.layout.colcount);
   blocks.vec(plan.sets.layout.srow_ptr);
   blocks.vec(plan.sets.layout.srows);
   blocks.vec(plan.sets.layout.panel_ptr);
@@ -603,18 +595,12 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     check_options_hash(h, plan.options);
 
     Reader sym = section_reader(sections, kSecSymbolic, "symbolic");
-    sym.vec(&plan.sets.sym.parent, "parent");
-    sym.vec(&plan.sets.sym.colcount, "colcount");
     get_csc(sym, &plan.sets.sym.l_pattern);
     sym.expect_done();
 
     Reader blocks = section_reader(sections, kSecBlocks, "blocks");
-    blocks.vec(&plan.sets.blocks.start, "blocks.start");
-    blocks.vec(&plan.sets.blocks.col_to_super, "blocks.col_to_super");
     blocks.vec(&plan.sets.layout.sn.start, "layout.sn.start");
     blocks.vec(&plan.sets.layout.sn.col_to_super, "layout.sn.col_to_super");
-    blocks.vec(&plan.sets.layout.parent, "layout.parent");
-    blocks.vec(&plan.sets.layout.colcount, "layout.colcount");
     blocks.vec(&plan.sets.layout.srow_ptr, "layout.srow_ptr");
     blocks.vec(&plan.sets.layout.srows, "layout.srows");
     blocks.vec(&plan.sets.layout.panel_ptr, "layout.panel_ptr");

@@ -23,7 +23,9 @@
 //
 // Not serialized: JitSlot (compiled kernels are process-local artifacts —
 // loaded plans start with a fresh empty slot and re-warm through the
-// normal JIT dispatch).
+// normal JIT dispatch), and SympilerOptions::plan_store_dir (where a plan
+// is stored is a deployment fact, not part of the plan: loaded plans
+// carry it empty, and a plan's file image is the same under any store).
 #pragma once
 
 #include <cstddef>
@@ -41,8 +43,10 @@ namespace sympiler::core {
 /// evidence records the fundamental supernode count, and supernodal plans
 /// carry amalgamated layouts. Version 3: the flat level-schedule section
 /// is gone; parallel plans persist only their aggregate schedule. Version
-/// 4: simplicial plans no longer carry L's zero value array.
-inline constexpr std::uint32_t kPlanFormatVersion = 4;
+/// 4: simplicial plans no longer carry L's zero value array. Version 5:
+/// Cholesky plans no longer carry the etree, the column counts or a
+/// separate block-set, and no plan records the store directory.
+inline constexpr std::uint32_t kPlanFormatVersion = 5;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

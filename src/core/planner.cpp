@@ -200,16 +200,6 @@ PatternKey Planner::trisolve_key(const CscMatrix& l,
 
 CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower,
                                     bool with_key) const {
-  return plan_cholesky_impl(a_lower, with_key, /*naive=*/false);
-}
-
-CholeskyPlan Planner::plan_cholesky_naive(const CscMatrix& a_lower,
-                                          bool with_key) const {
-  return plan_cholesky_impl(a_lower, with_key, /*naive=*/true);
-}
-
-CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
-                                         bool with_key, bool naive) const {
   Timer timer;
   CholeskyPlan plan;
   if (with_key) plan.key = cholesky_key(a_lower);
@@ -222,12 +212,10 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
   // inspection; building it at plan time makes every warm factor()
   // schedule-free, across all Solvers sharing a cache).
   CholeskyPlanRequest req;
-  req.gate_products = true;
   req.build_schedule = parallel_enabled() && config_.enable_parallel;
   req.parallel_min_supernodes = config_.parallel_min_supernodes;
   req.parallel_min_avg_level_width = config_.parallel_min_avg_level_width;
   req.coarsen = config_.coarsen_schedule;
-  req.naive = naive;
   CholeskyPlanProducts products;
   plan.sets = inspect_cholesky_planned(a_lower, config_.options, req,
                                        products, &plan.evidence.phases);
@@ -235,7 +223,9 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
   PlanEvidence& ev = plan.evidence;
   ev.vs_block_profitable = plan.sets.vs_block_profitable;
   ev.fundamental_supernodes = products.fundamental_supernodes;
-  ev.supernodes = plan.sets.blocks.count();
+  ev.supernodes = plan.sets.vs_block_profitable
+                      ? plan.sets.layout.nsuper()
+                      : products.fundamental_supernodes;
   ev.avg_supernode_size = plan.sets.avg_supernode_size;
 
   if (!plan.sets.vs_block_profitable) {

@@ -68,14 +68,6 @@ class Planner {
   [[nodiscard]] CholeskyPlan plan_cholesky(const CscMatrix& a_lower,
                                            bool with_key = true) const;
 
-  /// Reference cold planning: the retained naive symbolic pipeline
-  /// (count-by-materializing-every-ereach, per-row sorts, private
-  /// transposes) with strictly serial assembly. Product-for-product
-  /// bit-identical to plan_cholesky by contract — the equivalence tests,
-  /// its only callers, pin that.
-  [[nodiscard]] CholeskyPlan plan_cholesky_naive(const CscMatrix& a_lower,
-                                                 bool with_key = true) const;
-
   /// Full triangular-solve planning. The ParallelTriSolve path is only
   /// picked for a dense RHS (|beta| == n) under vi_prune: with a sparse
   /// RHS the pruned sequential solve does strictly less work than a full
@@ -93,9 +85,6 @@ class Planner {
 
  private:
   [[nodiscard]] std::uint64_t gate_hash() const;
-  [[nodiscard]] CholeskyPlan plan_cholesky_impl(const CscMatrix& a_lower,
-                                                bool with_key,
-                                                bool naive) const;
 
   PlannerConfig config_;
 };
@@ -104,7 +93,7 @@ class Planner {
 /// parallel::level_schedule_builds(): regression tests pin that one cold
 /// plan_cholesky performs exactly one transpose — the shared upper view
 /// threaded through etree, GNP counts, and the fused pattern sweep —
-/// instead of the one-per-consumer transposes of the naive pipeline.
+/// instead of one per consumer.
 [[nodiscard]] std::uint64_t planner_transpose_count();
 
 }  // namespace sympiler::core

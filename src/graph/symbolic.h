@@ -9,9 +9,9 @@
 // column counts (O(|A| alpha(n)), no ereach materialization) followed by
 // one fused ereach sweep that writes the pattern of L straight into
 // exact-presized flat arrays, already sorted, from one shared
-// transpose(A). The retired two-pass ereach implementation is retained as
-// symbolic_cholesky_naive, the bit-identical reference the equivalence
-// tests pin the fast path against.
+// transpose(A). The retired two-pass ereach implementation and a direct
+// Eq. 1 reference live in tests/support as the oracles the tests pin this
+// pipeline against.
 #pragma once
 
 #include <span>
@@ -44,20 +44,22 @@ class ERreach {
   std::vector<index_t> stack_;
 };
 
-/// Result of the full symbolic factorization.
-struct SymbolicFactor {
-  std::vector<index_t> parent;     ///< elimination tree
-  std::vector<index_t> colcount;   ///< nnz(L(:,j)) including the diagonal
-  CscMatrix l_pattern;             ///< pattern of L, values allocated = 0
-                                   ///< (none in a planned Cholesky plan)
-  std::int64_t fill_nnz = 0;       ///< nnz(L)
-  double flops = 0.0;              ///< factorization flops: sum cc_j^2
+/// What the numeric phase reads of the symbolic factorization: the exact
+/// pattern of L and the two counts derived from it. A Cholesky plan keeps
+/// only this part; the etree and the column counts that produced it are
+/// planning-time intermediates.
+struct FactorPattern {
+  CscMatrix l_pattern;        ///< pattern of L (a plan's has no values)
+  std::int64_t fill_nnz = 0;  ///< nnz(L)
+  double flops = 0.0;         ///< factorization flops: sum cc_j^2
+};
 
-  /// Heap bytes of the symbolic product (plan-size accounting).
-  [[nodiscard]] std::size_t bytes() const {
-    return (parent.size() + colcount.size()) * sizeof(index_t) +
-           l_pattern.bytes();
-  }
+/// Result of the full symbolic factorization: the pattern plus the etree
+/// and column counts it was derived from (the library baselines and the
+/// tests read those).
+struct SymbolicFactor : FactorPattern {
+  std::vector<index_t> parent;    ///< elimination tree
+  std::vector<index_t> colcount;  ///< nnz(L(:,j)) including the diagonal
 };
 
 /// Gilbert–Ng–Peyton column counts: colcount[j] = nnz(L(:, j)) including
@@ -90,23 +92,12 @@ struct SymbolicFactor {
     std::vector<index_t>* row_offdiag = nullptr);
 
 /// Compute the elimination tree, GNP column counts, and the exact pattern
-/// of L (paper Eq. 1) via the fused sweep above. O(|A| alpha(n) + |L|)
-/// time, one transpose. The overload taking `upper` = transpose(a_lower)
-/// reuses a caller-provided shared view and performs no transpose at all.
+/// of L (paper Eq. 1, with an allocated zero value array) via the fused
+/// sweep above. O(|A| alpha(n) + |L|) time, one transpose. The overload
+/// taking `upper` = transpose(a_lower) reuses a caller-provided shared
+/// view and performs no transpose at all.
 [[nodiscard]] SymbolicFactor symbolic_cholesky(const CscMatrix& a_lower);
 [[nodiscard]] SymbolicFactor symbolic_cholesky(const CscMatrix& a_lower,
                                                const CscMatrix& upper);
-
-/// The retired textbook implementation: count by materializing every
-/// ereach (one full row-pattern pass with per-row sorts), then a second
-/// ereach pass to fill. O(|L| log d) time, two transposes. Retained as
-/// the `_naive` reference the equivalence tests pin the fused/GNP path
-/// against, bit for bit.
-[[nodiscard]] SymbolicFactor symbolic_cholesky_naive(const CscMatrix& a_lower);
-
-/// Reference implementation of Eq. 1 directly: pattern of column j is
-/// A(j:n, j) union of children patterns minus their diagonals. Quadratic
-/// worst case; used by tests to cross-check symbolic_cholesky.
-[[nodiscard]] CscMatrix symbolic_cholesky_reference(const CscMatrix& a_lower);
 
 }  // namespace sympiler

@@ -7,13 +7,11 @@
 
 namespace sympiler::solvers {
 
-SupernodalLayout SupernodalLayout::build(const SymbolicFactor& sym,
+SupernodalLayout SupernodalLayout::build(const FactorPattern& sym,
                                          SupernodePartition partition) {
   SupernodalLayout layout;
-  layout.n = static_cast<index_t>(sym.parent.size());
+  layout.n = sym.l_pattern.cols();
   layout.sn = std::move(partition);
-  layout.parent = sym.parent;
-  layout.colcount = sym.colcount;
   layout.flops = sym.flops;
   SYMPILER_CHECK(layout.sn.valid(layout.n), "layout: invalid partition");
 

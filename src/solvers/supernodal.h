@@ -22,8 +22,6 @@ namespace sympiler::solvers {
 struct SupernodalLayout {
   index_t n = 0;
   SupernodePartition sn;
-  std::vector<index_t> parent;    ///< column elimination tree
-  std::vector<index_t> colcount;  ///< per-column nnz of L
   /// Row indices of each supernode panel: srows[srow_ptr[s]..srow_ptr[s+1])
   /// are the rows of supernode s; the first width(s) of them are the
   /// supernode's own columns (dense triangular block).
@@ -44,19 +42,18 @@ struct SupernodalLayout {
   /// Heap bytes of the layout arrays (plan-size accounting; the numeric
   /// panels are owned by executors, not the layout).
   [[nodiscard]] std::size_t bytes() const {
-    return sn.bytes() +
-           (parent.size() + colcount.size() + srow_ptr.size() + srows.size()) *
-               sizeof(index_t) +
+    return sn.bytes() + (srow_ptr.size() + srows.size()) * sizeof(index_t) +
            panel_ptr.size() * sizeof(std::int64_t);
   }
 
-  /// Build from a symbolic factorization and a fundamental or amalgamated
-  /// partition (graph/supernodes.h). The rows of supernode s are its own
-  /// columns followed by the below-diagonal pattern of its last column;
-  /// for a fundamental supernode that is exactly its first column's
-  /// pattern, for an amalgamated one it contains every member column's
-  /// pattern, and the rows a column lacks are explicit zeros.
-  static SupernodalLayout build(const SymbolicFactor& sym,
+  /// Build from the pattern of L and a fundamental or amalgamated
+  /// partition (graph/supernodes.h), which the layout takes over. The rows
+  /// of supernode s are its own columns followed by the below-diagonal
+  /// pattern of its last column; for a fundamental supernode that is
+  /// exactly its first column's pattern, for an amalgamated one it
+  /// contains every member column's pattern, and the rows a column lacks
+  /// are explicit zeros.
+  static SupernodalLayout build(const FactorPattern& sym,
                                 SupernodePartition partition);
 };
 

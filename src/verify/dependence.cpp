@@ -145,15 +145,14 @@ bool check_lower_pattern(Checker& c, const CscMatrix& lp, const char* check,
 }
 
 /// Internal consistency of a SupernodalLayout (partition, row lists, panel
-/// offsets, column counts). Does not touch the L pattern.
+/// offsets). Does not touch the L pattern.
 /// `panels_bound_to_l` marks that the caller will compare every panel's
 /// row list against the verified L pattern column-by-column (the
 /// supernode-invariant check). That compare, together with L's
-/// diagonal-first invariant, already implies rows >= width, that the
-/// first width(s) panel rows are the own columns and that the row count
-/// is width(s) plus the last column's below-diagonal count, so those
-/// per-supernode checks are skipped here — they are the layout pass's
-/// hottest loop on meshes with thousands of narrow supernodes.
+/// diagonal-first invariant, already implies rows >= width and that the
+/// first width(s) panel rows are the own columns, so those per-supernode
+/// checks are skipped here — they are the layout pass's hottest loop on
+/// meshes with thousands of narrow supernodes.
 bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
                   index_t n, bool panels_bound_to_l) {
   if (layout.n != n)
@@ -165,10 +164,9 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
       layout.srow_ptr.front() != 0 ||
       static_cast<index_t>(layout.srows.size()) != layout.srow_ptr.back() ||
       static_cast<index_t>(layout.panel_ptr.size()) != nsuper + 1 ||
-      layout.panel_ptr.front() != 0 ||
-      static_cast<index_t>(layout.colcount.size()) != n)
+      layout.panel_ptr.front() != 0)
     return c.fail("structure.layout", -1,
-                  "srow_ptr/srows/panel_ptr/colcount sizes inconsistent");
+                  "srow_ptr/srows/panel_ptr sizes inconsistent");
   for (index_t s = 0; s < nsuper; ++s) {
     if (layout.srow_ptr[s + 1] < layout.srow_ptr[s])
       return c.fail("structure.layout", s, "srow_ptr decreases");
@@ -183,12 +181,6 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
         if (layout.srows[base + u] != layout.sn.start[s] + u)
           return c.fail("structure.layout", s,
                         "first width(s) panel rows must be the own columns");
-      const index_t last = layout.sn.start[s + 1] - 1;
-      if (rows != w + layout.colcount[last] - 1)
-        return c.fail("structure.layout", s,
-                      cat("panel has ", rows, " rows, width ", w,
-                          " plus colcount[", last, "] - 1 = ",
-                          w + layout.colcount[last] - 1));
     }
     if (layout.panel_ptr[s + 1] - layout.panel_ptr[s] !=
         static_cast<std::int64_t>(rows) * w)
@@ -301,23 +293,6 @@ void check_structure(Report& report, const core::CholeskyPlan& plan) {
       c, lp, "structure.l-pattern",
       plan.sets.rowpat_ptr.empty() ? nullptr : &offdiag_hash,
       /*check_sorted=*/!has_layout);
-  c.note();
-  if (lp_ok && static_cast<index_t>(plan.sets.sym.colcount.size()) == n) {
-    for (index_t j = 0; j < n; ++j) {
-      if (plan.sets.sym.colcount[j] != lp.colptr[j + 1] - lp.colptr[j]) {
-        c.fail("structure.colcount", j,
-               cat("colcount ", plan.sets.sym.colcount[j],
-                   " != pattern column extent ",
-                   lp.colptr[j + 1] - lp.colptr[j]));
-        break;
-      }
-    }
-  }
-
-  if (!plan.sets.blocks.start.empty()) {
-    c.note();
-    check_partition(c, plan.sets.blocks, n, "structure.blocks");
-  }
 
   // Simplicial prune-sets: rowpat must be exactly the off-diagonal CSR
   // transpose of the L pattern, rows in ascending-column (elimination)

@@ -133,9 +133,7 @@ TEST(PlanCompiledMerged, KernelFactorEqualsInterpreterOnMergedPlan) {
   opt.vsblock_min_avg_width = 0.0;
   const auto plan = sequential_cholesky_plan(a, opt);
   ASSERT_EQ(plan->path, ExecutionPath::Supernodal);
-  ASSERT_LT(plan->sets.blocks.count(),
-            supernodes_cholesky(plan->sets.sym.parent, plan->sets.sym.colcount)
-                .count());
+  ASSERT_LT(plan->sets.layout.nsuper(), plan->evidence.fundamental_supernodes);
 
   CholeskyExecutor exec(plan);
   exec.factorize(a);

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/inspector.h"
+#include "core/planner.h"
 #include "gen/generators.h"
+#include "graph/supernodes.h"
+#include "graph/symbolic.h"
 #include "lu/ic0.h"
 #include "lu/lu.h"
 #include "parallel/levelset.h"
@@ -14,6 +16,7 @@
 #include "solvers/trisolve.h"
 #include "sparse/dense.h"
 #include "sparse/ops.h"
+#include "support/plans.h"
 
 namespace sympiler {
 namespace {
@@ -214,18 +217,14 @@ TEST(LevelSet, ParallelCholeskyMatchesSequential) {
     const CscMatrix a = c == 0   ? gen::grid2d_laplacian(14, 14)
                         : c == 1 ? gen::block_structural(7, 7, 3, 5)
                                  : gen::random_spd(200, 3.0, 9);
-    core::SympilerOptions opt;
-    opt.vsblock_min_avg_size = 0.0;
-    opt.vsblock_min_avg_width = 0.0;
-    const core::CholeskySets sets = core::inspect_cholesky(a, opt);
-    std::vector<index_t> dep_src(sets.updates.refs.size());
-    for (std::size_t u = 0; u < dep_src.size(); ++u)
-      dep_src[u] = sets.updates.refs[u].d;
+    core::PlannerConfig config;
+    config.options.vsblock_min_avg_size = 0.0;
+    config.options.vsblock_min_avg_width = 0.0;
+    config.enable_parallel = false;
+    const core::CholeskyPlan plan = core::Planner(config).plan_cholesky(a);
+    const core::CholeskySets& sets = plan.sets;
     const parallel::AggregateSchedule identity =
-        parallel::coarsen_schedule_supernodes(
-            sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
-            parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent),
-            parallel::CoarsenOptions{false, false});
+        support::supernode_schedule(plan, a, /*coarsen=*/false);
     std::vector<value_t> panels(
         static_cast<std::size_t>(sets.layout.total_values()));
     parallel::parallel_cholesky(sets, identity, a, panels);
@@ -241,11 +240,11 @@ TEST(LevelSet, ParallelCholeskyMatchesSequential) {
 
 TEST(LevelSet, SupernodeScheduleRespectsEtree) {
   const CscMatrix a = gen::grid2d_laplacian(12, 12);
-  const core::CholeskySets sets = core::inspect_cholesky(a);
-  const parallel::LevelSchedule sched = parallel::level_schedule_supernodes(
-      sets.blocks, sets.sym.parent);
-  const std::vector<index_t> sparent =
-      supernode_etree(sets.blocks, sets.sym.parent);
+  const SymbolicFactor sym = symbolic_cholesky(a);
+  const SupernodePartition sn = supernodes_cholesky(sym.parent, sym.colcount);
+  const parallel::LevelSchedule sched =
+      parallel::level_schedule_supernodes(sn, sym.parent);
+  const std::vector<index_t> sparent = supernode_etree(sn, sym.parent);
   std::vector<index_t> level_of(sparent.size());
   for (index_t lev = 0; lev < sched.levels(); ++lev)
     for (index_t t = sched.level_ptr[lev]; t < sched.level_ptr[lev + 1]; ++t)

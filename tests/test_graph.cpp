@@ -14,6 +14,7 @@
 #include "graph/supernodes.h"
 #include "graph/symbolic.h"
 #include "sparse/ops.h"
+#include "support/symbolic_oracles.h"
 
 namespace sympiler {
 namespace {

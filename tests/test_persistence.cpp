@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -40,6 +41,7 @@
 #include "core/workspace.h"
 #include "gen/generators.h"
 #include "parallel/schedule.h"
+#include "support/plans.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -108,30 +110,12 @@ CholeskyPlan supernodal_plan(const CscMatrix& a) {
   return Planner(sequential_config(0.0)).plan_cholesky(a);
 }
 
-/// Manually assembled coarsened parallel plan (the schedule builders are
-/// pure pattern functions, so this path serializes in every build): every
-/// section of the file format is non-trivial here.
+/// Coarsened parallel plan, assembled from a supernodal plan
+/// (support/plans.h) so this path serializes in every build: every section
+/// of the file format but the simplicial row patterns is non-trivial here.
 CholeskyPlan coarsened_cholesky_plan(const CscMatrix& a) {
-  core::SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-  CholeskyPlan plan;
-  plan.key = core::cholesky_pattern_key(a, opt);
-  plan.options = opt;
-  plan.sets = core::inspect_cholesky(a, opt);
-  plan.solve_update_map = parallel::update_slots_supernodes(plan.sets.layout);
-  plan.workspace = core::cholesky_workspace_dims(plan.sets.layout);
-  plan.workspace.need_dense = false;
-  plan.workspace.update_slots = plan.solve_update_map.slots();
-  plan.path = ExecutionPath::ParallelSupernodal;
-  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-  for (std::size_t u = 0; u < dep_src.size(); ++u)
-    dep_src[u] = plan.sets.updates.refs[u].d;
-  plan.agg = parallel::coarsen_schedule_supernodes(
-      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
-      parallel::level_schedule_supernodes(plan.sets.blocks,
-                                          plan.sets.sym.parent));
-  return plan;
+  return support::parallel_cholesky_plan(supernodal_plan(a), a,
+                                         /*coarsen=*/true);
 }
 
 TriSolvePlan coarsened_trisolve_plan(const CscMatrix& l,
@@ -156,10 +140,7 @@ TriSolvePlan coarsened_trisolve_plan(const CscMatrix& l,
 }
 
 CscMatrix factor_pattern(const CscMatrix& a) {
-  core::SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-  return core::inspect_cholesky(a, opt).sym.l_pattern;
+  return supernodal_plan(a).sets.sym.l_pattern;
 }
 
 std::vector<index_t> dense_beta(index_t n) {
@@ -417,6 +398,32 @@ TEST(PlanSerde, TriSolveRoundTripIsByteIdentical) {
             5);
 }
 
+TEST(PlanSerde, StoreDirectoryIsNotPartOfThePlanImage) {
+  // Where a plan is stored is a deployment fact, not part of the plan:
+  // configs that differ only in plan_store_dir write one image, so a plan
+  // file's size does not depend on the store's path and a store copied to
+  // another directory carries no stale path.
+  const CscMatrix a = gen::grid2d_laplacian(20, 20);
+  PlannerConfig short_dir = sequential_config(1e9);
+  short_dir.options.plan_store_dir = "/p";
+  PlannerConfig long_dir = short_dir;
+  long_dir.options.plan_store_dir =
+      "/var/lib/solver-service/plan-store/" + std::string(200, 'x');
+  // Planning times are the only other fields two builds disagree on.
+  const auto untimed_image = [](auto plan) {
+    plan.evidence.build_seconds = 0.0;
+    plan.evidence.phases = {};
+    return core::serialize_plan(plan);
+  };
+  const CholeskyPlan chol = Planner(short_dir).plan_cholesky(a);
+  EXPECT_EQ(untimed_image(chol),
+            untimed_image(Planner(long_dir).plan_cholesky(a)));
+  const CscMatrix& l = chol.sets.sym.l_pattern;
+  const std::vector<index_t> beta = {0};
+  EXPECT_EQ(untimed_image(Planner(short_dir).plan_trisolve(l, beta)),
+            untimed_image(Planner(long_dir).plan_trisolve(l, beta)));
+}
+
 TEST(PlanSerde, LoadedPlanVerifiesCleanWithZeroFindings) {
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
   const CholeskyPlan fresh = coarsened_cholesky_plan(a);
@@ -481,6 +488,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
       {"format version 2 (flat schedule section)", 8, 2, 4,
        ErrorCode::kStalePlanVersion},
       {"format version 3 (simplicial zero value array)", 8, 3, 4,
+       ErrorCode::kStalePlanVersion},
+      {"format version 4 (etree, counts and block-set copies)", 8, 4, 4,
        ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
@@ -926,6 +935,66 @@ TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
   EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
   store->flush();
   EXPECT_TRUE(read_plan_file().sets.sym.l_pattern.values.empty());
+  api::FactorReport rewarmed;
+  expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
+  EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
+  EXPECT_FALSE(rewarmed.degraded());
+}
+
+TEST(RestartWarmStart, VersionFourFileIsReplannedAndRewrittenAtVersionFive) {
+  TempDir dir;
+  const CscMatrix a = gen::grid2d_laplacian(30, 30);
+  api::SolverConfig config;
+  config.enable_parallel = false;
+  config.options.vsblock_min_avg_size = 0.0;  // supernodal plan
+  config.options.vsblock_min_avg_width = 0.0;
+  config.options.plan_store_dir = dir.path;
+
+  auto store = PlanStore::open(dir.path);
+  api::FactorReport cold;
+  const std::vector<value_t> want = restart_factor_solve(a, config, &cold);
+  store->flush();
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path))
+    if (entry.path().extension() == ".plan") path = entry.path().string();
+  ASSERT_FALSE(path.empty());
+  const auto file_version = [&path] {
+    std::ifstream f(path, std::ios::binary);
+    std::uint32_t version = 0;
+    f.seekg(8);
+    f.read(reinterpret_cast<char*>(&version), sizeof(version));
+    return version;
+  };
+  ASSERT_EQ(file_version(), core::kPlanFormatVersion);
+
+  // Stamp the file as a version-4 build left it: version 5 changed no
+  // option and no gate, so the config hash and the file name are the same
+  // and the store opens the old file under its current name.
+  std::vector<std::uint8_t> image;
+  {
+    std::ifstream f(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(f),
+                 std::istreambuf_iterator<char>());
+  }
+  wr<std::uint32_t>(image, 8, 4);
+  fix_header_crc(image);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+  }
+
+  // Rung 5: rejected as stale before any section is read, discarded,
+  // replanned, and written back in the current version.
+  const std::uint64_t discards_before = store->stats().discards;
+  api::FactorReport upgraded;
+  expect_bits_equal(restart_factor_solve(a, config, &upgraded), want);
+  EXPECT_TRUE(upgraded.store_recovered) << upgraded.to_string();
+  EXPECT_FALSE(upgraded.store_loaded);
+  EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
+  EXPECT_EQ(store->stats().discards, discards_before + 1);
+  store->flush();
+  EXPECT_EQ(file_version(), 5u);
   api::FactorReport rewarmed;
   expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();

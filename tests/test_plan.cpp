@@ -19,7 +19,7 @@
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
 #include "core/execution_plan.h"
-#include "core/inspector.h"
+#include "core/plan_serde.h"
 #include "core/planner.h"
 #include "core/supernode_body.h"
 #include "core/trisolve_executor.h"
@@ -28,6 +28,8 @@
 #include "solvers/simplicial.h"
 #include "solvers/supernodal.h"
 #include "sparse/ops.h"
+#include "support/plans.h"
+#include "support/symbolic_oracles.h"
 
 namespace sympiler {
 namespace {
@@ -37,19 +39,6 @@ using core::ExecutionPath;
 using core::Planner;
 using core::PlannerConfig;
 using core::TriSolvePlan;
-
-/// Aggregate schedule of a supernodal plan's sets: chain-coarsened, or the
-/// identity aggregate (one task per supernode at its flat level).
-parallel::AggregateSchedule supernode_agg(const core::CholeskySets& sets,
-                                          bool coarsen) {
-  std::vector<index_t> dep_src(sets.updates.refs.size());
-  for (std::size_t u = 0; u < dep_src.size(); ++u)
-    dep_src[u] = sets.updates.refs[u].d;
-  return parallel::coarsen_schedule_supernodes(
-      sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
-      parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent),
-      parallel::CoarsenOptions{coarsen, coarsen});
-}
 
 /// What coarsen_schedule=false plans: the identity aggregate — one
 /// singleton task per item, no bundles, one barrier level per flat level.
@@ -144,7 +133,7 @@ TEST(Planner, PlanBytesAccountForSetsAndSchedule) {
   const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
   EXPECT_GT(plan.bytes(), plan.sets.bytes());
   EXPECT_GE(plan.sets.bytes(),
-            plan.sets.sym.bytes() + plan.sets.layout.bytes());
+            plan.sets.sym.l_pattern.bytes() + plan.sets.layout.bytes());
   const std::string text = plan.summary();
   EXPECT_NE(text.find("supernodal"), std::string::npos);
   EXPECT_NE(text.find("plan bytes"), std::string::npos);
@@ -199,15 +188,10 @@ TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
   // reproduce the direct (sets, schedule) call bit for bit — in every
   // build: without OpenMP both run the same sequential interpretation.
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
-  core::SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-
-  auto plan = std::make_shared<CholeskyPlan>();
-  plan->options = opt;
-  plan->sets = core::inspect_cholesky(a, opt);
-  plan->agg = supernode_agg(plan->sets, /*coarsen=*/false);
-  plan->path = ExecutionPath::ParallelSupernodal;
+  const auto plan =
+      std::make_shared<const CholeskyPlan>(support::parallel_cholesky_plan(
+          Planner(supernodal_config()).plan_cholesky(a), a,
+          /*coarsen=*/false));
 
   std::vector<value_t> panels_plan(
       static_cast<std::size_t>(plan->sets.layout.total_values()), 0.0);
@@ -487,9 +471,8 @@ TEST(ParallelDeterminism, ParallelCholeskyEqualsSequentialExecutorBitwise) {
       Planner(supernodal_config()).plan_cholesky(a));
   ASSERT_EQ(seq_plan->path, ExecutionPath::Supernodal);
   ASSERT_TRUE(core::specialized_kernels(seq_plan->options, seq_plan->sets));
-  CholeskyPlan par_plan = *seq_plan;
-  par_plan.agg = supernode_agg(par_plan.sets, /*coarsen=*/true);
-  par_plan.path = ExecutionPath::ParallelSupernodal;
+  const CholeskyPlan par_plan =
+      support::parallel_cholesky_plan(*seq_plan, a, /*coarsen=*/true);
   ASSERT_GE(team_factored_chain(par_plan.agg), 2);
 
   core::CholeskyExecutor sequential(seq_plan);
@@ -787,7 +770,7 @@ TEST(ScheduleCoarsening, CoarsenedSchedulesHaveNoEmptyLevel) {
   for (const auto& [name, a] : mats) {
     const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
     ASSERT_EQ(plan.path, ExecutionPath::Supernodal) << name;
-    expect_no_empty_level(supernode_agg(plan.sets, /*coarsen=*/true),
+    expect_no_empty_level(support::supernode_schedule(plan, a, true),
                           name + " supernodes");
     const CscMatrix& l = plan.sets.sym.l_pattern;
     expect_no_empty_level(
@@ -846,7 +829,7 @@ TEST(ExecutionPlan, SecondSolverSharingContextDoesZeroScheduleWork) {
   ASSERT_TRUE(warm.factor_csc().equals(cold.factor_csc()));
 }
 
-// ---------------------- cold-plan equivalence vs the naive reference
+// ----------------------- cold-plan products vs oracles and team sizes
 
 /// Patterns spanning the planner's structural regimes (mirrors
 /// test_graph's generator_patterns).
@@ -878,90 +861,92 @@ std::vector<PlannerConfig> plan_test_configs() {
   return configs;
 }
 
-void expect_plans_bit_identical(const CholeskyPlan& fast,
-                                const CholeskyPlan& naive,
-                                const std::string& label) {
-  EXPECT_TRUE(fast.key == naive.key) << label;
-  EXPECT_EQ(fast.path, naive.path) << label;
-  // Symbolic factor.
-  EXPECT_EQ(fast.sets.sym.parent, naive.sets.sym.parent) << label;
-  EXPECT_EQ(fast.sets.sym.colcount, naive.sets.sym.colcount) << label;
-  EXPECT_EQ(fast.sets.sym.l_pattern.colptr, naive.sets.sym.l_pattern.colptr)
-      << label;
-  EXPECT_EQ(fast.sets.sym.l_pattern.rowind, naive.sets.sym.l_pattern.rowind)
-      << label;  // exact order, not just the set
-  EXPECT_EQ(fast.sets.sym.l_pattern.values, naive.sets.sym.l_pattern.values)
-      << label;  // including presence: gated plans carry no zero array
-  EXPECT_EQ(fast.sets.sym.fill_nnz, naive.sets.sym.fill_nnz) << label;
-  EXPECT_EQ(fast.sets.sym.flops, naive.sets.sym.flops) << label;
-  // Block-set + simplicial prune-sets.
-  EXPECT_EQ(fast.sets.blocks.start, naive.sets.blocks.start) << label;
-  EXPECT_EQ(fast.sets.blocks.col_to_super, naive.sets.blocks.col_to_super)
-      << label;
-  EXPECT_EQ(fast.sets.rowpat_ptr, naive.sets.rowpat_ptr) << label;
-  EXPECT_EQ(fast.sets.rowpat, naive.sets.rowpat) << label;
-  // Supernodal layout + static update schedule.
-  EXPECT_EQ(fast.sets.layout.srow_ptr, naive.sets.layout.srow_ptr) << label;
-  EXPECT_EQ(fast.sets.layout.srows, naive.sets.layout.srows) << label;
-  EXPECT_EQ(fast.sets.layout.panel_ptr, naive.sets.layout.panel_ptr) << label;
-  ASSERT_EQ(fast.sets.updates.ptr, naive.sets.updates.ptr) << label;
-  ASSERT_EQ(fast.sets.updates.refs.size(), naive.sets.updates.refs.size())
-      << label;
-  for (std::size_t u = 0; u < fast.sets.updates.refs.size(); ++u) {
-    EXPECT_EQ(fast.sets.updates.refs[u].d, naive.sets.updates.refs[u].d);
-    EXPECT_EQ(fast.sets.updates.refs[u].p1, naive.sets.updates.refs[u].p1);
-    EXPECT_EQ(fast.sets.updates.refs[u].p2, naive.sets.updates.refs[u].p2);
+TEST(Planner, PlanPatternMatchesNaiveSymbolicOnEveryPattern) {
+  // The GNP counts and the fused sweep change how L's pattern is found,
+  // never what it is: on every generator pattern under every path choice
+  // the plan's pattern (row order included), nnz(L) and flops equal those
+  // of the retired count-every-ereach pipeline (tests/support).
+  const auto patterns = plan_test_patterns();
+  const auto configs = plan_test_configs();
+  for (std::size_t m = 0; m < patterns.size(); ++m) {
+    const SymbolicFactor naive = symbolic_cholesky_naive(patterns[m]);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const std::string label =
+          "pattern " + std::to_string(m) + " config " + std::to_string(c);
+      const CholeskyPlan plan = Planner(configs[c]).plan_cholesky(patterns[m]);
+      const CscMatrix& lp = plan.sets.sym.l_pattern;
+      EXPECT_EQ(lp.colptr, naive.l_pattern.colptr) << label;
+      EXPECT_EQ(lp.rowind, naive.l_pattern.rowind) << label;
+      EXPECT_TRUE(lp.values.empty()) << label;  // executors own the values
+      EXPECT_EQ(plan.sets.sym.fill_nnz, naive.fill_nnz) << label;
+      EXPECT_EQ(plan.sets.sym.flops, naive.flops) << label;
+    }
   }
-  // Privatized slot map (order included).
-  EXPECT_EQ(fast.solve_update_map.slot, naive.solve_update_map.slot) << label;
-  EXPECT_EQ(fast.solve_update_map.row_ptr, naive.solve_update_map.row_ptr)
-      << label;
-  // Coarsened aggregate schedule (chains + bundles, task-major order).
-  EXPECT_EQ(fast.agg.level_ptr, naive.agg.level_ptr) << label;
-  EXPECT_EQ(fast.agg.task_ptr, naive.agg.task_ptr) << label;
-  EXPECT_EQ(fast.agg.items, naive.agg.items) << label;
-  EXPECT_EQ(fast.agg.bundle, naive.agg.bundle) << label;
-  // Workspace dims + byte accounting.
-  EXPECT_EQ(fast.workspace.n, naive.workspace.n) << label;
-  EXPECT_EQ(fast.workspace.max_panel_rows, naive.workspace.max_panel_rows)
-      << label;
-  EXPECT_EQ(fast.workspace.max_panel_width, naive.workspace.max_panel_width)
-      << label;
-  EXPECT_EQ(fast.workspace.max_tail, naive.workspace.max_tail) << label;
-  EXPECT_EQ(fast.workspace.rhs_block, naive.workspace.rhs_block) << label;
-  EXPECT_EQ(fast.workspace.update_slots, naive.workspace.update_slots)
-      << label;
-  EXPECT_EQ(fast.workspace.need_map, naive.workspace.need_map) << label;
-  EXPECT_EQ(fast.workspace.need_dense, naive.workspace.need_dense) << label;
-  EXPECT_EQ(fast.bytes(), naive.bytes()) << label;
 }
 
-TEST(Planner, ColdPlanBitIdenticalToNaiveReferenceOnEveryPattern) {
-  // The tentpole contract: the GNP/fused/parallel cold pipeline changes
-  // how plans are built, never what they contain. Every product — plan
-  // bytes, schedule, slot order — must match the retained naive-serial
-  // reference on every generator pattern under every path choice.
+#ifdef SYMPILER_HAS_OPENMP
+/// Two plans of one pattern agree in every product, in bytes() and in
+/// their file images. Planning times are zeroed before the images are
+/// compared: they are the only fields two builds disagree on.
+void expect_plans_identical(CholeskyPlan a, CholeskyPlan b,
+                            const std::string& label) {
+  EXPECT_TRUE(a.key == b.key) << label;
+  EXPECT_EQ(a.path, b.path) << label;
+  EXPECT_EQ(a.sets.sym.l_pattern.colptr, b.sets.sym.l_pattern.colptr)
+      << label;
+  EXPECT_EQ(a.sets.sym.l_pattern.rowind, b.sets.sym.l_pattern.rowind)
+      << label;
+  EXPECT_EQ(a.sets.rowpat_ptr, b.sets.rowpat_ptr) << label;
+  EXPECT_EQ(a.sets.rowpat, b.sets.rowpat) << label;
+  EXPECT_EQ(a.sets.layout.sn.start, b.sets.layout.sn.start) << label;
+  EXPECT_EQ(a.sets.layout.srows, b.sets.layout.srows) << label;
+  EXPECT_EQ(a.sets.layout.panel_ptr, b.sets.layout.panel_ptr) << label;
+  EXPECT_EQ(a.sets.updates.ptr, b.sets.updates.ptr) << label;
+  EXPECT_EQ(a.solve_update_map.slot, b.solve_update_map.slot) << label;
+  EXPECT_EQ(a.agg.level_ptr, b.agg.level_ptr) << label;
+  EXPECT_EQ(a.agg.task_ptr, b.agg.task_ptr) << label;
+  EXPECT_EQ(a.agg.items, b.agg.items) << label;
+  EXPECT_EQ(a.bytes(), b.bytes()) << label;
+  for (CholeskyPlan* plan : {&a, &b}) {
+    plan->evidence.build_seconds = 0.0;
+    plan->evidence.phases = {};
+  }
+  EXPECT_EQ(core::serialize_plan(a), core::serialize_plan(b)) << label;
+}
+
+TEST(Planner, OneThreadPlanEqualsTeamPlanInEveryProduct) {
+  // The supernodal assembly runs the update lists and the schedule as
+  // sibling OpenMP tasks. Each is a deterministic pattern function, so
+  // the team size never changes a plan: one built on a 1-thread team
+  // equals one built on the default team (at least 2 threads) on every
+  // generator pattern under every path choice — including the update
+  // refs, which the file image covers.
+  const int team = omp_get_max_threads();
   const auto patterns = plan_test_patterns();
   const auto configs = plan_test_configs();
   for (std::size_t m = 0; m < patterns.size(); ++m) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
       const Planner planner(configs[c]);
-      const CholeskyPlan fast = planner.plan_cholesky(patterns[m]);
-      const CholeskyPlan naive = planner.plan_cholesky_naive(patterns[m]);
-      expect_plans_bit_identical(
-          fast, naive,
+      omp_set_num_threads(1);
+      const CholeskyPlan one = planner.plan_cholesky(patterns[m]);
+      omp_set_num_threads(std::max(team, 2));
+      const CholeskyPlan many = planner.plan_cholesky(patterns[m]);
+      expect_plans_identical(
+          one, many,
           "pattern " + std::to_string(m) + " config " + std::to_string(c));
     }
   }
+  omp_set_num_threads(team);
 }
+#endif  // SYMPILER_HAS_OPENMP
 
 // ------------------------------------------- amalgamated supernodal plans
 
-/// Supernode count of the fundamental partition of a plan's factor — what
-/// the plan's block-set held before amalgamation.
-index_t fundamental_supernodes(const CholeskyPlan& plan) {
-  return supernodes_cholesky(plan.sets.sym.parent, plan.sets.sym.colcount)
-      .count();
+/// Supernode count of the fundamental partition of a's factor — the
+/// partition the VS-Block gate reads, before amalgamation.
+index_t fundamental_supernodes(const CscMatrix& a) {
+  const SymbolicFactor sym = symbolic_cholesky(a);
+  return supernodes_cholesky(sym.parent, sym.colcount).count();
 }
 
 TEST(MergedPlan, FactorCscHasTheSimplicialPattern) {
@@ -969,12 +954,11 @@ TEST(MergedPlan, FactorCscHasTheSimplicialPattern) {
   const auto plan = std::make_shared<const CholeskyPlan>(
       Planner(supernodal_config()).plan_cholesky(a));
   ASSERT_EQ(plan->path, ExecutionPath::Supernodal);
-  ASSERT_LT(plan->sets.blocks.count(), fundamental_supernodes(*plan));
+  ASSERT_LT(plan->sets.layout.nsuper(), fundamental_supernodes(a));
   // The evidence keeps the partition the VS-Block gate read apart from
   // the one the plan executes, and --explain prints both.
-  EXPECT_EQ(plan->evidence.fundamental_supernodes,
-            fundamental_supernodes(*plan));
-  EXPECT_EQ(plan->evidence.supernodes, plan->sets.blocks.count());
+  EXPECT_EQ(plan->evidence.fundamental_supernodes, fundamental_supernodes(a));
+  EXPECT_EQ(plan->evidence.supernodes, plan->sets.layout.nsuper());
   EXPECT_NE(plan->summary().find(
                 std::to_string(plan->evidence.fundamental_supernodes) +
                 " fundamental"),
@@ -1000,11 +984,11 @@ TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
   // its supernode's body, so no stale value may leak into the factor.
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
-  ASSERT_LT(plan.sets.blocks.count(), fundamental_supernodes(plan));
+  ASSERT_LT(plan.sets.layout.nsuper(), fundamental_supernodes(a));
   const parallel::AggregateSchedule identity =
-      supernode_agg(plan.sets, /*coarsen=*/false);
+      support::supernode_schedule(plan, a, /*coarsen=*/false);
   const parallel::AggregateSchedule agg =
-      supernode_agg(plan.sets, /*coarsen=*/true);
+      support::supernode_schedule(plan, a, /*coarsen=*/true);
   ASSERT_LT(agg.tasks(), identity.tasks());
 
   const auto values =
@@ -1040,27 +1024,11 @@ TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
   EXPECT_LT(llt_residual_inf_norm(l, a), 1e-8);
 }
 
-TEST(MergedPlan, NaivePlanMatchesFastProductByProduct) {
-  const CscMatrix a = gen::grid2d_laplacian(32, 32);
-  PlannerConfig parallel_config = supernodal_config();
-  parallel_config.enable_parallel = true;
-  parallel_config.parallel_min_supernodes = 1;
-  parallel_config.parallel_min_avg_level_width = 0.0;
-  for (const PlannerConfig& config : {supernodal_config(), parallel_config}) {
-    const Planner planner(config);
-    const CholeskyPlan fast = planner.plan_cholesky(a);
-    const CholeskyPlan naive = planner.plan_cholesky_naive(a);
-    ASSERT_LT(fast.sets.blocks.count(), fundamental_supernodes(fast));
-    expect_plans_bit_identical(
-        fast, naive, config.enable_parallel ? "parallel" : "sequential");
-  }
-}
-
 TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
 
-  PlannerConfig sup = supernodal_config();
-  const CholeskyPlan supernodal = Planner(sup).plan_cholesky(a);
+  const CholeskyPlan supernodal =
+      Planner(supernodal_config()).plan_cholesky(a);
   ASSERT_EQ(supernodal.path, ExecutionPath::Supernodal);
   // Supernodal plans carry the layout but neither the simplicial row
   // patterns nor the |L|-sized zero value array.
@@ -1089,13 +1057,22 @@ TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
   EXPECT_EQ(simplicial.bytes(),
             with_zeros.bytes() - sizeof(value_t) * lp.rowind.size());
 
-  // The ungated inspector contract is unchanged: everything present.
-  const core::CholeskySets full = core::inspect_cholesky(a, sup.options);
-  EXPECT_FALSE(full.rowpat_ptr.empty());
-  EXPECT_FALSE(full.layout.srows.empty());
-  EXPECT_EQ(full.sym.l_pattern.values.size(),
-            full.sym.l_pattern.rowind.size());
+  // Neither path carries the etree, the column counts or a block-set
+  // apart from the layout's partition: the sets weigh exactly L's pattern
+  // plus the path's products.
+  for (const CholeskyPlan* plan : {&supernodal, &simplicial}) {
+    const core::CholeskySets& s = plan->sets;
+    const solvers::SupernodalLayout& layout = s.layout;
+    const std::size_t indices = layout.srow_ptr.size() + layout.srows.size() +
+                                s.rowpat_ptr.size() + s.rowpat.size();
+    EXPECT_EQ(s.bytes(), s.sym.l_pattern.bytes() + layout.sn.bytes() +
+                             indices * sizeof(index_t) +
+                             layout.panel_ptr.size() * sizeof(std::int64_t) +
+                             s.updates.bytes())
+        << core::to_string(plan->path);
+  }
 }
+
 
 // ------------------------------ planner transpose-count regression
 

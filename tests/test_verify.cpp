@@ -34,6 +34,7 @@
 #include "gen/generators.h"
 #include "parallel/schedule.h"
 #include "util/fault.h"
+#include "support/plans.h"
 #include "util/status.h"
 #include "verify/mutate.h"
 #include "verify/verify.h"
@@ -117,42 +118,19 @@ CholeskyPlan supernodal_plan() {
   return Planner(sequential_config(0.0)).plan_cholesky(a);
 }
 
-/// Manually assembled parallel plans carrying the coarsened or the
-/// identity aggregate: the schedule builders are pure pattern functions
-/// available in every build (with or without OpenMP), so the kill matrix
-/// always exercises the parallel paths.
+/// Parallel plans carrying the coarsened or the identity aggregate,
+/// assembled from a supernodal plan (support/plans.h) so the kill matrix
+/// exercises the parallel paths in every build, with or without OpenMP.
 CholeskyPlan parallel_cholesky_plan(bool coarsen) {
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
-  core::SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-  CholeskyPlan plan;
-  plan.options = opt;
-  plan.sets = core::inspect_cholesky(a, opt);
-  plan.solve_update_map =
-      parallel::update_slots_supernodes(plan.sets.layout);
-  plan.workspace = core::cholesky_workspace_dims(plan.sets.layout);
-  plan.workspace.need_dense = false;
-  plan.workspace.update_slots = plan.solve_update_map.slots();
-  plan.path = ExecutionPath::ParallelSupernodal;
-  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-  for (std::size_t u = 0; u < dep_src.size(); ++u)
-    dep_src[u] = plan.sets.updates.refs[u].d;
-  plan.agg = parallel::coarsen_schedule_supernodes(
-      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
-      parallel::level_schedule_supernodes(plan.sets.blocks,
-                                          plan.sets.sym.parent),
-      parallel::CoarsenOptions{coarsen, coarsen});
-  return plan;
+  return support::parallel_cholesky_plan(
+      Planner(sequential_config(0.0)).plan_cholesky(a), a, coarsen);
 }
 
 /// A realistic supernodal lower factor pattern to drive trisolve plans:
-/// the Cholesky inspector's L pattern (the verifier never reads values).
+/// a Cholesky plan's L pattern (the verifier never reads values).
 CscMatrix factor_pattern(const CscMatrix& a) {
-  core::SympilerOptions opt;
-  opt.vsblock_min_avg_size = 0.0;
-  opt.vsblock_min_avg_width = 0.0;
-  return core::inspect_cholesky(a, opt).sym.l_pattern;
+  return Planner(sequential_config(0.0)).plan_cholesky(a).sets.sym.l_pattern;
 }
 
 TriSolvePlan pruned_plan(const CscMatrix& l, std::span<const index_t> beta) {
@@ -234,10 +212,7 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
   // the matrix covers merged plans.
   for (std::size_t v = 1; v < variants.size(); ++v) {
     const CholeskyPlan& plan = variants[v].second;
-    ASSERT_LT(plan.sets.blocks.count(),
-              supernodes_cholesky(plan.sets.sym.parent,
-                                  plan.sets.sym.colcount)
-                  .count())
+    ASSERT_LT(plan.sets.layout.nsuper(), plan.evidence.fundamental_supernodes)
         << variants[v].first;
   }
 
