@@ -22,6 +22,17 @@
 // plus the packed multi-RHS level sweep and the chain-heavy banded
 // tiny-level regime where fusion collapses thousands of barriers.
 //
+// Section 5 — one pass per VS-Block panel. The fused supernode panel
+// factorization (potrf_panel) against potrf_lower + trsm_right_lower_trans
+// at supernode widths w and below-diagonal heights m - w; the trapezoid
+// update tile (syrk_trapezoid_minus) against the full gemm_nt_minus tile;
+// and the executor's one-pass blocked trisolve against the two-pass order
+// (diagonal parts, then tails) on the dense-corner L of a minimum-degree
+// power grid factored by the GP LU. Each pair is bit-identical on the
+// entries the factor keeps (tests/test_blas.cpp, tests/test_executors.cpp).
+// The two-pass trisolve is this file's copy, compiled at the baseline ISA
+// as the executor was before it joined the kernel-ISA TUs.
+//
 // Results print as tables and land in BENCH_kernels.json for the per-PR
 // perf artifact. `--smoke` runs a reduced shape set with short reps (CI).
 #include <cstdio>
@@ -35,9 +46,13 @@
 #include "api/solver.h"
 #include "bench/common.h"
 #include "blas/kernels.h"
+#include "core/trisolve_executor.h"
 #include "gen/generators.h"
+#include "lu/lu.h"
+#include "order/rcm.h"
 #include "parallel/levelset.h"
 #include "parallel/schedule.h"
+#include "sparse/ops.h"
 #include "util/timer.h"
 
 using namespace sympiler;
@@ -130,22 +145,6 @@ KernelRow bench_gemm(index_t m, index_t n, index_t k, bool smoke) {
         blas::gemm_nt_minus(m, n, k, a.data(), m, b.data(), n, c.data(), m);
       },
       inner, reps);
-  return row;
-}
-
-KernelRow bench_syrk(index_t n, index_t k, bool smoke) {
-  const std::vector<value_t> a = random_vec(static_cast<std::size_t>(n) * k);
-  std::vector<value_t> c(static_cast<std::size_t>(n) * n, 0.0);
-  KernelRow row{"syrk_lower_minus", n, n, k,
-                static_cast<double>(n) * (n + 1) * k, 0, 0};
-  const int inner = inner_iters(row.flops, smoke);
-  const int reps = smoke ? 3 : 5;
-  row.ref_seconds = kernel_seconds(
-      [&] { blas::syrk_lower_minus_ref(n, k, a.data(), n, c.data(), n); },
-      inner, reps);
-  row.new_seconds = kernel_seconds(
-      [&] { blas::syrk_lower_minus(n, k, a.data(), n, c.data(), n); }, inner,
-      reps);
   return row;
 }
 
@@ -437,10 +436,186 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
   return rows;
 }
 
+// ------------------------------------------ one pass per VS-Block panel
+
+struct OnePassRow {
+  std::string name;
+  index_t m = 0, n = 0, k = 0;
+  double baseline_seconds = 0.0;  ///< separate calls / full tile / two-pass
+  double one_pass_seconds = 0.0;
+  [[nodiscard]] double speedup() const {
+    return baseline_seconds / one_pass_seconds;
+  }
+};
+
+/// Median seconds per call of the row's baseline and one-pass forms, their
+/// samples (`inner` calls each) taken alternately so that clock drift on a
+/// shared machine reaches both sides alike.
+void time_pair(const std::function<void()>& baseline,
+               const std::function<void()>& one_pass, int inner, bool smoke,
+               OnePassRow& row) {
+  baseline();  // warm-up
+  one_pass();
+  const int reps = smoke ? 5 : 11;
+  std::vector<double> base, fused;
+  for (int r = 0; r < reps; ++r) {
+    for (const bool first : {r % 2 == 0, r % 2 != 0}) {
+      Timer t;
+      for (int i = 0; i < inner; ++i) first ? baseline() : one_pass();
+      (first ? base : fused).push_back(t.seconds() / inner);
+    }
+  }
+  row.baseline_seconds = median(base);
+  row.one_pass_seconds = median(fused);
+}
+
+/// potrf_panel(m, w) vs potrf_lower(w) + trsm_right_lower_trans(m - w, w).
+OnePassRow bench_potrf_panel(index_t w, index_t below, bool smoke) {
+  const index_t m = w + below;
+  const std::vector<value_t> spd = random_spd_dense(m);
+  std::vector<value_t> p(spd.size());
+  OnePassRow row{"potrf_panel", m, w, w, 0, 0};
+  const double flops = w / 3.0 * w * w + static_cast<double>(below) * w * w;
+  time_pair(
+      [&] {
+        std::memcpy(p.data(), spd.data(), p.size() * sizeof(value_t));
+        blas::potrf_lower(w, p.data(), m);
+        if (below > 0)
+          blas::trsm_right_lower_trans(below, w, p.data(), m, p.data() + w, m);
+      },
+      [&] {
+        std::memcpy(p.data(), spd.data(), p.size() * sizeof(value_t));
+        blas::potrf_panel(m, w, p.data(), m);
+      },
+      inner_iters(flops + 8.0 * m * w, smoke), smoke, row);
+  return row;
+}
+
+/// The supernodal update tile: the lower trapezoid (rows at or below each
+/// target column) vs the full m x n gemm_nt_minus tile.
+OnePassRow bench_trapezoid(index_t m, index_t n, index_t k, bool smoke) {
+  const std::vector<value_t> a = random_vec(static_cast<std::size_t>(m) * k);
+  std::vector<value_t> c(static_cast<std::size_t>(m) * n, 0.0);
+  OnePassRow row{"update_tile", m, n, k, 0, 0};
+  time_pair(
+      [&] {
+        blas::gemm_nt_minus(m, n, k, a.data(), m, a.data(), m, c.data(), m);
+      },
+      [&] { blas::syrk_trapezoid_minus(m, n, k, a.data(), m, c.data(), m); },
+      inner_iters(2.0 * m * n * k, smoke), smoke, row);
+  return row;
+}
+
+/// The blocked forward solve in the two-pass order: per block, every
+/// reached column's diagonal part, then a second pass over the same
+/// columns for their tails (paired with the low-level transformations on,
+/// the planner's default).
+void trisolve_two_pass(const core::TriSolvePlan& plan, const CscMatrix& l,
+                       std::span<value_t> x, std::vector<value_t>& tail) {
+  const core::TriSolveSets& sets = plan.sets;
+  const index_t* Li = l.rowind.data();
+  const value_t* Lx = l.values.data();
+  for (std::size_t k = 0; k < sets.sn_reach.size(); ++k) {
+    const index_t s = sets.sn_reach[k];
+    const index_t c1 = sets.blocks.start[s];
+    const index_t c2 = sets.blocks.start[s + 1];
+    const index_t cr = sets.sn_first_col[k];
+    const index_t tail_len = sets.colcount[c1] - (c2 - c1);
+    if (c2 - cr == 1 && cr == c1) {
+      const index_t p0 = l.col_begin(cr);
+      const value_t xj = x[cr] / Lx[p0];
+      x[cr] = xj;
+      for (index_t p = p0 + 1; p < l.col_end(cr); ++p)
+        x[Li[p]] -= Lx[p] * xj;
+      continue;
+    }
+    for (index_t j = cr; j < c2; ++j) {
+      const index_t p0 = l.col_begin(j);
+      const value_t xj = x[j] / Lx[p0];
+      x[j] = xj;
+      for (index_t t = 0; t < c2 - j - 1; ++t)
+        x[j + 1 + t] -= Lx[p0 + 1 + t] * xj;
+    }
+    if (tail_len == 0) continue;
+    std::fill(tail.begin(), tail.begin() + tail_len, 0.0);
+    index_t j = cr;
+    for (; j + 1 < c2; j += 2) {
+      const value_t xa = x[j];
+      const value_t xb = x[j + 1];
+      const value_t* ca = Lx + l.col_begin(j) + (c2 - j);
+      const value_t* cb = Lx + l.col_begin(j + 1) + (c2 - j - 1);
+      for (index_t t = 0; t < tail_len; ++t)
+        tail[t] += ca[t] * xa + cb[t] * xb;
+    }
+    for (; j < c2; ++j) {
+      const value_t xj = x[j];
+      const value_t* cj = Lx + l.col_begin(j) + (c2 - j);
+      for (index_t t = 0; t < tail_len; ++t) tail[t] += cj[t] * xj;
+    }
+    const index_t* rows = Li + l.col_begin(c1) + (c2 - c1);
+    for (index_t t = 0; t < tail_len; ++t) x[rows[t]] -= tail[t];
+  }
+}
+
+/// One-pass executor solve vs the two-pass order on the dense-corner L of
+/// a minimum-degree power grid of n buses factored by the GP LU, with a
+/// 24-bus injection pattern (the transient-simulation input). The row
+/// reports m = n, n = the widest reached block, k = the longest tail.
+OnePassRow bench_trisolve_one_pass(index_t n, bool smoke) {
+  const CscMatrix raw = gen::power_grid(n, n / 5, 11);
+  const CscMatrix lower =
+      permute_symmetric_lower(raw, order::minimum_degree(raw));
+  const CscMatrix a = symmetric_full_from_lower(lower);
+  lu::LuFactor lu(a);
+  lu.factorize(a);
+  const CscMatrix l = lu.lower();
+  const std::vector<value_t> b = gen::sparse_rhs(n, 24, 5);
+  std::vector<index_t> beta;
+  for (index_t i = 0; i < n; ++i)
+    if (b[i] != 0.0) beta.push_back(i);
+  const core::TriSolveExecutor exec(l, beta);
+  OnePassRow row{"trisolve_blocked", n, 0, 0, 0, 0};
+  if (!exec.vs_block_applied()) return row;
+  index_t max_tail = 0;
+  for (const index_t s : exec.sets().sn_reach) {
+    const index_t c1 = exec.sets().blocks.start[s];
+    const index_t w = exec.sets().blocks.start[s + 1] - c1;
+    row.n = std::max(row.n, w);  // widest reached block
+    max_tail = std::max(max_tail, exec.sets().colcount[c1] - w);
+  }
+  row.k = max_tail;
+  std::vector<value_t> x(b.size()), tail(static_cast<std::size_t>(max_tail));
+  time_pair(
+      [&] {
+        std::memcpy(x.data(), b.data(), x.size() * sizeof(value_t));
+        trisolve_two_pass(exec.plan(), l, x, tail);
+      },
+      [&] {
+        std::memcpy(x.data(), b.data(), x.size() * sizeof(value_t));
+        exec.solve(x);
+      },
+      smoke ? 20 : 200, smoke, row);
+  return row;
+}
+
+std::vector<OnePassRow> bench_one_pass(bool smoke) {
+  std::vector<OnePassRow> rows;
+  for (const index_t w : {8, 16, 32, 64, 149})
+    for (const index_t below : {0, 24, 64})
+      rows.push_back(bench_potrf_panel(w, below, smoke));
+  rows.push_back(bench_trapezoid(24, 8, 8, smoke));
+  rows.push_back(bench_trapezoid(64, 16, 16, smoke));
+  rows.push_back(bench_trapezoid(96, 32, 32, smoke));
+  if (!smoke) rows.push_back(bench_trapezoid(213, 149, 16, smoke));
+  rows.push_back(bench_trisolve_one_pass(12000, smoke));
+  return rows;
+}
+
 void emit_json(const std::vector<KernelRow>& kernels,
                const std::vector<MultiRhsRow>& multi,
                const std::vector<BatchRow>& batches,
-               const std::vector<ParTriRow>& partri) {
+               const std::vector<ParTriRow>& partri,
+               const std::vector<OnePassRow>& one_pass) {
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (f == nullptr) {
     std::printf("!! could not open BENCH_kernels.json for writing\n");
@@ -486,6 +661,17 @@ void emit_json(const std::vector<KernelRow>& kernels,
                  r.scheme.c_str(), r.n, r.nrhs, r.seconds,
                  r.per_rhs_vs_serial, i + 1 < partri.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"one_pass\": [\n");
+  for (std::size_t i = 0; i < one_pass.size(); ++i) {
+    const OnePassRow& r = one_pass[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"m\": %d, \"n\": %d, \"k\": %d, "
+                 "\"baseline_seconds\": %.9f, \"one_pass_seconds\": %.9f, "
+                 "\"speedup\": %.3f}%s\n",
+                 r.name.c_str(), r.m, r.n, r.k, r.baseline_seconds,
+                 r.one_pass_seconds, r.speedup(),
+                 i + 1 < one_pass.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_kernels.json\n");
@@ -514,7 +700,6 @@ int main(int argc, char** argv) {
   } else {
     kernels.push_back(bench_gemm(128, 32, 32, smoke));
   }
-  kernels.push_back(bench_syrk(64, 16, smoke));
   kernels.push_back(bench_potrf(smoke ? 32 : 64, smoke));
   if (!smoke) kernels.push_back(bench_potrf(128, smoke));
   kernels.push_back(bench_trsm(64, 16, smoke));
@@ -581,6 +766,17 @@ int main(int argc, char** argv) {
                   r.nrhs, r.seconds, r.per_rhs_vs_serial);
   }
 
-  emit_json(kernels, multi, batches, partri);
+  std::printf(
+      "\n== one pass per VS-Block panel: fused vs separate passes ==\n");
+  std::printf("%-18s %6s %5s %5s   %12s %12s %8s\n", "kernel", "m", "n", "k",
+              "baseline s", "one-pass s", "speedup");
+  bench::print_rule(78);
+  const std::vector<OnePassRow> one_pass = bench_one_pass(smoke);
+  for (const OnePassRow& r : one_pass)
+    std::printf("%-18s %6d %5d %5d   %12.3e %12.3e %7.2fx\n", r.name.c_str(),
+                r.m, r.n, r.k, r.baseline_seconds, r.one_pass_seconds,
+                r.speedup());
+
+  emit_json(kernels, multi, batches, partri, one_pass);
   return 0;
 }

@@ -307,7 +307,8 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
         static_cast<std::size_t>(plan_->sets.layout.total_values()), 0.0);
     executor_.reset();
   } else {
-    executor_ = std::make_unique<core::CholeskyExecutor>(plan_);
+    executor_ = std::make_unique<core::CholeskyExecutor>(
+        plan_, config_.options.guard_workspace);
     panels_.clear();
     panels_.shrink_to_fit();
   }
@@ -425,7 +426,7 @@ TriangularSolver::TriangularSolver(const CscMatrix& l,
       n_(l.cols()),
       executor_(lookup_trisolve_plan(l, beta, config, *context_,
                                      symbolic_cached_, report_),
-                l) {
+                l, config.options.guard_workspace) {
   pws_.set_guard(config.options.guard_workspace);
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
     // Pre-grow the parallel interpreter's terms buffer plus the one-column

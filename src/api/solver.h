@@ -189,6 +189,14 @@ class Solver {
   /// Degradation record of the most recent factor() (and any solve() or
   /// solve_batch() serial fallback since). Reset at each factor().
   [[nodiscard]] const FactorReport& report() const { return report_; }
+  /// True when every workspace of the current factorization (this
+  /// Solver's and its sequential executor's) throws on a concurrent
+  /// borrow: SympilerOptions::guard_workspace of this Solver's config, or
+  /// any debug build — whoever planned a cached plan.
+  [[nodiscard]] bool workspace_guarded() const {
+    return ws_.guard_enabled() &&
+           (executor_ == nullptr || executor_->workspace_guarded());
+  }
 
  private:
   void prepare_symbolic(const CscMatrix& a_lower);
@@ -252,6 +260,12 @@ class TriangularSolver {
   [[nodiscard]] CacheStats cache_stats() const;
   /// Degradation record of the most recent solve()/solve_batch().
   [[nodiscard]] const FactorReport& report() const { return report_; }
+  /// True when both workspaces (the executor's and the parallel
+  /// interpreters') throw on a concurrent borrow: guard_workspace of this
+  /// solver's config, or any debug build — whoever planned a cached plan.
+  [[nodiscard]] bool workspace_guarded() const {
+    return pws_.guard_enabled() && executor_.workspace_guarded();
+  }
 
  private:
   /// The facades' JitMode dispatch tier for this solver's plan (see

@@ -27,12 +27,15 @@ constexpr index_t kRhsVec = 8;     ///< multi-RHS register-vector width
 // Unrolled compile-time-sized kernels ("Sympiler-generated" small kernels).
 // ---------------------------------------------------------------------------
 
+/// `col0` is the column of a[0] in the matrix being factored: a
+/// non-positive pivot is reported at col0 + j.
 template <int N>
-void potrf_unrolled(value_t* a, index_t lda) {
+void potrf_unrolled(value_t* a, index_t lda, index_t col0) {
   for (int j = 0; j < N; ++j) {
     value_t d = a[j + j * lda];
     for (int k = 0; k < j; ++k) d -= a[j + k * lda] * a[j + k * lda];
-    if (!(d > 0.0)) throw numerical_error("potrf: non-positive pivot");
+    if (!(d > 0.0))
+      throw numerical_error("potrf: non-positive pivot", col0 + j, d);
     const value_t djj = std::sqrt(d);
     a[j + j * lda] = djj;
     const value_t inv = 1.0 / djj;
@@ -56,16 +59,19 @@ void trsv_unrolled(const value_t* l, index_t lda, value_t* x) {
 // ---------------------------------------------------------------------------
 // GEMM micro-kernels: an MR x NR tile of C rides in registers across the
 // whole k reduction; each accumulator element applies its terms one at a
-// time in ascending p — the _ref order.
+// time in ascending p — the _ref order. A kDiag tile has its top-left
+// corner on C's diagonal: it neither reads nor writes C's strictly-upper
+// entries (their accumulators start at zero and are dropped).
 // ---------------------------------------------------------------------------
 
-template <int MR, int NR>
+template <int MR, int NR, bool kDiag = false>
 void gemm_tile(index_t k, const value_t* SYMPILER_RESTRICT a, index_t lda,
                const value_t* SYMPILER_RESTRICT b, index_t ldb,
                value_t* SYMPILER_RESTRICT c, index_t ldc) {
   value_t acc[NR][MR];
   for (int j = 0; j < NR; ++j)
-    for (int i = 0; i < MR; ++i) acc[j][i] = c[i + j * ldc];
+    for (int i = 0; i < MR; ++i)
+      acc[j][i] = (kDiag && i < j) ? 0.0 : c[i + j * ldc];
   for (index_t p = 0; p < k; ++p) {
     const value_t* SYMPILER_RESTRICT ap = a + p * lda;
     value_t av[MR];
@@ -76,7 +82,7 @@ void gemm_tile(index_t k, const value_t* SYMPILER_RESTRICT a, index_t lda,
     }
   }
   for (int j = 0; j < NR; ++j)
-    for (int i = 0; i < MR; ++i) c[i + j * ldc] = acc[j][i];
+    for (int i = kDiag ? j : 0; i < MR; ++i) c[i + j * ldc] = acc[j][i];
 }
 
 template <int NR>
@@ -98,6 +104,16 @@ void gemm_col_strip(index_t m, index_t k, const value_t* a, index_t lda,
     i += 2;
   }
   if (i < m) gemm_tile<1, NR>(k, a + i, lda, b, ldb, c + i, ldc);
+}
+
+/// An NR-column strip of the lower trapezoid C -= A A^T whose first row
+/// is on C's diagonal (m >= NR rows, B = A's first NR rows): an NR x NR
+/// kDiag tile on the diagonal, a register-tiled GEMM for the rows below.
+template <int NR>
+void trapezoid_strip(index_t m, index_t k, const value_t* a, index_t lda,
+                     value_t* c, index_t ldc) {
+  gemm_tile<NR, NR, true>(k, a, lda, a, lda, c, ldc);
+  gemm_col_strip<NR>(m - NR, k, a + NR, lda, a, lda, c + NR, ldc);
 }
 
 // Unblocked in-block bodies shared by the blocked triangular kernels.
@@ -130,42 +146,43 @@ void trsm_rlt_unblocked(index_t m, index_t n, const value_t* l, index_t ldl,
   }
 }
 
+/// Factor the nb-by-nb diagonal block at a (nb <= kDiagBlock), unrolled;
+/// `col0` is its first column in the matrix being factored.
+void potrf_block(index_t nb, value_t* a, index_t lda, index_t col0) {
+  switch (nb) {
+    case 1: return potrf_unrolled<1>(a, lda, col0);
+    case 2: return potrf_unrolled<2>(a, lda, col0);
+    case 3: return potrf_unrolled<3>(a, lda, col0);
+    case 4: return potrf_unrolled<4>(a, lda, col0);
+    case 5: return potrf_unrolled<5>(a, lda, col0);
+    case 6: return potrf_unrolled<6>(a, lda, col0);
+    case 7: return potrf_unrolled<7>(a, lda, col0);
+    default: return potrf_unrolled<kDiagBlock>(a, lda, col0);
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ potrf
 
-void potrf_lower(index_t n, value_t* a, index_t lda) {
-  // Blocked right-looking: unrolled diagonal factorization, panel TRSM,
-  // register-tiled SYRK trailing update. Every element still receives its
-  // rank-k terms in ascending k (blocks of kDiagBlock are contiguous
-  // ascending ranges), then scales — the _ref order.
-  for (index_t k0 = 0; k0 < n; k0 += kDiagBlock) {
-    const index_t nb = std::min(kDiagBlock, n - k0);
+void potrf_panel(index_t m, index_t w, value_t* a, index_t lda) {
+  // Left-looking over kDiagBlock column blocks, one pass over each block
+  // column: a trapezoid update brings in the terms of every column to its
+  // left (long register-resident reductions), then its diagonal block
+  // factors unrolled and the rows below it solve against it. Every
+  // element still receives its terms in ascending k (blocks are
+  // contiguous ascending ranges), then its scale — the _ref order.
+  for (index_t k0 = 0; k0 < w; k0 += kDiagBlock) {
+    const index_t nb = std::min(kDiagBlock, w - k0);
     value_t* akk = a + k0 + k0 * lda;
-    potrf_lower_small(nb, akk, lda);
-    const index_t rem = n - k0 - nb;
-    if (rem > 0) {
-      value_t* apanel = a + (k0 + nb) + k0 * lda;
-      trsm_right_lower_trans(rem, nb, akk, lda, apanel, lda);
-      syrk_lower_minus(rem, nb, apanel, lda,
-                       a + (k0 + nb) + (k0 + nb) * lda, lda);
-    }
+    if (k0 > 0) syrk_trapezoid_minus(m - k0, nb, k0, a + k0, lda, akk, lda);
+    potrf_block(nb, akk, lda, k0);
+    trsm_rlt_unblocked(m - k0 - nb, nb, akk, lda, akk + nb, lda);
   }
 }
 
-void potrf_lower_small(index_t n, value_t* a, index_t lda) {
-  switch (n) {
-    case 0: return;
-    case 1: return potrf_unrolled<1>(a, lda);
-    case 2: return potrf_unrolled<2>(a, lda);
-    case 3: return potrf_unrolled<3>(a, lda);
-    case 4: return potrf_unrolled<4>(a, lda);
-    case 5: return potrf_unrolled<5>(a, lda);
-    case 6: return potrf_unrolled<6>(a, lda);
-    case 7: return potrf_unrolled<7>(a, lda);
-    case 8: return potrf_unrolled<8>(a, lda);
-    default: return potrf_lower(n, a, lda);
-  }
+void potrf_lower(index_t n, value_t* a, index_t lda) {
+  potrf_panel(n, n, a, lda);
 }
 
 // ------------------------------------------------------------------- trsv
@@ -231,7 +248,7 @@ void trsm_right_lower_trans(index_t m, index_t n, const value_t* l,
   }
 }
 
-// ------------------------------------------------------------ gemm / syrk
+// ------------------------------------------------------- gemm / trapezoid
 
 void gemm_nt_minus(index_t m, index_t n, index_t k, const value_t* a,
                    index_t lda, const value_t* b, index_t ldb, value_t* c,
@@ -246,25 +263,18 @@ void gemm_nt_minus(index_t m, index_t n, index_t k, const value_t* a,
   if (j < n) gemm_col_strip<1>(m, k, a, lda, b + j, ldb, c + j * ldc, ldc);
 }
 
-void syrk_lower_minus(index_t n, index_t k, const value_t* a, index_t lda,
-                      value_t* c, index_t ldc) {
-  // Column strips of kNr: a small triangular wedge at the diagonal in _ref
-  // order, a register-tiled GEMM for everything below it.
-  for (index_t j0 = 0; j0 < n; j0 += kNr) {
-    const index_t nb = std::min(kNr, n - j0);
-    for (index_t j = j0; j < j0 + nb; ++j) {
-      value_t* cj = c + j * ldc;
-      for (index_t p = 0; p < k; ++p) {
-        const value_t ajp = a[j + p * lda];
-        const value_t* ap = a + p * lda;
-        for (index_t i = j; i < j0 + nb; ++i) cj[i] -= ap[i] * ajp;
-      }
-    }
-    const index_t rem = n - (j0 + nb);
-    if (rem > 0)
-      gemm_nt_minus(rem, nb, k, a + j0 + nb, lda, a + j0, lda,
-                    c + (j0 + nb) + j0 * ldc, ldc);
+void syrk_trapezoid_minus(index_t m, index_t n, index_t k, const value_t* a,
+                          index_t lda, value_t* c, index_t ldc) {
+  // Column strips of kNr, each starting on the diagonal: a kDiag row tile
+  // there, a register-tiled GEMM for every row below it.
+  index_t j = 0;
+  for (; j + kNr <= n; j += kNr)
+    trapezoid_strip<kNr>(m - j, k, a + j, lda, c + j + j * ldc, ldc);
+  if (j + 2 <= n) {
+    trapezoid_strip<2>(m - j, k, a + j, lda, c + j + j * ldc, ldc);
+    j += 2;
   }
+  if (j < n) trapezoid_strip<1>(m - j, k, a + j, lda, c + j + j * ldc, ldc);
 }
 
 // ------------------------------------------------------------------- gemv

@@ -20,7 +20,11 @@
 //    so results are bit-identical — wider vector lanes and register
 //    residency change data movement, never arithmetic — pinned by
 //    tests/test_blas.cpp for all shapes 1..64 including ragged leading
-//    dimensions.
+//    dimensions. Two blocked kernels have no `_ref` twin of their own: the
+//    fused panel factorization potrf_panel is pinned to potrf_lower_ref
+//    followed by trsm_right_lower_trans_ref, and the lower-trapezoid
+//    update tile syrk_trapezoid_minus to gemm_nt_minus_ref on the entries
+//    it computes.
 //
 // Multi-RHS kernels operate on an RHS-major packed block: X(i, r) lives at
 // x[r + i * ldx] so the r-loop is unit-stride (the SIMD direction). Each
@@ -46,16 +50,25 @@ inline constexpr index_t kRhsBlockMax = 32;
 // ---------------------------------------------------------------- potrf
 
 /// Dense Cholesky of the lower triangle of the n-by-n matrix A (in place;
-/// strictly-upper part untouched). Throws numerical_error on a non-positive
-/// pivot. Blocked right-looking: unrolled diagonal blocks, panel TRSM, and
-/// register-tiled SYRK trailing updates. Bit-identical to potrf_lower_ref.
+/// strictly-upper part untouched): potrf_panel(n, n, a, lda).
+/// Bit-identical to potrf_lower_ref.
 void potrf_lower(index_t n, value_t* a, index_t lda);
 
-/// Reference unblocked left-looking body (the arithmetic contract).
-void potrf_lower_ref(index_t n, value_t* a, index_t lda);
+/// Fused panel factorization of an m-by-w panel (m >= w), the supernode
+/// body's dense step: Cholesky of the top w-by-w lower triangle and
+/// B := B * L^{-T} for the m-w rows below it, in one left-looking pass
+/// per 8-column block (a trapezoid update with every column to its left
+/// over all the block's rows, then the diagonal block unrolled, then the
+/// rows below it). The strictly-upper part of the top block is untouched.
+/// Bit-identical on the lower trapezoid to potrf_lower_ref(w) followed by
+/// trsm_right_lower_trans_ref(m - w, w). A non-positive pivot throws
+/// numerical_error at the same column, with the same value, as
+/// potrf_lower_ref.
+void potrf_panel(index_t m, index_t w, value_t* a, index_t lda);
 
-/// potrf_lower that dispatches to unrolled kernels for n <= kSmallKernelMax.
-void potrf_lower_small(index_t n, value_t* a, index_t lda);
+/// Reference unblocked left-looking body (the arithmetic contract). A
+/// non-positive pivot throws numerical_error carrying its column and value.
+void potrf_lower_ref(index_t n, value_t* a, index_t lda);
 
 // ----------------------------------------------------------------- trsv
 
@@ -93,7 +106,7 @@ void trsm_right_lower_trans(index_t m, index_t n, const value_t* l,
 void trsm_right_lower_trans_ref(index_t m, index_t n, const value_t* l,
                                 index_t ldl, value_t* b, index_t ldb);
 
-// ----------------------------------------------------------- gemm / syrk
+// ------------------------------------------------------ gemm / trapezoid
 
 /// C -= A * B^T, A m-by-k, B n-by-k, C m-by-n (GEMM, beta=1, alpha=-1).
 /// Register-blocked micro-kernels (8x4 tiles held in registers across the
@@ -108,15 +121,13 @@ void gemm_nt_minus_ref(index_t m, index_t n, index_t k, const value_t* a,
                        index_t lda, const value_t* b, index_t ldb, value_t* c,
                        index_t ldc);
 
-/// C -= A * A^T, lower triangle of C only (SYRK, beta=1, alpha=-1),
-/// A n-by-k, C n-by-n. Lower-wedge + register-tiled GEMM below the wedge;
-/// bit-identical to syrk_lower_minus_ref.
-void syrk_lower_minus(index_t n, index_t k, const value_t* a, index_t lda,
-                      value_t* c, index_t ldc);
-
-/// Reference body.
-void syrk_lower_minus_ref(index_t n, index_t k, const value_t* a, index_t lda,
-                          value_t* c, index_t ldc);
+/// C -= A * A^T on the lower trapezoid of C only (rows i >= j), A m-by-k,
+/// C m-by-n, m >= n: the supernodal update tile (SYRK on the top n rows,
+/// GEMM below them). C's strictly-upper part is neither read nor written;
+/// the lower trapezoid is bit-identical to
+/// gemm_nt_minus_ref(m, n, k, a, lda, a, lda, c, ldc).
+void syrk_trapezoid_minus(index_t m, index_t n, index_t k, const value_t* a,
+                          index_t lda, value_t* c, index_t ldc);
 
 // ----------------------------------------------------------------- gemv
 

@@ -21,7 +21,8 @@ void potrf_lower_ref(index_t n, value_t* a, index_t lda) {
     value_t d = a[j + j * lda];
     const value_t* aj = a + j;
     for (index_t k = 0; k < j; ++k) d -= aj[k * lda] * aj[k * lda];
-    if (!(d > 0.0)) throw numerical_error("potrf: non-positive pivot");
+    if (!(d > 0.0))
+      throw numerical_error("potrf: non-positive pivot", j, d);
     const value_t djj = std::sqrt(d);
     a[j + j * lda] = djj;
     const value_t inv = 1.0 / djj;
@@ -88,18 +89,6 @@ void gemm_nt_minus_ref(index_t m, index_t n, index_t k, const value_t* a,
       const value_t bv = b[j + p * ldb];
       const value_t* ap = a + p * lda;
       for (index_t i = 0; i < m; ++i) cj[i] -= ap[i] * bv;
-    }
-  }
-}
-
-void syrk_lower_minus_ref(index_t n, index_t k, const value_t* a, index_t lda,
-                          value_t* c, index_t ldc) {
-  for (index_t j = 0; j < n; ++j) {
-    value_t* cj = c + j * ldc;
-    for (index_t p = 0; p < k; ++p) {
-      const value_t ajp = a[j + p * lda];
-      const value_t* ap = a + p * lda;
-      for (index_t i = j; i < n; ++i) cj[i] -= ap[i] * ajp;
     }
   }
 }

@@ -65,14 +65,15 @@ DenseRunShare dense_run_share(const CscMatrix& l_pattern) {
 
 CholeskyExecutor::CholeskyExecutor(const CscMatrix& a_lower,
                                    SympilerOptions opt)
-    : CholeskyExecutor(plan_sequential(a_lower, opt)) {}
+    : CholeskyExecutor(plan_sequential(a_lower, opt), opt.guard_workspace) {}
 
-CholeskyExecutor::CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan)
+CholeskyExecutor::CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan,
+                                   bool guard_workspace)
     : plan_(std::move(plan)) {
   SYMPILER_CHECK(plan_ != nullptr, "cholesky executor: null plan");
   sets_ = &plan_->sets;
   const SympilerOptions& opt = plan_->options;
-  ws_.set_guard(opt.guard_workspace);
+  ws_.set_guard(guard_workspace);
   specialized_ = core::specialized_kernels(opt, *sets_);
   // Size all numeric scratch once, from the plan's dimensions: factorize()
   // and solve() never allocate after this point. The executor's own

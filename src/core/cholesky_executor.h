@@ -76,8 +76,12 @@ class CholeskyExecutor {
   /// Pure interpreter over a precomputed (typically cached) plan: no
   /// symbolic work, no decisions. `plan` must have been produced by
   /// core::Planner on the pattern of the matrices later passed to
-  /// factorize() — the plan cache key guarantees this.
-  explicit CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan);
+  /// factorize() — the plan cache key guarantees this. `guard_workspace`
+  /// is the owner's SympilerOptions::guard_workspace: the plan's own copy
+  /// may come from another owner, since the option is not part of the
+  /// plan key.
+  explicit CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan,
+                            bool guard_workspace = false);
 
   /// Numeric factorization of a matrix with the planned pattern. A warm
   /// call (same executor, pattern already planned) performs zero heap
@@ -112,6 +116,9 @@ class CholeskyExecutor {
   /// single-target-column updates) — the paper's column-count BLAS switch.
   [[nodiscard]] bool specialized_kernels() const { return specialized_; }
   [[nodiscard]] double flops() const { return plan_->sets.flops(); }
+  /// True when a concurrent borrow of this executor's workspace throws
+  /// (the guard_workspace opt-in, or any debug build).
+  [[nodiscard]] bool workspace_guarded() const { return ws_.guard_enabled(); }
 
  private:
   void factorize_supernodal(const CscMatrix& a_lower);

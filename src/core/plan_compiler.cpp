@@ -405,9 +405,10 @@ void emit_trisolve_blocked(std::ostringstream& os, const TriSolvePlan& plan,
 
   os << "// VS-Block supernodal forward solve over the baked block-set\n"
         "// (restricted to the supernode-level prune-set when VI-Prune is\n"
-        "// on). Operation order mirrors TriSolveExecutor::solve_blocked\n"
-        "// exactly, including the LOW_LEVEL column pairing of the tail\n"
-        "// accumulation and the peeled single-column supernodes.\n";
+        "// on), one pass per block: each column's diagonal part, then its\n"
+        "// tail contribution. Operation order mirrors\n"
+        "// TriSolveExecutor::solve_blocked exactly, including the LOW_LEVEL\n"
+        "// column pairing and the peeled single-column supernodes.\n";
   emit_array(os, "blkC1", blk_c1);
   emit_array(os, "blkC2", blk_c2);
   emit_array(os, "blkCr", blk_cr);
@@ -415,6 +416,16 @@ void emit_trisolve_blocked(std::ostringstream& os, const TriSolvePlan& plan,
   os << "enum { NBLOCKS = " << nblocks
      << ", LOW_LEVEL = " << (plan.options.low_level ? 1 : 0) << " };\n\n";
 
+  os << "static inline void diagonal(const int* Lp, const double* Lx,\n"
+        "                            double* x, const int j, const int c2) {\n"
+        "  const int p0 = Lp[j];\n"
+        "  const double xj = x[j] / Lx[p0];\n"
+        "  x[j] = xj;\n"
+        "  const double* col = Lx + p0 + 1;\n"
+        "  double* xrow = x + j + 1;\n"
+        "  const int blen = c2 - j - 1;\n"
+        "  for (int t = 0; t < blen; ++t) xrow[t] -= col[t] * xj;\n"
+        "}\n\n";
   os << "extern \"C\" void " << PlanCompiler::kTriSolveSymbol
      << "(const int* Lp, const int* Li, const double* Lx, double* x,\n"
         "    double* tail) {\n"
@@ -431,20 +442,12 @@ void emit_trisolve_blocked(std::ostringstream& os, const TriSolvePlan& plan,
         "xj;\n"
         "      continue;\n"
         "    }\n"
-        "    for (int j = cr; j < c2; ++j) {\n"
-        "      const int p0 = Lp[j];\n"
-        "      const double xj = x[j] / Lx[p0];\n"
-        "      x[j] = xj;\n"
-        "      const double* col = Lx + p0 + 1;\n"
-        "      double* xrow = x + j + 1;\n"
-        "      const int blen = c2 - j - 1;\n"
-        "      for (int t = 0; t < blen; ++t) xrow[t] -= col[t] * xj;\n"
-        "    }\n"
-        "    if (tail_len == 0) continue;\n"
         "    for (int t = 0; t < tail_len; ++t) tail[t] = 0.0;\n"
         "    int j = cr;\n"
         "    if (LOW_LEVEL) {\n"
         "      for (; j + 1 < c2; j += 2) {\n"
+        "        diagonal(Lp, Lx, x, j, c2);\n"
+        "        diagonal(Lp, Lx, x, j + 1, c2);\n"
         "        const double xa = x[j];\n"
         "        const double xb = x[j + 1];\n"
         "        const double* ca = Lx + Lp[j] + (c2 - j);\n"
@@ -454,6 +457,7 @@ void emit_trisolve_blocked(std::ostringstream& os, const TriSolvePlan& plan,
         "      }\n"
         "    }\n"
         "    for (; j < c2; ++j) {\n"
+        "      diagonal(Lp, Lx, x, j, c2);\n"
         "      const double xj = x[j];\n"
         "      const double* cj = Lx + Lp[j] + (c2 - j);\n"
         "      for (int t = 0; t < tail_len; ++t) tail[t] += cj[t] * xj;\n"

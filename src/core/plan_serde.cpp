@@ -516,7 +516,6 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   meta.scalar<std::int64_t>(plan.sets.sym.fill_nnz);
   meta.scalar<double>(plan.sets.sym.flops);
   meta.scalar<index_t>(plan.sets.layout.n);
-  meta.scalar<double>(plan.sets.layout.flops);
   sections.emplace_back(kSecMeta, meta.take());
 
   Writer sym;
@@ -590,7 +589,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     plan.sets.sym.fill_nnz = meta.scalar<std::int64_t>("fill_nnz");
     plan.sets.sym.flops = meta.scalar<double>("sym.flops");
     plan.sets.layout.n = meta.scalar<index_t>("layout.n");
-    plan.sets.layout.flops = meta.scalar<double>("layout.flops");
     meta.expect_done();
     check_options_hash(h, plan.options);
 

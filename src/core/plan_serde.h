@@ -45,8 +45,9 @@ namespace sympiler::core {
 /// is gone; parallel plans persist only their aggregate schedule. Version
 /// 4: simplicial plans no longer carry L's zero value array. Version 5:
 /// Cholesky plans no longer carry the etree, the column counts or a
-/// separate block-set, and no plan records the store directory.
-inline constexpr std::uint32_t kPlanFormatVersion = 5;
+/// separate block-set, and no plan records the store directory. Version
+/// 6: the Cholesky meta section drops the layout's copy of the flop count.
+inline constexpr std::uint32_t kPlanFormatVersion = 6;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

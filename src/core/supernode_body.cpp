@@ -57,14 +57,15 @@ void assemble_supernode_columns(const CholeskySets& sets,
       }
       continue;
     }
-    // Tile rows [lo, mu) x target columns [lo, hi): every tile entry is
-    // its own ascending-k reduction, so a sub-tile holds the bits the
-    // full mu x nu tile would.
+    // Tile rows [lo, mu) x target columns [lo, hi), computed only at or
+    // below each target column (the rows the scatter reads): every tile
+    // entry is its own ascending-k reduction, so this trapezoid holds the
+    // bits the full mu x nu tile would.
     const index_t mt = mu - lo;
     const index_t nt = hi - lo;
     std::fill(work, work + static_cast<std::int64_t>(mt) * nt, 0.0);
-    blas::gemm_nt_minus(mt, nt, dw, dpanel + ref.p1 + lo, dm,
-                        dpanel + ref.p1 + lo, dm, work, mt);
+    blas::syrk_trapezoid_minus(mt, nt, dw, dpanel + ref.p1 + lo, dm, work,
+                               mt);
     for (index_t cj = lo; cj < hi; ++cj) {
       value_t* dst = panel + static_cast<std::int64_t>(tcols[cj] - c1) * m;
       const value_t* src = work + static_cast<std::int64_t>(cj - lo) * mt;
@@ -74,8 +75,14 @@ void assemble_supernode_columns(const CholeskySets& sets,
   }
 }
 
-void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
-                               index_t s, value_t* panels) {
+namespace {
+
+/// Factor the first `rows` rows of supernode s's panel with one
+/// potrf_panel call. The kPivot fault point fires here, once per
+/// supernode; a non-positive pivot is re-anchored at the supernode's
+/// first column.
+void factor_panel_rows(const solvers::SupernodalLayout& layout, index_t s,
+                       index_t rows, value_t* panels) {
   const index_t c1 = layout.sn.start[s];
   value_t* panel = panels + layout.panel_ptr[s];
   if (SYMPILER_FAULT_POINT(util::FaultSite::kPivot))
@@ -83,7 +90,7 @@ void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
         "cholesky: injected pivot failure (fault site pivot, supernodal)", c1,
         panel[0]);
   try {
-    blas::potrf_lower(layout.width(s), panel, layout.nrows(s));
+    blas::potrf_panel(rows, layout.width(s), panel, layout.nrows(s));
   } catch (const numerical_error& e) {
     // The dense kernel knows only the local column; re-anchor at the
     // supernode's global first column.
@@ -92,6 +99,13 @@ void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
                               std::to_string(c1) + ")",
                           c1, panel[0]);
   }
+}
+
+}  // namespace
+
+void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
+                               index_t s, value_t* panels) {
+  factor_panel_rows(layout, s, layout.width(s), panels);
 }
 
 void solve_supernode_rows(const solvers::SupernodalLayout& layout, index_t s,
@@ -109,9 +123,7 @@ void factor_supernode(const CholeskySets& sets, const CscMatrix& a_lower,
   const solvers::SupernodalLayout& layout = sets.layout;
   assemble_supernode_columns(sets, a_lower, s, 0, layout.width(s), panels, map,
                              work, peel);
-  factor_supernode_diagonal(layout, s, panels);
-  solve_supernode_rows(layout, s, 0, layout.nrows(s) - layout.width(s),
-                       panels);
+  factor_panel_rows(layout, s, layout.nrows(s), panels);
 }
 
 }  // namespace sympiler::core

@@ -35,10 +35,10 @@ void assemble_supernode_columns(const CholeskySets& sets,
                                 index_t j0, index_t j1, value_t* panels,
                                 index_t* map, value_t* work, bool peel);
 
-/// Factor supernode s's assembled diagonal block in place. The kPivot
-/// fault point fires here, once per supernode; a non-positive pivot throws
-/// numerical_error anchored at the supernode's first column with the
-/// panel's first entry as its value.
+/// Factor supernode s's assembled diagonal block in place
+/// (blas::potrf_lower). The kPivot fault point fires here, once per
+/// supernode; a non-positive pivot throws numerical_error anchored at the
+/// supernode's first column with the panel's first entry as its value.
 void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
                                index_t s, value_t* panels);
 
@@ -48,8 +48,10 @@ void factor_supernode_diagonal(const solvers::SupernodalLayout& layout,
 void solve_supernode_rows(const solvers::SupernodalLayout& layout, index_t s,
                           index_t r0, index_t r1, value_t* panels);
 
-/// The whole body on one thread: every column, the diagonal block, every
-/// below-diagonal row.
+/// The whole body on one thread: every column, then the whole panel in
+/// one blas::potrf_panel call (diagonal block and below-diagonal rows; the
+/// same kPivot fault point and pivot anchoring as
+/// factor_supernode_diagonal).
 void factor_supernode(const CholeskySets& sets, const CscMatrix& a_lower,
                       index_t s, value_t* panels, index_t* map, value_t* work,
                       bool peel);

@@ -23,10 +23,11 @@ std::shared_ptr<const TriSolvePlan> plan_sequential(
 TriSolveExecutor::TriSolveExecutor(const CscMatrix& l,
                                    std::span<const index_t> beta,
                                    SympilerOptions opt)
-    : TriSolveExecutor(plan_sequential(l, beta, opt), l) {}
+    : TriSolveExecutor(plan_sequential(l, beta, opt), l, opt.guard_workspace) {
+}
 
 TriSolveExecutor::TriSolveExecutor(std::shared_ptr<const TriSolvePlan> plan,
-                                   const CscMatrix& l)
+                                   const CscMatrix& l, bool guard_workspace)
     : l_(&l), plan_(std::move(plan)) {
   SYMPILER_CHECK(plan_ != nullptr, "trisolve executor: null plan");
   sets_ = &plan_->sets;
@@ -39,7 +40,7 @@ TriSolveExecutor::TriSolveExecutor(std::shared_ptr<const TriSolvePlan> plan,
   WorkspaceDims dims = plan_->workspace;
   dims.rhs_block = 0;
   dims.update_slots = 0;
-  ws_.set_guard(plan_->options.guard_workspace);
+  ws_.set_guard(guard_workspace);
   ws_.ensure(dims);
 }
 
@@ -110,10 +111,14 @@ void TriSolveExecutor::solve_pruned(std::span<value_t> x) const {
 }
 
 void TriSolveExecutor::solve_blocked(std::span<value_t> x) const {
-  // VS-Block (+ VI-Prune): supernodal traversal. The diagonal block is
-  // solved with direct indexing (rows inside a block are consecutive — no
-  // Li lookups), and the below-block tail is accumulated densely in a
-  // gather buffer and scattered once per block.
+  // VS-Block (+ VI-Prune): supernodal traversal, one pass per block. Each
+  // reached column's diagonal part is solved with direct indexing (rows
+  // inside a block are consecutive: no Li lookups), and its tail part,
+  // which follows it in memory, is accumulated densely into a gather
+  // buffer right after; the buffer is scattered once per block. So every
+  // column of L is read front to back once. A tail term reads only x
+  // values that are already final, so each x and tail entry receives its
+  // terms in the same order as in a diagonal pass followed by a tail pass.
   const CscMatrix& l = *l_;
   const index_t* Li = l.rowind.data();
   const value_t* Lx = l.values.data();
@@ -139,9 +144,9 @@ void TriSolveExecutor::solve_blocked(std::span<value_t> x) const {
       continue;
     }
 
-    // Diagonal block: dense forward substitution over columns cr..c2-1.
-    // Within the block, the update targets are x[j+1..c2): consecutive.
-    for (index_t j = cr; j < c2; ++j) {
+    // Column j's diagonal part: dense forward substitution into the
+    // consecutive targets x[j+1..c2).
+    const auto diagonal = [&](index_t j) {
       const index_t p0 = l.col_begin(j);
       const value_t xj = x[j] / Lx[p0];
       x[j] = xj;
@@ -149,9 +154,7 @@ void TriSolveExecutor::solve_blocked(std::span<value_t> x) const {
       value_t* xrow = x.data() + j + 1;
       const index_t blen = c2 - j - 1;
       for (index_t t = 0; t < blen; ++t) xrow[t] -= col[t] * xj;
-    }
-    if (tail_len == 0) continue;
-
+    };
     // Tail: tail[t] = sum_j L(tail_t, j) * x[j], accumulated densely.
     std::fill(tail, tail + tail_len, 0.0);
     index_t j = cr;
@@ -159,6 +162,8 @@ void TriSolveExecutor::solve_blocked(std::span<value_t> x) const {
       // Process two columns at a time (register reuse / ILP — the
       // "vectorization" the VS-Block pass annotates).
       for (; j + 1 < c2; j += 2) {
+        diagonal(j);
+        diagonal(j + 1);
         const value_t xa = x[j];
         const value_t xb = x[j + 1];
         const value_t* ca = Lx + l.col_begin(j) + (c2 - j);
@@ -168,6 +173,7 @@ void TriSolveExecutor::solve_blocked(std::span<value_t> x) const {
       }
     }
     for (; j < c2; ++j) {
+      diagonal(j);
       const value_t xj = x[j];
       const value_t* cj = Lx + l.col_begin(j) + (c2 - j);
       for (index_t t = 0; t < tail_len; ++t) tail[t] += cj[t] * xj;
@@ -212,11 +218,11 @@ void TriSolveExecutor::solve_batch(std::span<value_t> xs, index_t nrhs) const {
 
 void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
                                            index_t ldp, value_t* tail) const {
-  // The multi-RHS mirror of solve_blocked: identical traversal, identical
-  // per-column operation sequence (including the two-column pairing of the
-  // tail accumulation), with the RHS index as the unit-stride inner loop.
-  // Looped solve() and solve_batch() are therefore bit-identical per
-  // column — pinned by tests/test_batch.cpp.
+  // The multi-RHS mirror of solve_blocked: identical one-pass traversal,
+  // identical per-column operation sequence (including the two-column
+  // pairing of the tail accumulation), with the RHS index as the
+  // unit-stride inner loop. Looped solve() and solve_batch() are therefore
+  // bit-identical per column — pinned by tests/test_batch.cpp.
   const CscMatrix& l = *l_;
   const index_t* Li = l.rowind.data();
   const value_t* Lx = l.values.data();
@@ -244,8 +250,9 @@ void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
       continue;
     }
 
-    // Diagonal block: dense forward substitution, consecutive targets.
-    for (index_t j = cr; j < c2; ++j) {
+    // Column j's diagonal part: dense forward substitution, consecutive
+    // targets.
+    const auto diagonal = [&](index_t j) {
       const index_t p0 = l.col_begin(j);
       const value_t piv = Lx[p0];
       value_t* xj = xp + j * ldp;
@@ -257,14 +264,14 @@ void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
         value_t* xrow = xp + (j + 1 + t) * ldp;
         for (index_t r = 0; r < nrhs; ++r) xrow[r] -= lv * xj[r];
       }
-    }
-    if (tail_len == 0) continue;
-
+    };
     // Tail accumulation, mirroring solve_blocked's column pairing.
     std::fill(tail, tail + static_cast<std::int64_t>(tail_len) * ldp, 0.0);
     index_t j = cr;
     if (plan_->options.low_level) {
       for (; j + 1 < c2; j += 2) {
+        diagonal(j);
+        diagonal(j + 1);
         const value_t* xa = xp + j * ldp;
         const value_t* xb = xp + (j + 1) * ldp;
         const value_t* ca = Lx + l.col_begin(j) + (c2 - j);
@@ -277,6 +284,7 @@ void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
       }
     }
     for (; j < c2; ++j) {
+      diagonal(j);
       const value_t* xj = xp + j * ldp;
       const value_t* cj = Lx + l.col_begin(j) + (c2 - j);
       for (index_t t = 0; t < tail_len; ++t) {

@@ -37,9 +37,11 @@ class TriSolveExecutor {
   /// Pure interpreter over a precomputed (typically cached) plan: no
   /// symbolic work, no decisions. `plan` must have been produced by
   /// core::Planner on the pattern of `l` (and the intended beta) — the
-  /// plan cache key guarantees this.
+  /// plan cache key guarantees this. `guard_workspace` is the owner's
+  /// SympilerOptions::guard_workspace (not part of the plan key, so the
+  /// plan's own copy may come from another owner).
   TriSolveExecutor(std::shared_ptr<const TriSolvePlan> plan,
-                   const CscMatrix& l);
+                   const CscMatrix& l, bool guard_workspace = false);
 
   /// Numeric solve: x holds b on entry (with the planned pattern), the
   /// solution on exit. No symbolic work happens here.
@@ -61,6 +63,9 @@ class TriSolveExecutor {
     return plan_->path == ExecutionPath::BlockedTriSolve;
   }
   [[nodiscard]] double flops() const { return plan_->sets.flops; }
+  /// True when a concurrent borrow of this executor's workspace throws
+  /// (the guard_workspace opt-in, or any debug build).
+  [[nodiscard]] bool workspace_guarded() const { return ws_.guard_enabled(); }
 
  private:
   void solve_pruned(std::span<value_t> x) const;

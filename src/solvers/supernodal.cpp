@@ -12,7 +12,6 @@ SupernodalLayout SupernodalLayout::build(const FactorPattern& sym,
   SupernodalLayout layout;
   layout.n = sym.l_pattern.cols();
   layout.sn = std::move(partition);
-  layout.flops = sym.flops;
   SYMPILER_CHECK(layout.sn.valid(layout.n), "layout: invalid partition");
 
   const index_t nsuper = layout.sn.count();
@@ -241,8 +240,8 @@ SupernodalCholesky::SupernodalCholesky(const CscMatrix& a_lower,
       supernodes_cholesky(sym.parent, sym.colcount, opt), sym.parent,
       sym.colcount, opt);
   layout_ = SupernodalLayout::build(sym, std::move(part));
-  l_pattern_ = std::move(sym.l_pattern);
-  l_pattern_.values = {};  // factor_csc() writes the values
+  sym_ = std::move(static_cast<FactorPattern&>(sym));
+  sym_.l_pattern.values = {};  // factor_csc() writes the values
   panels_.resize(static_cast<std::size_t>(layout_.total_values()));
 }
 
@@ -296,13 +295,13 @@ void SupernodalCholesky::factorize(const CscMatrix& a_lower) {
       const index_t p1 = cursor[d];
       index_t p2 = p1;
       while (p2 < dm && drows[p2] < c2) ++p2;
-      // Update block: C(mu x nu) = Ld[p1..dm) * Ld[p1..p2)^T.
+      // Update block: C(mu x nu) = Ld[p1..dm) * Ld[p1..p2)^T on its lower
+      // trapezoid, the rows the scatter reads (CHOLMOD: dsyrk + dgemm).
       const index_t mu = dm - p1;
       const index_t nu = p2 - p1;
       value_t* cwork = work.data();
       std::fill(cwork, cwork + static_cast<std::int64_t>(mu) * nu, 0.0);
-      blas::gemm_nt_minus(mu, nu, dw, dpanel + p1, dm, dpanel + p1, dm,
-                          cwork, mu);
+      blas::syrk_trapezoid_minus(mu, nu, dw, dpanel + p1, dm, cwork, mu);
       // Scatter-subtract: C is "minus the update", so add it in.
       for (index_t cjj = 0; cjj < nu; ++cjj) {
         const index_t gcol = drows[p1 + cjj];  // in [c1, c2)

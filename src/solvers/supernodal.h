@@ -30,7 +30,6 @@ struct SupernodalLayout {
   /// Dense panel of supernode s occupies values[panel_ptr[s] ..
   /// panel_ptr[s+1]) in column-major order with leading dim nrows(s).
   std::vector<std::int64_t> panel_ptr;
-  double flops = 0.0;  ///< factorization flop estimate (sum colcount^2)
 
   [[nodiscard]] index_t nsuper() const { return sn.count(); }
   [[nodiscard]] index_t width(index_t s) const { return sn.width(s); }
@@ -154,13 +153,13 @@ class SupernodalCholesky {
   [[nodiscard]] const SupernodalLayout& layout() const { return layout_; }
   [[nodiscard]] std::span<const value_t> panels() const { return panels_; }
   [[nodiscard]] CscMatrix factor_csc() const {
-    return panels_to_csc(layout_, panels_, l_pattern_);
+    return panels_to_csc(layout_, panels_, sym_.l_pattern);
   }
-  [[nodiscard]] double flops() const { return layout_.flops; }
+  [[nodiscard]] double flops() const { return sym_.flops; }
 
  private:
   SupernodalLayout layout_;
-  CscMatrix l_pattern_;  ///< exact pattern of L (factor_csc)
+  FactorPattern sym_;  ///< exact pattern of L (factor_csc) and flops
   std::vector<value_t> panels_;
   bool factorized_ = false;
 };

@@ -160,6 +160,41 @@ TEST(WorkspaceGuard, SequentialBorrowsAreFine) {
   { const core::Workspace::Borrow two(ws); }  // released, re-borrowable
 }
 
+TEST(WorkspaceGuard, GuardOnFacadeGuardsExecutorOfPlanCachedGuardOff) {
+  // guard_workspace is not part of the plan key, so a guard-on facade can
+  // adopt a plan cached by a guard-off one; its sequential executor must
+  // still take the guard from the facade's own config.
+  auto context = std::make_shared<api::SymbolicContext>();
+  api::SolverConfig off;
+  off.enable_parallel = false;
+  api::SolverConfig on = off;
+  on.options.guard_workspace = true;
+  const CscMatrix a = gen::grid2d_laplacian(12, 12);
+
+  api::Solver planner(off, context);
+  planner.factor(a);
+  api::Solver guarded(on, context);
+  guarded.factor(a);
+  ASSERT_TRUE(guarded.symbolic_cached());
+  ASSERT_FALSE(guarded.plan()->options.guard_workspace);
+  EXPECT_TRUE(guarded.workspace_guarded());
+#ifdef NDEBUG
+  EXPECT_FALSE(planner.workspace_guarded());
+#endif
+
+  const CscMatrix l = planner.factor_csc();
+  std::vector<index_t> beta(static_cast<std::size_t>(l.cols()));
+  for (index_t j = 0; j < l.cols(); ++j) beta[j] = j;
+  const api::TriangularSolver tri_planner(l, beta, off, context);
+  const api::TriangularSolver tri_guarded(l, beta, on, context);
+  ASSERT_TRUE(tri_guarded.symbolic_cached());
+  ASSERT_FALSE(tri_guarded.plan()->options.guard_workspace);
+  EXPECT_TRUE(tri_guarded.workspace_guarded());
+#ifdef NDEBUG
+  EXPECT_FALSE(tri_planner.workspace_guarded());
+#endif
+}
+
 #ifdef SYMPILER_HAS_OPENMP
 TEST(ZeroAllocation, WarmParallelFactorAndBatchSolve) {
   // The level-set parallel interpreter keeps one grow-only workspace per

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <span>
@@ -57,17 +58,6 @@ TEST_P(PotrfTest, FactorReconstructsMatrix) {
       EXPECT_NEAR(s, a[i + j * n], 1e-9 * n) << "(" << i << "," << j << ")";
     }
   }
-}
-
-TEST_P(PotrfTest, SmallDispatchMatchesGeneric) {
-  const index_t n = GetParam();
-  const std::vector<value_t> a = random_spd_dense(n, 200 + n);
-  std::vector<value_t> l1 = a, l2 = a;
-  blas::potrf_lower(n, l1.data(), n);
-  blas::potrf_lower_small(n, l2.data(), n);
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = j; i < n; ++i)
-      EXPECT_NEAR(l1[i + j * n], l2[i + j * n], 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PotrfTest,
@@ -167,16 +157,16 @@ TEST(Gemm, HandlesDegenerateShapes) {
   for (const value_t v : c) EXPECT_DOUBLE_EQ(v, 1.0);
 }
 
-TEST(Syrk, LowerMinusMatchesGemmOnLowerTriangle) {
-  const index_t n = 8, k = 6;
-  const std::vector<value_t> a = random_vec(n * k, 800);
-  std::vector<value_t> c1 = random_vec(n * n, 801);
+TEST(Trapezoid, MatchesGemmOnLowerTrapezoid) {
+  const index_t m = 11, n = 8, k = 6;
+  const std::vector<value_t> a = random_vec(m * k, 800);
+  std::vector<value_t> c1 = random_vec(m * n, 801);
   std::vector<value_t> c2 = c1;
-  blas::syrk_lower_minus(n, k, a.data(), n, c1.data(), n);
-  blas::gemm_nt_minus(n, n, k, a.data(), n, a.data(), n, c2.data(), n);
+  blas::syrk_trapezoid_minus(m, n, k, a.data(), m, c1.data(), m);
+  blas::gemm_nt_minus(m, n, k, a.data(), m, a.data(), m, c2.data(), m);
   for (index_t j = 0; j < n; ++j)
-    for (index_t i = j; i < n; ++i)
-      EXPECT_NEAR(c1[i + j * n], c2[i + j * n], 1e-12);
+    for (index_t i = j; i < m; ++i)
+      EXPECT_NEAR(c1[i + j * m], c2[i + j * m], 1e-12);
 }
 
 TEST(Gemv, MinusAndTransposeMinus) {
@@ -252,16 +242,122 @@ TEST(BitIdentity, GemmAllShapes) {
   }
 }
 
-TEST(BitIdentity, SyrkAllShapes) {
-  for (const index_t k : {1, 3, 9}) {
-    for (index_t n = 1; n <= 64; ++n) {
-      const index_t lda = n + 2, ldc = n + 4;
-      const std::vector<value_t> a = ragged(n, lda, k, 4000 + n + k);
-      std::vector<value_t> c1 = ragged(n, ldc, n, 5000 + n + k);
-      std::vector<value_t> c2 = c1;
-      blas::syrk_lower_minus_ref(n, k, a.data(), lda, c1.data(), ldc);
-      blas::syrk_lower_minus(n, k, a.data(), lda, c2.data(), ldc);
-      expect_bits_equal(c1, c2, "syrk");
+/// Poison the strictly-upper triangle of the top n-by-n block of an
+/// lda-strided buffer: a NaN sentinel (a payload no arithmetic makes) on
+/// every other entry, and a finite value on the rest, since arithmetic
+/// passes a quiet NaN's payload through but changes a finite value.
+void poison_upper(std::vector<value_t>& a, index_t lda, index_t n) {
+  const std::uint64_t bits = 0x7ff80000deadbeefull;
+  value_t sentinel;
+  std::memcpy(&sentinel, &bits, sizeof(sentinel));
+  for (index_t j = 1; j < n; ++j)
+    for (index_t i = 0; i < j; ++i)
+      a[i + j * lda] = (i + j) % 2 == 0 ? sentinel : 0.375 + i - j;
+}
+
+void expect_memcmp_equal(const std::vector<value_t>& a,
+                         const std::vector<value_t>& b, const char* what,
+                         index_t m, index_t n) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)), 0)
+      << what << " differs at m=" << m << " n=" << n;
+}
+
+TEST(BitIdentity, TrapezoidAllShapes) {
+  // Every m >= n up to 64 with ragged leading dimensions: the lower
+  // trapezoid equals gemm_nt_minus_ref's, and every other word of the
+  // buffer (upper-triangle sentinel, lda padding) comes back unchanged.
+  for (const index_t k : {1, 3, 8, 9}) {
+    for (index_t m = 1; m <= 64; ++m) {
+      for (index_t n = 1; n <= m; ++n) {
+        const index_t lda = m + 2, ldc = m + 3;
+        const std::vector<value_t> a = ragged(m, lda, k, 4000 + m + n + k);
+        std::vector<value_t> c = ragged(m, ldc, n, 5000 + m + n + k);
+        poison_upper(c, ldc, n);
+        std::vector<value_t> want = c;
+        blas::gemm_nt_minus_ref(m, n, k, a.data(), lda, a.data(), lda,
+                                want.data(), ldc);
+        for (index_t j = 1; j < n; ++j)
+          for (index_t i = 0; i < j; ++i)
+            want[i + j * ldc] = c[i + j * ldc];
+        blas::syrk_trapezoid_minus(m, n, k, a.data(), lda, c.data(), ldc);
+        expect_memcmp_equal(c, want, "trapezoid", m, n);
+      }
+    }
+  }
+}
+
+/// The top-left m-by-w block of an SPD matrix (every leading principal
+/// block of an SPD matrix is SPD), in an lda-strided buffer with NaN
+/// padding and poison_upper's sentinels above the diagonal.
+std::vector<value_t> spd_panel(const std::vector<value_t>& spd, index_t big,
+                               index_t m, index_t w, index_t lda) {
+  std::vector<value_t> a(static_cast<std::size_t>(lda) * w,
+                         std::numeric_limits<value_t>::quiet_NaN());
+  for (index_t j = 0; j < w; ++j)
+    for (index_t i = 0; i < m; ++i) a[i + j * lda] = spd[i + j * big];
+  poison_upper(a, lda, w);
+  return a;
+}
+
+TEST(BitIdentity, PotrfPanelAllShapes) {
+  // potrf_panel(m, w) against potrf_lower_ref(w) + trsm_right_lower_trans_ref
+  // (m - w) for every w <= m <= 64, ragged lda: whole buffers memcmp-equal,
+  // so the upper sentinels and the padding come back bit-unchanged.
+  const index_t big = 64;
+  const std::vector<value_t> spd = random_spd_dense(big, 5900);
+  for (index_t m = 1; m <= big; ++m) {
+    for (index_t w = 1; w <= m; ++w) {
+      const index_t lda = m + (m + w) % 4;
+      const std::vector<value_t> a = spd_panel(spd, big, m, w, lda);
+      std::vector<value_t> want = a, got = a;
+      blas::potrf_lower_ref(w, want.data(), lda);
+      if (m > w)
+        blas::trsm_right_lower_trans_ref(m - w, w, want.data(), lda,
+                                         want.data() + w, lda);
+      blas::potrf_panel(m, w, got.data(), lda);
+      expect_memcmp_equal(got, want, "potrf_panel", m, w);
+      if (m == w) {
+        std::vector<value_t> square = a;
+        blas::potrf_lower(w, square.data(), lda);
+        expect_memcmp_equal(square, want, "potrf_lower", m, w);
+      }
+    }
+  }
+}
+
+TEST(BitIdentity, PotrfPanelPivotFailureMatchesReference) {
+  // A non-positive (or NaN) pivot throws at the column, and with the
+  // value, that potrf_lower_ref reports.
+  const index_t big = 40;
+  const std::vector<value_t> spd = random_spd_dense(big, 5950);
+  const auto failure = [](auto&& factor) {
+    try {
+      factor();
+    } catch (const numerical_error& e) {
+      return std::make_pair(e.pivot_index(), e.pivot_value());
+    }
+    return std::make_pair(std::int64_t{-2}, 0.0);
+  };
+  for (const index_t w : {1, 5, 8, 9, 17, 33}) {
+    for (const index_t m : {w, w + 7}) {
+      for (index_t bad = 0; bad < w; bad += 3) {
+        for (const value_t poison :
+             {-1.0, 0.0, std::numeric_limits<value_t>::quiet_NaN()}) {
+          std::vector<value_t> a = spd_panel(spd, big, m, w, m + 1);
+          a[bad + bad * (m + 1)] = poison;
+          std::vector<value_t> r = a, p = a;
+          const auto want =
+              failure([&] { blas::potrf_lower_ref(w, r.data(), m + 1); });
+          const auto got =
+              failure([&] { blas::potrf_panel(m, w, p.data(), m + 1); });
+          ASSERT_EQ(want.first, bad) << "w=" << w << " m=" << m;
+          EXPECT_EQ(got.first, want.first) << "w=" << w << " m=" << m;
+          EXPECT_EQ(std::memcmp(&got.second, &want.second, sizeof(value_t)),
+                    0)
+              << "w=" << w << " m=" << m << " column " << bad;
+        }
+      }
     }
   }
 }

@@ -3,13 +3,16 @@
 // across option combinations and pattern regimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <tuple>
 
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
 #include "core/jit.h"
 #include "core/plan_compiler.h"
+#include "core/supernode_body.h"
 #include "core/symbolic_cache.h"
 #include "core/trisolve_executor.h"
 #include "gen/generators.h"
@@ -121,6 +124,51 @@ TEST_P(PlanCompiledCholesky, KernelBitIdenticalToInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PlanCompiledCholesky,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Range(0, 4)));
+
+TEST(PlanCompiledCholesky, WholePanelsMemcmpEqualToInterpreter) {
+  // Every panel word, the strictly-upper triangle of each diagonal block
+  // included: the interpreter's fused potrf_panel and trapezoid update
+  // tiles must leave exactly what the kernel's _ref-order helpers leave.
+  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
+  for (int c = 0; c < 4; ++c) {
+    for (const bool low_level : {false, true}) {
+      const CscMatrix a = codegen_matrix(c);
+      SympilerOptions opt;
+      opt.low_level = low_level;
+      opt.vsblock_min_avg_size = 0.0;
+      opt.vsblock_min_avg_width = 0.0;
+      const auto plan = sequential_cholesky_plan(a, opt);
+      ASSERT_EQ(plan->path, ExecutionPath::Supernodal);
+      const solvers::SupernodalLayout& layout = plan->sets.layout;
+      index_t max_m = 1, max_w = 1;
+      for (index_t s = 0; s < layout.nsuper(); ++s) {
+        max_m = std::max(max_m, layout.nrows(s));
+        max_w = std::max(max_w, layout.width(s));
+      }
+      std::vector<value_t> work(static_cast<std::size_t>(max_m) * max_w);
+      std::vector<index_t> map(static_cast<std::size_t>(layout.n));
+      const auto total = static_cast<std::size_t>(layout.total_values());
+
+      std::vector<value_t> interp(total, 1.0);
+      const bool peel = specialized_kernels(plan->options, plan->sets);
+      for (index_t s = 0; s < layout.nsuper(); ++s)
+        factor_supernode(plan->sets, a, s, interp.data(), map.data(),
+                         work.data(), peel);
+
+      const auto kernel = PlanCompiler::compile(*plan);
+      ASSERT_NE(kernel, nullptr) << plan->jit->failure();
+      std::vector<value_t> compiled(total, 1.0);
+      ASSERT_EQ(kernel->entry<PlanCholeskyFn>()(
+                    a.colptr.data(), a.rowind.data(), a.values.data(),
+                    compiled.data(), work.data(), map.data()),
+                0);
+      EXPECT_EQ(std::memcmp(interp.data(), compiled.data(),
+                            total * sizeof(value_t)),
+                0)
+          << "case " << c << " low_level " << low_level;
+    }
+  }
+}
 
 TEST(PlanCompiledMerged, KernelFactorEqualsInterpreterOnMergedPlan) {
   // The compiled kernel zero-fills and scatters every panel up front; the

@@ -3,6 +3,8 @@
 // library baselines on every generator regime.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <tuple>
 
 #include "core/cholesky_executor.h"
@@ -10,9 +12,12 @@
 #include "core/trisolve_executor.h"
 #include "gen/generators.h"
 #include "graph/reach.h"
+#include "lu/lu.h"
+#include "order/rcm.h"
 #include "solvers/simplicial.h"
 #include "solvers/trisolve.h"
 #include "sparse/ops.h"
+#include "support/trisolve_oracle.h"
 
 namespace sympiler {
 namespace {
@@ -226,6 +231,96 @@ TEST(TriSolveExecutor, FlopsMatchReachColumns) {
   EXPECT_DOUBLE_EQ(exec.flops(),
                    solvers::trisolve_flops(l, exec.sets().reach));
   EXPECT_GT(exec.flops(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass blocked trisolve reads each column of L once but applies
+// every term in the two-pass order, so solve() and solve_batch() equal the
+// two-pass oracle bit for bit (no host compiler needed, unlike the
+// PlanCompiledTriSolve sweep).
+// ---------------------------------------------------------------------------
+
+void expect_one_pass_matches_two_pass(const CscMatrix& l,
+                                      const std::vector<value_t>& b,
+                                      const core::SympilerOptions& opt,
+                                      const std::string& what) {
+  const index_t n = l.cols();
+  std::vector<index_t> beta;
+  for (index_t i = 0; i < n; ++i)
+    if (b[i] != 0.0) beta.push_back(i);
+  const core::TriSolveExecutor exec(l, beta, opt);
+  ASSERT_EQ(exec.plan().path, core::ExecutionPath::BlockedTriSolve) << what;
+
+  // Five right-hand sides with b's pattern and different values.
+  constexpr index_t kRhs = 5;
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<value_t> xs(un * kRhs);
+  for (index_t r = 0; r < kRhs; ++r)
+    for (std::size_t i = 0; i < un; ++i) xs[r * un + i] = b[i] * (1.0 + r);
+  std::vector<value_t> want = xs;
+  for (index_t r = 0; r < kRhs; ++r)
+    support::blocked_trisolve_two_pass(
+        exec.plan(), l, std::span<value_t>(want).subspan(r * un, un));
+
+  std::vector<value_t> x(xs.begin(), xs.begin() + n);
+  exec.solve(x);
+  ASSERT_EQ(std::memcmp(x.data(), want.data(), un * sizeof(value_t)), 0)
+      << what << ": solve() differs from the two-pass oracle";
+  exec.solve_batch(xs, kRhs);
+  ASSERT_EQ(std::memcmp(xs.data(), want.data(), xs.size() * sizeof(value_t)),
+            0)
+      << what << ": solve_batch() differs from the two-pass oracle";
+}
+
+TEST(TriSolveOnePass, SolveAndBatchMatchTwoPassOracleOnEveryCase) {
+  for (int c = 0; c < kNumCases; ++c) {
+    const CscMatrix a = case_matrix(c);
+    solvers::SimplicialCholesky chol(a);
+    chol.factorize(a);
+    const CscMatrix& l = chol.factor();
+    const std::vector<value_t> b =
+        gen::sparse_rhs(l.cols(), 1 + l.cols() / 50, 4321 + c);
+    for (int combo = 0; combo < 4; ++combo)
+      expect_one_pass_matches_two_pass(
+          l, b, make_options(true, combo & 1, combo & 2),
+          "case " + std::to_string(c) + " combo " + std::to_string(combo));
+  }
+}
+
+TEST(TriSolveOnePass, DenseCornerLuFactorMatchesTwoPassOracle) {
+  // A power grid ordered by minimum degree and factored by the GP LU (the
+  // transient-simulation input): its hub buses leave a dense corner of
+  // max-width blocks whose tails are longer than the blocks are wide.
+  const index_t n = 12000;
+  const CscMatrix raw = gen::power_grid(n, n / 5, 11);
+  const CscMatrix lower =
+      permute_symmetric_lower(raw, order::minimum_degree(raw));
+  const CscMatrix a = symmetric_full_from_lower(lower);
+  lu::LuFactor lu(a);
+  lu.factorize(a);
+  const CscMatrix l = lu.lower();
+  const std::vector<value_t> b = gen::sparse_rhs(n, 24, 5);
+
+  core::SympilerOptions opt;
+  std::vector<index_t> beta;
+  for (index_t i = 0; i < n; ++i)
+    if (b[i] != 0.0) beta.push_back(i);
+  const core::TriSolveExecutor probe(l, beta, opt);
+  const core::TriSolveSets& sets = probe.sets();
+  bool dense_corner = false;
+  for (const index_t s : sets.sn_reach) {
+    const index_t c1 = sets.blocks.start[s];
+    const index_t w = sets.blocks.start[s + 1] - c1;
+    if (w == opt.max_supernode_width && sets.colcount[c1] - w > w)
+      dense_corner = true;
+  }
+  ASSERT_TRUE(dense_corner)
+      << "no reached block of width " << opt.max_supernode_width
+      << " with a longer tail";
+
+  expect_one_pass_matches_two_pass(l, b, opt, "dense corner");
+  opt.low_level = false;
+  expect_one_pass_matches_two_pass(l, b, opt, "dense corner, unpaired");
 }
 
 }  // namespace

@@ -491,6 +491,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
        ErrorCode::kStalePlanVersion},
       {"format version 4 (etree, counts and block-set copies)", 8, 4, 4,
        ErrorCode::kStalePlanVersion},
+      {"format version 5 (layout copy of the flop count)", 8, 5, 4,
+       ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
       {"index ABI", 16, 8, 2, ErrorCode::kStalePlanVersion},
@@ -941,7 +943,7 @@ TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
   EXPECT_FALSE(rewarmed.degraded());
 }
 
-TEST(RestartWarmStart, VersionFourFileIsReplannedAndRewrittenAtVersionFive) {
+TEST(RestartWarmStart, VersionFiveFileIsReplannedAndRewrittenAtVersionSix) {
   TempDir dir;
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
   api::SolverConfig config;
@@ -967,7 +969,7 @@ TEST(RestartWarmStart, VersionFourFileIsReplannedAndRewrittenAtVersionFive) {
   };
   ASSERT_EQ(file_version(), core::kPlanFormatVersion);
 
-  // Stamp the file as a version-4 build left it: version 5 changed no
+  // Stamp the file as a version-5 build left it: version 6 changed no
   // option and no gate, so the config hash and the file name are the same
   // and the store opens the old file under its current name.
   std::vector<std::uint8_t> image;
@@ -976,7 +978,7 @@ TEST(RestartWarmStart, VersionFourFileIsReplannedAndRewrittenAtVersionFive) {
     image.assign(std::istreambuf_iterator<char>(f),
                  std::istreambuf_iterator<char>());
   }
-  wr<std::uint32_t>(image, 8, 4);
+  wr<std::uint32_t>(image, 8, 5);
   fix_header_crc(image);
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
@@ -994,7 +996,7 @@ TEST(RestartWarmStart, VersionFourFileIsReplannedAndRewrittenAtVersionFive) {
   EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
   EXPECT_EQ(store->stats().discards, discards_before + 1);
   store->flush();
-  EXPECT_EQ(file_version(), 5u);
+  EXPECT_EQ(file_version(), 6u);
   api::FactorReport rewarmed;
   expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
