@@ -6,6 +6,7 @@
 // actually produce (the acceptance shape is the supernodal gemm update,
 // m~64 k~16). GF/s for both tiers plus the speedup; the two tiers are
 // bit-identical (tests/test_blas.cpp), so this measures pure scheduling.
+// Their samples alternate (time_pair), so host drift reaches both alike.
 //
 // Section 2 — multi-RHS kernel scaling. trsm_lower_multi throughput as the
 // packed block widens: the per-column dependency chains are identical to
@@ -41,6 +42,8 @@
 #include <random>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/solver.h"
@@ -93,6 +96,26 @@ double kernel_seconds(const std::function<void()>& fn, int inner, int reps) {
   return median(samples);
 }
 
+/// Median seconds per call of a baseline and a candidate form, their
+/// samples (`inner` calls each) taken alternately so that clock drift on a
+/// shared machine reaches both sides alike. Returns {baseline, candidate}.
+std::pair<double, double> time_pair(const std::function<void()>& baseline,
+                                    const std::function<void()>& candidate,
+                                    int inner, bool smoke) {
+  baseline();  // warm-up
+  candidate();
+  const int reps = smoke ? 5 : 11;
+  std::vector<double> base, cand;
+  for (int r = 0; r < reps; ++r) {
+    for (const bool first : {r % 2 == 0, r % 2 != 0}) {
+      Timer t;
+      for (int i = 0; i < inner; ++i) first ? baseline() : candidate();
+      (first ? base : cand).push_back(t.seconds() / inner);
+    }
+  }
+  return {median(base), median(cand)};
+}
+
 struct KernelRow {
   std::string name;
   index_t m = 0, n = 0, k = 0;
@@ -132,19 +155,15 @@ KernelRow bench_gemm(index_t m, index_t n, index_t k, bool smoke) {
   const std::vector<value_t> b = random_vec(static_cast<std::size_t>(n) * k);
   std::vector<value_t> c(static_cast<std::size_t>(m) * n, 0.0);
   KernelRow row{"gemm_nt_minus", m, n, k, 2.0 * m * n * k, 0, 0};
-  const int inner = inner_iters(row.flops, smoke);
-  const int reps = smoke ? 3 : 5;
-  row.ref_seconds = kernel_seconds(
+  std::tie(row.ref_seconds, row.new_seconds) = time_pair(
       [&] {
         blas::gemm_nt_minus_ref(m, n, k, a.data(), m, b.data(), n, c.data(),
                                 m);
       },
-      inner, reps);
-  row.new_seconds = kernel_seconds(
       [&] {
         blas::gemm_nt_minus(m, n, k, a.data(), m, b.data(), n, c.data(), m);
       },
-      inner, reps);
+      inner_iters(row.flops, smoke), smoke);
   return row;
 }
 
@@ -152,20 +171,16 @@ KernelRow bench_potrf(index_t n, bool smoke) {
   const std::vector<value_t> a = random_spd_dense(n);
   std::vector<value_t> l(a.size());
   KernelRow row{"potrf_lower", n, n, n, n / 3.0 * n * n, 0, 0};
-  const int inner = inner_iters(row.flops + 8.0 * n * n, smoke);
-  const int reps = smoke ? 3 : 5;
-  row.ref_seconds = kernel_seconds(
+  std::tie(row.ref_seconds, row.new_seconds) = time_pair(
       [&] {
         std::memcpy(l.data(), a.data(), a.size() * sizeof(value_t));
         blas::potrf_lower_ref(n, l.data(), n);
       },
-      inner, reps);
-  row.new_seconds = kernel_seconds(
       [&] {
         std::memcpy(l.data(), a.data(), a.size() * sizeof(value_t));
         blas::potrf_lower(n, l.data(), n);
       },
-      inner, reps);
+      inner_iters(row.flops + 8.0 * n * n, smoke), smoke);
   return row;
 }
 
@@ -176,20 +191,16 @@ KernelRow bench_trsm(index_t m, index_t n, bool smoke) {
   std::vector<value_t> b(b0.size());
   KernelRow row{"trsm_right_lower_trans", m, n, n,
                 static_cast<double>(m) * n * n, 0, 0};
-  const int inner = inner_iters(row.flops + 8.0 * m * n, smoke);
-  const int reps = smoke ? 3 : 5;
-  row.ref_seconds = kernel_seconds(
+  std::tie(row.ref_seconds, row.new_seconds) = time_pair(
       [&] {
         std::memcpy(b.data(), b0.data(), b.size() * sizeof(value_t));
         blas::trsm_right_lower_trans_ref(m, n, l.data(), n, b.data(), m);
       },
-      inner, reps);
-  row.new_seconds = kernel_seconds(
       [&] {
         std::memcpy(b.data(), b0.data(), b.size() * sizeof(value_t));
         blas::trsm_right_lower_trans(m, n, l.data(), n, b.data(), m);
       },
-      inner, reps);
+      inner_iters(row.flops + 8.0 * m * n, smoke), smoke);
   return row;
 }
 
@@ -198,14 +209,10 @@ KernelRow bench_gemv(index_t m, index_t n, bool smoke) {
   const std::vector<value_t> x = random_vec(static_cast<std::size_t>(n));
   std::vector<value_t> y(static_cast<std::size_t>(m), 0.0);
   KernelRow row{"gemv_minus", m, n, 1, 2.0 * m * n, 0, 0};
-  const int inner = inner_iters(row.flops, smoke);
-  const int reps = smoke ? 3 : 5;
-  row.ref_seconds = kernel_seconds(
+  std::tie(row.ref_seconds, row.new_seconds) = time_pair(
       [&] { blas::gemv_minus_ref(m, n, a.data(), m, x.data(), y.data()); },
-      inner, reps);
-  row.new_seconds = kernel_seconds(
-      [&] { blas::gemv_minus(m, n, a.data(), m, x.data(), y.data()); }, inner,
-      reps);
+      [&] { blas::gemv_minus(m, n, a.data(), m, x.data(), y.data()); },
+      inner_iters(row.flops, smoke), smoke);
   return row;
 }
 
@@ -448,27 +455,6 @@ struct OnePassRow {
   }
 };
 
-/// Median seconds per call of the row's baseline and one-pass forms, their
-/// samples (`inner` calls each) taken alternately so that clock drift on a
-/// shared machine reaches both sides alike.
-void time_pair(const std::function<void()>& baseline,
-               const std::function<void()>& one_pass, int inner, bool smoke,
-               OnePassRow& row) {
-  baseline();  // warm-up
-  one_pass();
-  const int reps = smoke ? 5 : 11;
-  std::vector<double> base, fused;
-  for (int r = 0; r < reps; ++r) {
-    for (const bool first : {r % 2 == 0, r % 2 != 0}) {
-      Timer t;
-      for (int i = 0; i < inner; ++i) first ? baseline() : one_pass();
-      (first ? base : fused).push_back(t.seconds() / inner);
-    }
-  }
-  row.baseline_seconds = median(base);
-  row.one_pass_seconds = median(fused);
-}
-
 /// potrf_panel(m, w) vs potrf_lower(w) + trsm_right_lower_trans(m - w, w).
 OnePassRow bench_potrf_panel(index_t w, index_t below, bool smoke) {
   const index_t m = w + below;
@@ -476,7 +462,7 @@ OnePassRow bench_potrf_panel(index_t w, index_t below, bool smoke) {
   std::vector<value_t> p(spd.size());
   OnePassRow row{"potrf_panel", m, w, w, 0, 0};
   const double flops = w / 3.0 * w * w + static_cast<double>(below) * w * w;
-  time_pair(
+  std::tie(row.baseline_seconds, row.one_pass_seconds) = time_pair(
       [&] {
         std::memcpy(p.data(), spd.data(), p.size() * sizeof(value_t));
         blas::potrf_lower(w, p.data(), m);
@@ -487,7 +473,7 @@ OnePassRow bench_potrf_panel(index_t w, index_t below, bool smoke) {
         std::memcpy(p.data(), spd.data(), p.size() * sizeof(value_t));
         blas::potrf_panel(m, w, p.data(), m);
       },
-      inner_iters(flops + 8.0 * m * w, smoke), smoke, row);
+      inner_iters(flops + 8.0 * m * w, smoke), smoke);
   return row;
 }
 
@@ -497,12 +483,12 @@ OnePassRow bench_trapezoid(index_t m, index_t n, index_t k, bool smoke) {
   const std::vector<value_t> a = random_vec(static_cast<std::size_t>(m) * k);
   std::vector<value_t> c(static_cast<std::size_t>(m) * n, 0.0);
   OnePassRow row{"update_tile", m, n, k, 0, 0};
-  time_pair(
+  std::tie(row.baseline_seconds, row.one_pass_seconds) = time_pair(
       [&] {
         blas::gemm_nt_minus(m, n, k, a.data(), m, a.data(), m, c.data(), m);
       },
       [&] { blas::syrk_trapezoid_minus(m, n, k, a.data(), m, c.data(), m); },
-      inner_iters(2.0 * m * n * k, smoke), smoke, row);
+      inner_iters(2.0 * m * n * k, smoke), smoke);
   return row;
 }
 
@@ -585,7 +571,7 @@ OnePassRow bench_trisolve_one_pass(index_t n, bool smoke) {
   }
   row.k = max_tail;
   std::vector<value_t> x(b.size()), tail(static_cast<std::size_t>(max_tail));
-  time_pair(
+  std::tie(row.baseline_seconds, row.one_pass_seconds) = time_pair(
       [&] {
         std::memcpy(x.data(), b.data(), x.size() * sizeof(value_t));
         trisolve_two_pass(exec.plan(), l, x, tail);
@@ -594,7 +580,7 @@ OnePassRow bench_trisolve_one_pass(index_t n, bool smoke) {
         std::memcpy(x.data(), b.data(), x.size() * sizeof(value_t));
         exec.solve(x);
       },
-      smoke ? 20 : 200, smoke, row);
+      smoke ? 20 : 200, smoke);
   return row;
 }
 

@@ -463,8 +463,8 @@ int main(int argc, char** argv) {
     Timer t_cold_total;
     cold.factor(a);
     const double cold_total = t_cold_total.seconds();
-    // Plan size before the jit tier below publishes a kernel into it —
-    // the facade's write-behind gate decides on this pre-jit size.
+    // Plan size before the compile below publishes a kernel into it — the
+    // facade's write-behind gate decides on this uncompiled size.
     const std::size_t plan_bytes = cold.plan()->bytes();
 
     // Numeric-only refactorization time (pattern key short-circuits; the
@@ -476,16 +476,15 @@ int main(int argc, char** argv) {
     const double sym_cold = cold_total > t_numeric ? cold_total - t_numeric
                                                    : 0.0;
 
-    // Plan-compiled kernel tier: compile the resident plan explicitly (the
-    // facade's kWarm/kAlways modes would do this on their own; driving it
-    // here keeps the off-by-default knob from hiding the comparison), then
-    // re-measure the warm numeric phase through the published kernel. The
-    // default source cap applies — big suite patterns that exceed it
-    // honestly record jit_compiled = false and keep the interpreter time.
+    // Plan-compiled kernel: compile the resident plan explicitly (no
+    // facade compiles), then re-measure the warm numeric phase through the
+    // published kernel. The default source cap applies — big suite
+    // patterns that exceed it honestly record jit_compiled = false and
+    // keep the interpreter time.
     double numeric_jit = t_numeric;
     double jit_compile = 0.0;
     bool jit_compiled = false;
-    if (cold.plan()->evidence.jit_eligible) {
+    if (core::PlanCompiler::eligible(*cold.plan())) {
       const std::size_t cap =
           static_cast<std::size_t>(core::SympilerOptions{}.jit_max_source_kb) *
           1024;
@@ -524,8 +523,7 @@ int main(int argc, char** argv) {
     // default runs this inside plan_cholesky; timing it standalone here
     // keeps the sym-cold column comparable to prior trajectories).
     // audit_emitted_code stays off to match the wired default: the
-    // planner only audits emitted source when JIT is enabled, where the
-    // re-emission cost amortizes against the host-compiler invocation.
+    // planner never audits emitted source.
     verify::VerifyOptions vopt;
     vopt.audit_emitted_code = false;
     const verify::Report vreport = verify::verify_plan(*cold.plan(), vopt);

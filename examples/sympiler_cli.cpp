@@ -59,7 +59,7 @@ int run_verify(const CscMatrix& a, core::SympilerOptions opt) {
   const core::Planner planner(cfg);
   const core::CholeskyPlan cplan = planner.plan_cholesky(a);
   verify::VerifyOptions vo;
-  vo.audit_emitted_code = cplan.evidence.jit_eligible;
+  vo.audit_emitted_code = core::PlanCompiler::eligible(cplan);
   const verify::Report creport = verify::verify_plan(cplan, vo);
   std::printf("cholesky %s\n", creport.to_string().c_str());
 
@@ -68,7 +68,7 @@ int run_verify(const CscMatrix& a, core::SympilerOptions opt) {
   for (index_t j = 0; j < l.cols(); ++j) beta[j] = j;
   const core::TriSolvePlan tplan = planner.plan_trisolve(l, beta);
   verify::VerifyOptions tvo;
-  tvo.audit_emitted_code = tplan.evidence.jit_eligible;
+  tvo.audit_emitted_code = core::PlanCompiler::eligible(tplan);
   const verify::Report treport = verify::verify_plan(tplan, l, beta, tvo);
   std::printf("trisolve %s\n", treport.to_string().c_str());
   return creport.ok() && treport.ok() ? 0 : 1;

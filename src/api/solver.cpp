@@ -6,7 +6,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/plan_compiler.h"
 #include "core/plan_store.h"
 #include "parallel/levelset.h"
 #include "solvers/supernodal.h"
@@ -26,7 +25,6 @@ std::string FactorReport::to_string() const {
                         : "ok (no degradation)";
   std::ostringstream os;
   os << "degraded:";
-  if (jit_degraded) os << " jit->interpreter";
   if (serial_fallback) os << " parallel->serial";
   if (store_recovered) os << " store->replan";
   if (shift_attempts_used > 0)
@@ -73,48 +71,12 @@ void check_values_finite(const CscMatrix& m, const char* who) {
                                  std::to_string(p));
 }
 
-/// JitMode dispatch tier of both facades, and the first rung of the
-/// degradation ladder. Counts this facade use of the plan and, once the
-/// mode's gate passes (has the pattern recurred enough to amortize the
-/// compile?), calls `compile(cap)` to lower the plan and re-weigh its
-/// cache entry; the executor adopts the published kernel on the same
-/// call. PlanCompiler contains its own failures via JitSlot::mark_failed,
-/// and anything that still escapes is contained here. A failure is
-/// sticky: the interpreter (bit-identical by contract) serves every later
-/// call, and each records jit_degraded in `report`.
-template <class Plan, class Compile>
-void run_jit_tier(const core::SympilerOptions& opt, const Plan& plan,
-                  FactorReport& report, const Compile& compile) {
-  // kOff returns before any other work: the warm path allocates nothing.
-  if (opt.jit == core::JitMode::kOff || !plan.evidence.jit_eligible) return;
-  const core::JitSlot& slot = *plan.jit;
-  try {
-    if (!slot.failed() && slot.kernel() == nullptr) {
-      const std::uint64_t uses = slot.note_use();
-      const std::size_t cap =
-          opt.jit_max_source_kb > 0
-              ? static_cast<std::size_t>(opt.jit_max_source_kb) * 1024
-              : 0;
-      if (opt.jit != core::JitMode::kWarm ||
-          uses >= static_cast<std::uint64_t>(opt.jit_warm_calls))
-        compile(cap);
-    }
-  } catch (const std::exception& e) {
-    slot.mark_failed(e.what());
-  }
-  if (slot.failed()) {
-    report.jit_degraded = true;
-    if (report.last_error.ok())
-      report.last_error = Status{ErrorCode::kJitUnavailable, slot.failure()};
-  }
-}
-
 /// Plan lookup of both facades: the in-memory plan cache, and behind it
 /// the persistence tier when opt.plan_store_dir is set (core/plan_store.h,
 /// docs/persistence.md). On a cache miss the store is tried before `build`
 /// replans; a loaded plan is published only after `reverify` passes. A
 /// rejected file — corrupt, stale, or failing re-verification — takes
-/// rung 5 of the degradation ladder: discard it, replan from the matrix,
+/// rung 4 of the degradation ladder: discard it, replan from the matrix,
 /// and let the write-behind rewrite a good file. The write-behind is
 /// gated: plans whose estimated load cost exceeds half their measured
 /// build time are cheaper to replan after a restart than to load, so the
@@ -196,21 +158,15 @@ void Solver::factor(const CscMatrix& a_lower) {
   factorized_ = false;
   report_ = {};
   prepare_symbolic(a_lower);
-  run_jit_tier(config_.options, *plan_, report_, [&](std::size_t cap) {
-    if (core::PlanCompiler::compile(*plan_, cap) != nullptr)
-      // The plan just grew by the artifact: tell the cache ledger so the
-      // kernel is budgeted — and evicted — with its plan.
-      context_->cholesky_cache().refresh_bytes(key_);
-  });
   factor_numeric(a_lower);
   factorized_ = true;
 }
 
 void Solver::run_numeric(const CscMatrix& a_lower) {
   // Thin dispatch on the plan's path — every decision was made at plan
-  // time and cached with the plan. When a plan-compiled kernel has been
-  // published, the executor adopts it internally (same buffers, pinned
-  // bit-identical).
+  // time and cached with the plan. When a caller has compiled the plan
+  // (PlanCompiler::compile), the executor adopts the kernel internally
+  // (same buffers, pinned bit-identical).
   if (plan_->path == ExecutionPath::ParallelSupernodal) {
     Status fallback;
     if (parallel::parallel_cholesky(*plan_, a_lower, panels_, &fallback)) {
@@ -421,7 +377,6 @@ TriangularSolver::TriangularSolver(const CscMatrix& l,
     : context_(context ? std::move(context)
                        : std::make_shared<SymbolicContext>(
                              config.cache_byte_budget, config.cache_shards)),
-      config_(config),
       l_(&l),
       n_(l.cols()),
       executor_(lookup_trisolve_plan(l, beta, config, *context_,
@@ -439,18 +394,19 @@ TriangularSolver::TriangularSolver(const CscMatrix& l,
   }
 }
 
-void TriangularSolver::prepare_jit() const {
-  const core::TriSolvePlan& plan = executor_.plan();
-  run_jit_tier(config_.options, plan, report_, [&](std::size_t cap) {
-    if (core::PlanCompiler::compile(plan, *l_, cap) != nullptr)
-      context_->trisolve_cache().refresh_bytes(plan.key);
-  });
+void TriangularSolver::clear_fallback() const {
+  // The store outcome recorded at construction stays; last_error is reset
+  // only when it was this rung's (move-assigning an empty Status frees and
+  // never allocates).
+  if (!report_.serial_fallback) return;
+  report_.serial_fallback = false;
+  report_.last_error = Status{};
 }
 
 void TriangularSolver::solve(std::span<value_t> x) const {
   SYMPILER_CHECK(static_cast<index_t>(x.size()) == n_,
                  "triangular solver: size mismatch");
-  prepare_jit();
+  clear_fallback();
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
     // Level-set interpreter with the plan's privatized update slots:
     // atomic-free, bit-identical to executor_.solve() at any thread count.
@@ -486,7 +442,7 @@ void TriangularSolver::solve_batch(std::span<value_t> xs, index_t nrhs) const {
   const std::size_t n = static_cast<std::size_t>(n_);
   SYMPILER_CHECK(xs.size() == n * static_cast<std::size_t>(nrhs),
                  "triangular solver: batch size mismatch");
-  prepare_jit();
+  clear_fallback();
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
     // Blocked level-set path: packed RHS blocks sweep the plan schedule
     // (parallel inside each level), per column bit-identical to looped

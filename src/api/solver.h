@@ -54,15 +54,10 @@ struct SolverConfig : core::PlannerConfig {
 
 /// What the graceful-degradation ladder did on the most recent
 /// factor()/solve() of a facade (docs/robustness.md). A degraded run still
-/// produced a correct result — via the interpreter instead of the JIT
-/// kernel, a serial re-execution instead of the parallel sweep, or a
-/// diagonally shifted factorization — and this record says which rung
-/// served it and what failure it absorbed.
+/// produced a correct result — via a serial re-execution instead of the
+/// parallel sweep, or a diagonally shifted factorization — and this record
+/// says which rung served it and what failure it absorbed.
 struct FactorReport {
-  /// The JIT tier failed (compile/load error, injected fault) and the
-  /// plan interpreter served the call instead. Sticky per plan: the slot
-  /// remembers the failure, so later calls degrade without retrying.
-  bool jit_degraded = false;
   /// A parallel sweep hit an infrastructure fault and the same schedule
   /// was re-executed serially (bit-identical by the determinism contract).
   bool serial_fallback = false;
@@ -78,7 +73,7 @@ struct FactorReport {
   /// to what the Planner would build.
   bool store_loaded = false;
   /// A persisted plan file was found but rejected — corrupt, stale, or
-  /// failed load-time re-verification. Rung 5 discarded the file,
+  /// failed load-time re-verification. Rung 4 discarded the file,
   /// replanned from the matrix, and queued a rewrite; last_error carries
   /// the rejection.
   bool store_recovered = false;
@@ -87,8 +82,7 @@ struct FactorReport {
   Status last_error;
 
   [[nodiscard]] bool degraded() const {
-    return jit_degraded || serial_fallback || shift_attempts_used > 0 ||
-           store_recovered;
+    return serial_fallback || shift_attempts_used > 0 || store_recovered;
   }
   /// One-line summary for logs and --explain.
   [[nodiscard]] std::string to_string() const;
@@ -258,7 +252,8 @@ class TriangularSolver {
     return executor_.sets();
   }
   [[nodiscard]] CacheStats cache_stats() const;
-  /// Degradation record of the most recent solve()/solve_batch().
+  /// Degradation record of the most recent solve()/solve_batch(), plus the
+  /// store outcome of the plan lookup at construction.
   [[nodiscard]] const FactorReport& report() const { return report_; }
   /// True when both workspaces (the executor's and the parallel
   /// interpreters') throw on a concurrent borrow: guard_workspace of this
@@ -268,13 +263,11 @@ class TriangularSolver {
   }
 
  private:
-  /// The facades' JitMode dispatch tier for this solver's plan (see
-  /// solver.cpp); records jit_degraded in report(). Logically const:
-  /// compilation mutates only the plan's JitSlot and the cache ledger.
-  void prepare_jit() const;
+  /// Forget the previous call's serial fallback: the report covers one
+  /// call. Allocation-free (the warm-path contract).
+  void clear_fallback() const;
 
   std::shared_ptr<SymbolicContext> context_;
-  SolverConfig config_;
   const CscMatrix* l_;
   index_t n_ = 0;
   bool symbolic_cached_ = false;

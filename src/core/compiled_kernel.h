@@ -1,18 +1,15 @@
 // Compiled-kernel artifact riding on a cached ExecutionPlan.
 //
 // PlanCompiler (plan_compiler.h) lowers a plan to pattern-specialized C
-// and compiles it once per PatternKey; the resulting module is published
+// and compiles it when a caller asks; the resulting module is published
 // into the plan's JitSlot. The slot is the one mutable corner of an
 // otherwise immutable plan: write-once (first publisher wins, permanent
 // failure recorded the same way), guarded by its own mutex so executors on
-// any thread can adopt the kernel mid-stream. Because the plan's bytes()
-// counts the slot, the artifact is weighed by the PlanCache and evicted
-// together with its plan — dropping the plan drops the dlopen'd module.
+// any thread can adopt the kernel mid-stream. The plan's bytes() counts
+// the published artifact, and dropping the plan drops the dlopen'd module.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,7 +47,6 @@ struct CompiledKernel {
   std::string symbol;
   std::size_t source_bytes = 0;   ///< size of the emitted translation unit
   double compile_seconds = 0.0;   ///< wall time in the host compiler
-  index_t threads = 1;            ///< always 1: compiled kernels are serial
 
   template <typename Fn>
   [[nodiscard]] Fn entry() const {
@@ -86,7 +82,7 @@ class JitSlot {
   }
 
   /// Record a permanent compile failure (missing compiler, source over the
-  /// size cap, compiler error) so dispatch policies stop retrying.
+  /// size cap, compiler error) so later compile() calls do not retry.
   void mark_failed(std::string reason) const {
     std::lock_guard<std::mutex> lock(mu_);
     if (kernel_ != nullptr || failed_) return;
@@ -104,16 +100,6 @@ class JitSlot {
     return reason_;
   }
 
-  /// Count one facade-level use of the plan (the kWarm profitability
-  /// gate's input) and return the new total.
-  std::uint64_t note_use() const {
-    return uses_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  [[nodiscard]] std::uint64_t uses() const {
-    return uses_.load(std::memory_order_relaxed);
-  }
-
   /// Artifact weight for the owning plan's bytes() (0 until published).
   [[nodiscard]] std::size_t bytes() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -125,7 +111,6 @@ class JitSlot {
   mutable std::shared_ptr<const CompiledKernel> kernel_;
   mutable bool failed_ = false;
   mutable std::string reason_;
-  mutable std::atomic<std::uint64_t> uses_{0};
 };
 
 }  // namespace sympiler::core

@@ -61,12 +61,6 @@ struct PlanEvidence {
   index_t agg_bundles = 0;            ///< lock-step SIMD bundles among tasks
   double build_seconds = 0.0;         ///< wall time spent planning (cost to
                                       ///< recompute; weighs eviction)
-  /// Whether the facades may lower this plan to a compiled kernel
-  /// (plan_compiler.h): sequential paths only — the parallel interpreters
-  /// beat any serial compiled kernel, so parallel plans stay interpreted.
-  /// The dynamic compile state (compiled / failed, compile seconds) lives
-  /// in the plan's JitSlot and is surfaced by summary().
-  bool jit_eligible = false;
   /// Per-phase cold-planning breakdown (etree / counts / pattern /
   /// schedule / slotmap seconds — the cache_reuse bench emits these).
   PlanPhaseTimes phases;
@@ -101,9 +95,8 @@ struct CholeskyPlan {
   std::shared_ptr<JitSlot> jit = std::make_shared<JitSlot>();
 
   /// Total heap footprint of the artifact — the plan cache's eviction
-  /// weight (entries are weighed by bytes, not counted). Includes the
-  /// compiled kernel once published; PlanCache::refresh_bytes re-samples
-  /// the resident entry so eviction drops the artifact with its plan.
+  /// weight (entries are weighed by bytes, not counted, and sampled at
+  /// insert). Includes the compiled kernel once one is published.
   [[nodiscard]] std::size_t bytes() const {
     return sizeof(CholeskyPlan) + sets.bytes() + agg.bytes() +
            solve_update_map.bytes() + jit->bytes();

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "util/fault.h"
 #include "util/status.h"
@@ -29,6 +31,21 @@ std::string scratch_dir() {
   os << base << "/sympiler-jit-" << ::getpid() << "-"
      << counter.fetch_add(1);
   return os.str();
+}
+
+/// `path` as one single-quoted shell word ($TMPDIR may hold spaces or
+/// quotes): each embedded ' closes the quote, adds an escaped ', reopens.
+std::string shell_quote(const std::string& path) {
+  std::string out = "'";
+  for (const char ch : path) {
+    if (ch == '\'') {
+      out += "'\\''";
+    } else {
+      out += ch;
+    }
+  }
+  out += '\'';
+  return out;
 }
 
 }  // namespace
@@ -70,14 +87,17 @@ JitModule JitModule::compile(const std::string& source,
                              const std::string& symbol) {
   // Every failure below is a jit_unavailable_error (kJitUnavailable):
   // PlanCompiler::compile contains it via JitSlot::mark_failed and the
-  // facades fall back to the interpreters — a scratch-dir or compiler
-  // failure degrades the JIT tier, it never aborts a solve.
+  // executors keep interpreting the plan — a scratch-dir or compiler
+  // failure never aborts a solve.
   if (SYMPILER_FAULT_POINT(util::FaultSite::kJitCompile))
     throw jit_unavailable_error(
         "jit: injected compile failure (fault site jit-compile)");
   const std::string dir = scratch_dir();
-  if (std::system(("mkdir -p " + dir).c_str()) != 0)
-    throw jit_unavailable_error("jit: cannot create scratch dir " + dir);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec)
+    throw jit_unavailable_error("jit: cannot create scratch dir " + dir +
+                                ": " + ec.message());
   const std::string src_path = dir + "/kernel.cpp";
   const std::string so_path = dir + "/kernel.so";
   const std::string err_path = dir + "/cc.err";
@@ -95,7 +115,8 @@ JitModule JitModule::compile(const std::string& source,
   const std::string cmd =
       std::string(SYMPILER_HOST_CXX) +
       " -O3 -march=native -ffp-contract=off -fopenmp-simd -shared -fPIC " +
-      src_path + " -o " + so_path + " 2> " + err_path;
+      shell_quote(src_path) + " -o " + shell_quote(so_path) + " 2> " +
+      shell_quote(err_path);
   const int rc = std::system(cmd.c_str());
   JitModule mod;
   mod.compile_seconds_ = timer.seconds();

@@ -8,26 +8,6 @@
 
 namespace sympiler::core {
 
-/// Dispatch tier of the plan-compiled kernels (core/plan_compiler.h): when
-/// a facade lowers a cached plan to pattern-specialized C and routes the
-/// numeric phase through the compiled kernel instead of the interpreter.
-/// Deliberately excluded from the plan cache key (pattern_key.cpp): the
-/// plan's *content* is identical under every mode — only who executes it
-/// differs — so Solvers with different modes share one cached plan.
-enum class JitMode {
-  /// Interpreters only (default). Compiling forks the host compiler and
-  /// allocates, which would break the zero-alloc warm-path contract if it
-  /// ever ran inside a steady-state factor() — so compilation is opt-in.
-  kOff,
-  /// Compile once a pattern's facade-use count reaches jit_warm_calls:
-  /// the pattern has proven it recurs, so the one-time compile cost
-  /// amortizes (the paper's regime — compile <= 0.3x one numeric
-  /// Cholesky, repaid over repeated factors).
-  kWarm,
-  /// Compile on first use, before the first numeric call.
-  kAlways,
-};
-
 struct SympilerOptions {
   // Inspector-guided transformations (paper section 2.3).
   bool vs_block = true;
@@ -67,14 +47,11 @@ struct SympilerOptions {
   /// plans always apply (graph/supernodes.h).
   index_t max_supernode_width = 256;
 
-  /// Plan-compiled kernel dispatch (api::Solver / api::TriangularSolver).
-  JitMode jit = JitMode::kOff;
-  /// kWarm compiles when the pattern's facade-use count reaches this.
-  index_t jit_warm_calls = 2;
-  /// Skip compiling plans whose emitted translation unit exceeds this
-  /// (baked pattern arrays scale with nnz(L); very large patterns would
-  /// pay minutes of host-compiler time for a serial kernel). 0 = no cap.
-  index_t jit_max_source_kb = 4096;
+  /// Source cap callers of PlanCompiler::compile pass, in KiB: baked
+  /// pattern arrays scale with nnz(L), and very large patterns would pay
+  /// minutes of host-compiler time for a serial kernel. The emitted-code
+  /// audit skips plans whose estimated source is far above it.
+  static constexpr index_t jit_max_source_kb = 4096;
 
   // Failure-domain knobs (docs/robustness.md). None of these are hashed
   // into the plan cache key: they change how a numeric call fails or
@@ -101,12 +78,12 @@ struct SympilerOptions {
 
   /// Run the static plan verifier (verify/verify.h) on every freshly built
   /// plan: dependence closure of the schedules, symbolic happens-before
-  /// replay of the slot maps, workspace coverage, emitted-code audit when
-  /// the plan is headed for the JIT. A finding throws kPlanInvalid from
-  /// plan time — before any numeric code touches the plan. O(plan) work on
-  /// the cold path only; warm cache hits never re-verify. On by default in
-  /// Debug builds, opt-in for Release. Not hashed into the cache key: it
-  /// changes whether a plan is checked, never what the plan contains.
+  /// replay of the slot maps, workspace coverage. A finding throws
+  /// kPlanInvalid from plan time — before any numeric code touches the
+  /// plan. O(plan) work on the cold path only; warm cache hits never
+  /// re-verify. On by default in Debug builds, opt-in for Release. Not
+  /// hashed into the cache key: it changes whether a plan is checked,
+  /// never what the plan contains.
 #ifndef NDEBUG
   bool verify_plan = true;
 #else

@@ -84,15 +84,12 @@ std::uint64_t hash_options(const SympilerOptions& opt) {
   fnv_mix_double(h, opt.blas_switch_colcount);
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.peel_colcount));
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.max_supernode_width));
-  // The jit dispatch fields (jit / jit_warm_calls / jit_max_source_kb) are
-  // deliberately NOT hashed: they change who executes a plan, never what
-  // the plan contains, so Solvers with different dispatch modes must share
-  // one cached plan (and its compiled kernel) per pattern. The robustness
-  // knobs (validate_input .. guard_workspace) and verify_plan are excluded
-  // for the same reason: verification checks a plan, it never changes one,
-  // so a Debug build (verify on) and a Release build (verify off) agree on
-  // every cache key. plan_store_dir likewise: where a plan is persisted
-  // never changes what the plan contains.
+  // The robustness knobs (validate_input .. guard_workspace) and
+  // verify_plan are deliberately NOT hashed: they change how a call fails
+  // or whether a plan is checked, never what the plan contains, so a Debug
+  // build (verify on) and a Release build (verify off) agree on every
+  // cache key. plan_store_dir likewise: where a plan is persisted never
+  // changes what the plan contains.
   return h;
 }
 

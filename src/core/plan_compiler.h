@@ -20,10 +20,10 @@
 // -ffp-contract=off (jit.cpp) makes compiled results bit-identical to the
 // interpreters — pinned by tests/test_codegen.cpp.
 //
-// Compiled kernels are published into the plan's JitSlot
-// (compiled_kernel.h): compiled once per PatternKey, shared by every
-// executor interpreting the plan, weighed and evicted with the plan by the
-// PlanCache (symbolic_cache.h::refresh_bytes).
+// No facade compiles: a plan is compiled only by an explicit compile()
+// call, which publishes the kernel into the plan's JitSlot
+// (compiled_kernel.h), shared by every executor interpreting the plan and
+// dropped with it.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +41,10 @@ class PlanCompiler {
   static constexpr const char* kCholeskySymbol = "sym_plan_cholesky";
   static constexpr const char* kTriSolveSymbol = "sym_plan_trisolve";
 
-  /// Whether the facades should lower this plan at all: sequential paths
-  /// only. Parallel plans keep their level-set interpreters — a serial
-  /// compiled kernel would forfeit the parallelism (their sequential
-  /// interpretation still compiles via compile(), for tests and tools).
+  /// Whether lowering this plan can pay: sequential paths only. A serial
+  /// compiled kernel would forfeit a parallel plan's level-set parallelism
+  /// (its sequential interpretation still compiles via compile(), for
+  /// tests and tools).
   [[nodiscard]] static bool eligible(const CholeskyPlan& plan);
   [[nodiscard]] static bool eligible(const TriSolvePlan& plan);
 

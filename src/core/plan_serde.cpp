@@ -176,9 +176,6 @@ void put_options(Writer& w, const SympilerOptions& o) {
   w.scalar<double>(o.blas_switch_colcount);
   w.scalar<index_t>(o.peel_colcount);
   w.scalar<index_t>(o.max_supernode_width);
-  w.scalar<std::uint32_t>(static_cast<std::uint32_t>(o.jit));
-  w.scalar<index_t>(o.jit_warm_calls);
-  w.scalar<index_t>(o.jit_max_source_kb);
   w.scalar<std::uint8_t>(o.validate_input);
   w.scalar<std::uint8_t>(o.scan_values);
   w.scalar<index_t>(o.shift_attempts);
@@ -195,12 +192,6 @@ void get_options(Reader& r, SympilerOptions* o) {
   o->blas_switch_colcount = r.scalar<double>("blas_switch_colcount");
   o->peel_colcount = r.scalar<index_t>("peel_colcount");
   o->max_supernode_width = r.scalar<index_t>("max_supernode_width");
-  const auto jit = r.scalar<std::uint32_t>("jit");
-  if (jit > static_cast<std::uint32_t>(JitMode::kAlways))
-    corrupt("meta: jit mode " + std::to_string(jit) + " out of range");
-  o->jit = static_cast<JitMode>(jit);
-  o->jit_warm_calls = r.scalar<index_t>("jit_warm_calls");
-  o->jit_max_source_kb = r.scalar<index_t>("jit_max_source_kb");
   o->validate_input = r.scalar<std::uint8_t>("validate_input") != 0;
   o->scan_values = r.scalar<std::uint8_t>("scan_values") != 0;
   o->shift_attempts = r.scalar<index_t>("shift_attempts");
@@ -220,7 +211,6 @@ void put_evidence(Writer& w, const PlanEvidence& e) {
   w.scalar<index_t>(e.agg_tasks);
   w.scalar<index_t>(e.agg_bundles);
   w.scalar<double>(e.build_seconds);
-  w.scalar<std::uint8_t>(e.jit_eligible);
   w.scalar<PlanPhaseTimes>(e.phases);  // 8 doubles, trivially copyable
 }
 
@@ -236,7 +226,6 @@ void get_evidence(Reader& r, PlanEvidence* e) {
   e->agg_tasks = r.scalar<index_t>("agg_tasks");
   e->agg_bundles = r.scalar<index_t>("agg_bundles");
   e->build_seconds = r.scalar<double>("build_seconds");
-  e->jit_eligible = r.scalar<std::uint8_t>("jit_eligible") != 0;
   e->phases = r.scalar<PlanPhaseTimes>("phases");
 }
 

@@ -22,10 +22,10 @@
 // every loaded plan via verify::verify_plan before publication.
 //
 // Not serialized: JitSlot (compiled kernels are process-local artifacts —
-// loaded plans start with a fresh empty slot and re-warm through the
-// normal JIT dispatch), and SympilerOptions::plan_store_dir (where a plan
-// is stored is a deployment fact, not part of the plan: loaded plans
-// carry it empty, and a plan's file image is the same under any store).
+// loaded plans start with a fresh empty slot), and
+// SympilerOptions::plan_store_dir (where a plan is stored is a deployment
+// fact, not part of the plan: loaded plans carry it empty, and a plan's
+// file image is the same under any store).
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,9 @@ namespace sympiler::core {
 /// Cholesky plans no longer carry the etree, the column counts or a
 /// separate block-set, and no plan records the store directory. Version
 /// 6: the Cholesky meta section drops the layout's copy of the flop count.
-inline constexpr std::uint32_t kPlanFormatVersion = 6;
+// Version 7: the meta section drops the jit dispatch options (mode, warm
+// call count, source cap) and the evidence's jit-eligibility flag.
+inline constexpr std::uint32_t kPlanFormatVersion = 7;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

@@ -18,7 +18,7 @@
 // against the requested one, so a renamed or hash-colliding file cannot
 // serve the wrong pattern. Callers (api facades) must re-verify every
 // loaded plan via verify::verify_plan before publication and, on any
-// rejection, discard() the file and replan — rung 5 of the degradation
+// rejection, discard() the file and replan — rung 4 of the degradation
 // ladder (docs/robustness.md). Threat model and format details:
 // docs/persistence.md.
 //
@@ -49,7 +49,7 @@ class PlanStore {
   /// Outcome of a load. `found` distinguishes "no file for this key"
   /// (a plain cold miss) from "a file existed": when found && !status.ok()
   /// the file was rejected (corrupt/stale/injected fault) and the caller
-  /// should take rung 5 — discard, replan, rewrite.
+  /// should take rung 4 — discard, replan, rewrite.
   struct Loaded {
     bool found = false;
     Status status;
@@ -62,7 +62,7 @@ class PlanStore {
     std::uint64_t load_failures = 0;  ///< files found but rejected
     std::uint64_t writes = 0;         ///< successful save()s
     std::uint64_t write_failures = 0; ///< save()s that returned an error
-    std::uint64_t discards = 0;       ///< rung-5 file discards
+    std::uint64_t discards = 0;       ///< rung-4 file discards
     std::uint64_t declines = 0;       ///< plans the profitability gate skipped
   };
 
@@ -130,7 +130,7 @@ class PlanStore {
   /// Block until every save_async() queued so far has been attempted.
   void flush();
 
-  /// Delete the persisted file for `key` (rung 5, or tests). Missing file
+  /// Delete the persisted file for `key` (rung 4, or tests). Missing file
   /// is not an error.
   void discard(const PatternKey& key, bool cholesky);
 

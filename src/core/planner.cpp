@@ -91,17 +91,13 @@ std::string summarize(const char* kind, const PatternKey& key,
   } else {
     os << "\n  levels: not scheduled (parallel gates closed)";
   }
-  // Dynamic JIT state lives in the plan's slot, not the evidence: a plan
-  // may be explained before, after, or instead of being compiled.
+  // A plan is compiled only when a caller asks (PlanCompiler::compile);
+  // its slot then records the kernel or the failure.
   if (const auto kernel = jit.kernel()) {
     os << "\n  jit: compiled (" << kernel->compile_seconds * 1e3 << " ms, "
        << kernel->source_bytes / 1024 << " KiB source)";
   } else if (jit.failed()) {
     os << "\n  jit: failed (" << jit.failure() << ")";
-  } else {
-    os << "\n  jit: "
-       << (ev.jit_eligible ? "eligible (interpreting until compiled)"
-                           : "ineligible (parallel plan stays interpreted)");
   }
   os << "\n  plan bytes: " << bytes
      << ", executor workspace bytes: " << workspace_bytes
@@ -118,12 +114,6 @@ std::string summarize(const char* kind, const PatternKey& key,
   return os.str();
 }
 
-/// Emitted-code audit is worth its O(source) cost only when the plan is
-/// actually headed for the JIT tier.
-bool audit_worthwhile(const PlanEvidence& ev, const SympilerOptions& opt) {
-  return ev.jit_eligible && opt.jit != JitMode::kOff;
-}
-
 /// Static verification of a freshly built plan (see verify/verify.h). A
 /// finding is always a planner/scheduler bug, never an input property, so
 /// it throws kPlanInvalid from plan time — before the plan can reach the
@@ -132,9 +122,7 @@ bool audit_worthwhile(const PlanEvidence& ev, const SympilerOptions& opt) {
 void verify_fresh(CholeskyPlan& plan) {
   if (!plan.options.verify_plan) return;
   const Timer vt;
-  verify::VerifyOptions vo;
-  vo.audit_emitted_code = audit_worthwhile(plan.evidence, plan.options);
-  const verify::Report report = verify::verify_plan(plan, vo);
+  const verify::Report report = verify::verify_plan(plan);
   plan.evidence.phases.verify = vt.seconds();
   if (!report.ok()) throw plan_verification_error(report.to_string());
 }
@@ -143,9 +131,7 @@ void verify_fresh(TriSolvePlan& plan, const CscMatrix& l,
                   std::span<const index_t> beta) {
   if (!plan.options.verify_plan) return;
   const Timer vt;
-  verify::VerifyOptions vo;
-  vo.audit_emitted_code = audit_worthwhile(plan.evidence, plan.options);
-  const verify::Report report = verify::verify_plan(plan, l, beta, vo);
+  const verify::Report report = verify::verify_plan(plan, l, beta);
   plan.evidence.phases.verify = vt.seconds();
   if (!report.ok()) throw plan_verification_error(report.to_string());
 }
@@ -258,11 +244,6 @@ CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower,
       }
     }
   }
-  // JIT eligibility is a path property: sequential plans may be lowered to
-  // a plan-compiled kernel (plan_compiler.h); the parallel interpreter
-  // keeps ParallelSupernodal plans.
-  ev.jit_eligible = plan.path == ExecutionPath::Simplicial ||
-                    plan.path == ExecutionPath::Supernodal;
   verify_fresh(plan);
   ev.build_seconds = timer.seconds();
   return plan;
@@ -340,8 +321,6 @@ TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
       ev.agg_bundles = plan.agg.bundles();
     }
   }
-  ev.jit_eligible = plan.path == ExecutionPath::PrunedTriSolve ||
-                    plan.path == ExecutionPath::BlockedTriSolve;
   verify_fresh(plan, l, beta);
   ev.build_seconds = timer.seconds();
   return plan;

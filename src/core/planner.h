@@ -11,9 +11,8 @@
 // A finished plan has two kinds of consumer: the interpreters (executors
 // and the parallel level-set sweeps) read its sets from memory, and the
 // PlanCompiler (plan_compiler.h) lowers the same sets into
-// pattern-specialized compiled kernels — the evidence records which plans
-// are eligible for the latter (jit_eligible), and summary() reports the
-// slot's dynamic compile state.
+// pattern-specialized compiled kernels when a caller asks — summary()
+// reports the slot's compile state once it has one.
 #pragma once
 
 #include <span>

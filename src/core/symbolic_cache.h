@@ -148,24 +148,6 @@ class PlanCache {
     return {insert_locked(shard, key, std::move(plan), seconds), false};
   }
 
-  /// Re-sample plan->bytes() for a resident entry. Call after attaching a
-  /// compiled kernel to a cached plan's JitSlot (core/plan_compiler.h):
-  /// entry weight was sampled at insert, so the ledger must be told the
-  /// plan grew — the artifact then counts against the byte budget and is
-  /// evicted together with its plan. No-op when the key is not resident;
-  /// may itself evict (the artifact can push the shard over budget).
-  void refresh_bytes(const PatternKey& key) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return;
-    Entry& entry = *it->second;
-    const std::size_t now = entry.plan->bytes();
-    shard.resident_bytes = shard.resident_bytes - entry.bytes + now;
-    entry.bytes = now;
-    evict_locked(shard);
-  }
-
   /// Aggregated counters over all shards. Lock-free: shard counters are
   /// relaxed atomics, readable while other shards mutate.
   [[nodiscard]] CacheStats stats() const {

@@ -48,7 +48,7 @@ enum class FaultSite : int {
   kVerify,        ///< verify::verify_plan — plan_verification_error
   kStoreWrite,    ///< PlanStore::save — degrades to unpersisted plan
   kStoreRead,     ///< PlanStore::load — degrades to cold replan
-  kStoreChecksum, ///< plan_serde CRC check — degrades to rung-5 replan
+  kStoreChecksum, ///< plan_serde CRC check — degrades to rung-4 replan
   kSiteCount_,    ///< sentinel
 };
 

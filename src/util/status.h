@@ -31,9 +31,9 @@ enum class ErrorCode : std::uint8_t {
   kInvalidInput,
   /// A numerical method failed: non-SPD pivot, singular diagonal.
   kNumericBreakdown,
-  /// The JIT tier cannot produce a kernel here: no host compiler, scratch
-  /// dir not writable, compile/dlopen/dlsym failure. Always recoverable —
-  /// the interpreters serve the same plan bit-identically.
+  /// The JIT cannot produce a kernel here: no host compiler, scratch dir
+  /// not writable, compile/dlopen/dlsym failure. Always recoverable — the
+  /// interpreters serve the same plan bit-identically.
   kJitUnavailable,
   /// A resource guard tripped: workspace borrowed concurrently, injected
   /// allocation failure.
@@ -46,7 +46,7 @@ enum class ErrorCode : std::uint8_t {
   kPlanInvalid,
   /// A persisted plan file failed validation: bad magic, a CRC mismatch,
   /// an out-of-bounds section offset/count, or a loaded plan that fails
-  /// re-verification. Always recoverable — rung 5 of the degradation
+  /// re-verification. Always recoverable — rung 4 of the degradation
   /// ladder discards the file and replans from the matrix.
   kCorruptPlanFile,
   /// A persisted plan file is internally consistent but written by an
@@ -111,8 +111,8 @@ class numerical_error : public Error {
   [[nodiscard]] double pivot_value() const { return status().detail_value; }
 };
 
-/// Thrown when the JIT tier cannot produce a kernel. Contained by
-/// PlanCompiler::compile / the facades (mark_failed + interpreter); only
+/// Thrown when the JIT cannot produce a kernel. Contained by
+/// PlanCompiler::compile, which records it in the plan's JitSlot; only
 /// direct JitModule users see it escape.
 class jit_unavailable_error : public Error {
  public:

@@ -46,12 +46,12 @@ bool is_ident(char ch) {
 /// checks — and the capped source can never reach the host compiler
 /// anyway. Gate the audit on a cheap size estimate (~8 chars per baked
 /// integer), with 2x slack so anything plausibly under the cap is still
-/// audited end to end. A cap of 0 (or below) means no cap: every source
-/// then reaches the host compiler, so every one is audited.
-bool audit_within_cap(std::size_t baked_ints, const core::SympilerOptions& o) {
-  if (o.jit_max_source_kb <= 0) return true;
-  const std::size_t cap = static_cast<std::size_t>(o.jit_max_source_kb) * 1024;
-  return baked_ints * 8 <= 2 * cap;
+/// audited end to end.
+bool audit_within_cap(std::size_t baked_ints) {
+  constexpr std::size_t kCap =
+      static_cast<std::size_t>(core::SympilerOptions::jit_max_source_kb) *
+      1024;
+  return baked_ints * 8 <= 2 * kCap;
 }
 
 /// Parse every `static const int/long long NAME[LEN] = {...};` array and
@@ -260,7 +260,7 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
                        2 * plan.sets.layout.srow_ptr.size() +
                        2 * plan.sets.layout.panel_ptr.size() +
                        plan.sets.updates.ptr.size() + plan.agg.items.size();
-  if (!audit_within_cap(baked_ints, plan.options)) return;
+  if (!audit_within_cap(baked_ints)) return;
 
   const std::string src = core::PlanCompiler::emit(plan);
   Baked baked;
@@ -371,7 +371,7 @@ void check_emitted(Report& report, const core::TriSolvePlan& plan,
                          ? sets.sn_reach.size()
                          : static_cast<std::size_t>(sets.blocks.count()))
               : 3 * sets.reach.size();
-  if (!audit_within_cap(baked_ints, plan.options)) return;
+  if (!audit_within_cap(baked_ints)) return;
 
   const std::string src = core::PlanCompiler::emit(plan, l);
   Baked baked;

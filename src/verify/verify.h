@@ -94,9 +94,8 @@ struct Report {
 
 struct VerifyOptions {
   /// Run the emitted-code auditor (kEmitted). Costs one PlanCompiler::emit
-  /// of the full translation unit, so the Planner enables it only for
-  /// jit-eligible plans under an active jit mode; tests and the CLI force
-  /// it on.
+  /// of the full translation unit, so it runs only when a caller asks (the
+  /// Planner never does; tests and sympiler_cli --verify do).
   bool audit_emitted_code = false;
 };
 

@@ -54,7 +54,6 @@ core::CholeskyPlan parallel_cholesky_plan(core::CholeskyPlan plan,
   ev.agg_levels = plan.agg.levels();
   ev.agg_tasks = plan.agg.tasks();
   ev.agg_bundles = plan.agg.bundles();
-  ev.jit_eligible = false;
   return plan;
 }
 

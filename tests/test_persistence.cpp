@@ -17,7 +17,7 @@
 //    sites (store-write, store-read, store-checksum);
 //  * facade restart warm-start — a fresh SymbolicContext pointed at the
 //    store loads the persisted plan (no replanning transpose), factors
-//    bit-identically to the cold plan, and a corrupted file takes rung 5:
+//    bit-identically to the cold plan, and a corrupted file takes rung 4:
 //    discard + replan + rewrite, recorded in the FactorReport.
 #include <gtest/gtest.h>
 
@@ -493,6 +493,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
        ErrorCode::kStalePlanVersion},
       {"format version 5 (layout copy of the flop count)", 8, 5, 4,
        ErrorCode::kStalePlanVersion},
+      {"format version 6 (jit options and evidence flag)", 8, 6, 4,
+       ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
       {"index ABI", 16, 8, 2, ErrorCode::kStalePlanVersion},
@@ -841,7 +843,7 @@ TEST(RestartWarmStart, ParallelPathBitIdenticalAtOneTwoFourThreads) {
 }
 #endif  // SYMPILER_HAS_OPENMP
 
-TEST(RestartWarmStart, CorruptedFileTakesRungFiveDiscardReplanRewrite) {
+TEST(RestartWarmStart, CorruptedFileIsDiscardedReplannedAndRewritten) {
   TempDir dir;
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
   api::SolverConfig config;
@@ -872,7 +874,7 @@ TEST(RestartWarmStart, CorruptedFileTakesRungFiveDiscardReplanRewrite) {
   EXPECT_TRUE(recovered.degraded());
   EXPECT_NE(recovered.to_string().find("store->replan"), std::string::npos);
   EXPECT_NE(recovered.last_error.code, ErrorCode::kOk);
-  expect_bits_equal(got, want);  // rung 5 still factors correctly
+  expect_bits_equal(got, want);  // rung 4 still factors correctly
 
   // ...and rewrote the store: the next restart warm-starts cleanly.
   store->flush();
@@ -929,7 +931,7 @@ TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
             static_cast<std::streamsize>(image.size()));
   }
 
-  // Rung 5: rejected as stale (not loaded into the cache), replanned,
+  // Rung 4: rejected as stale (not loaded into the cache), replanned,
   // and rewritten in the current version without the array.
   api::FactorReport upgraded;
   expect_bits_equal(restart_factor_solve(a, config, &upgraded), want);
@@ -943,7 +945,7 @@ TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
   EXPECT_FALSE(rewarmed.degraded());
 }
 
-TEST(RestartWarmStart, VersionFiveFileIsReplannedAndRewrittenAtVersionSix) {
+TEST(RestartWarmStart, VersionSixFileIsReplannedAndRewrittenAtVersionSeven) {
   TempDir dir;
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
   api::SolverConfig config;
@@ -969,16 +971,17 @@ TEST(RestartWarmStart, VersionFiveFileIsReplannedAndRewrittenAtVersionSix) {
   };
   ASSERT_EQ(file_version(), core::kPlanFormatVersion);
 
-  // Stamp the file as a version-5 build left it: version 6 changed no
-  // option and no gate, so the config hash and the file name are the same
-  // and the store opens the old file under its current name.
+  // Stamp the file as a version-6 build left it: version 7 dropped only
+  // options hash_options never hashed, so the config hash and the file
+  // name are the same and the store opens the old file under its current
+  // name.
   std::vector<std::uint8_t> image;
   {
     std::ifstream f(path, std::ios::binary);
     image.assign(std::istreambuf_iterator<char>(f),
                  std::istreambuf_iterator<char>());
   }
-  wr<std::uint32_t>(image, 8, 5);
+  wr<std::uint32_t>(image, 8, 6);
   fix_header_crc(image);
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
@@ -986,7 +989,7 @@ TEST(RestartWarmStart, VersionFiveFileIsReplannedAndRewrittenAtVersionSix) {
             static_cast<std::streamsize>(image.size()));
   }
 
-  // Rung 5: rejected as stale before any section is read, discarded,
+  // Rung 4: rejected as stale before any section is read, discarded,
   // replanned, and written back in the current version.
   const std::uint64_t discards_before = store->stats().discards;
   api::FactorReport upgraded;
@@ -996,7 +999,7 @@ TEST(RestartWarmStart, VersionFiveFileIsReplannedAndRewrittenAtVersionSix) {
   EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
   EXPECT_EQ(store->stats().discards, discards_before + 1);
   store->flush();
-  EXPECT_EQ(file_version(), 6u);
+  EXPECT_EQ(file_version(), 7u);
   api::FactorReport rewarmed;
   expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();

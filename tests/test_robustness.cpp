@@ -21,8 +21,11 @@
 
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
+#include "core/jit.h"
+#include "core/plan_compiler.h"
 #include "core/plan_store.h"
 #include "core/planner.h"
+#include "core/trisolve_executor.h"
 #include "gen/generators.h"
 #include "parallel/levelset.h"
 #include "sparse/io_mm.h"
@@ -359,68 +362,101 @@ TEST(FaultSweep, AllocFaultDuringColdPlanLeavesSolverReusable) {
 
 // ------------------------------------------------------------- JIT faults
 
-void check_jit_fault_degrades_to_interpreter(FaultSite site) {
+/// PlanCompiler::compile contains a JIT fault at `site`: it returns null,
+/// and the plan's slot is failed and names the fault. The failure is
+/// permanent: an unfaulted retry returns null without reaching the host
+/// compiler (jit-compile, armed at an ordinal that never fires, counts no
+/// pass).
+template <class Compile>
+void expect_compile_fault_contained(FaultSite site, const core::JitSlot& slot,
+                                    const Compile& compile) {
+  FaultInjector::arm(site, 1);
+  EXPECT_EQ(compile(), nullptr);
+  EXPECT_EQ(FaultInjector::fired(), 1u);
+  EXPECT_TRUE(slot.failed());
+  EXPECT_NE(slot.failure().find(FaultInjector::name(site)), std::string::npos)
+      << slot.failure();
+  FaultInjector::arm(FaultSite::kJitCompile,
+                     std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(compile(), nullptr);
+  EXPECT_EQ(FaultInjector::hits(FaultSite::kJitCompile), 0u);
+  FaultInjector::reset();
+}
+
+core::PlannerConfig sequential_planner_config() {
+  core::PlannerConfig config;
+  config.enable_parallel = false;
+  return config;
+}
+
+/// Factor + solve through a CholeskyExecutor on `plan`.
+std::vector<value_t> executor_solution(
+    const std::shared_ptr<const core::CholeskyPlan>& plan, const CscMatrix& a) {
+  core::CholeskyExecutor exec(plan);
+  exec.factorize(a);
+  std::vector<value_t> x = gen::dense_rhs(a.cols(), 77);
+  exec.solve(x);
+  return x;
+}
+
+/// A compile fault on a Cholesky plan: contained, and an executor on the
+/// faulted plan interprets it bit-identically to one on a fresh plan.
+void check_cholesky_compile_fault(FaultSite site) {
   FaultGuard fg;
   const CscMatrix a = gen::grid2d_laplacian(12, 12);
-  const std::vector<value_t> want =
-      reference_solution(a, api::SolverConfig{});  // jit off: interpreter
-
-  api::SolverConfig config;
-  config.options.jit = core::JitMode::kAlways;
-  api::Solver solver(config, nullptr);
-  FaultInjector::arm(site, 1);
-  solver.factor(a);  // must succeed via the interpreter rung
-  EXPECT_TRUE(solver.report().jit_degraded);
-  EXPECT_EQ(solver.report().last_error.code, ErrorCode::kJitUnavailable);
-  std::vector<value_t> x = gen::dense_rhs(a.cols(), 77);
-  solver.solve(x);
-  expect_bits_equal(x, want);
-
-  // The failure is sticky per plan: later factors keep degrading (no
-  // retry storm) and stay bit-identical.
-  FaultInjector::reset();
-  solver.factor(a);
-  EXPECT_TRUE(solver.report().jit_degraded);
-  x = gen::dense_rhs(a.cols(), 77);
-  solver.solve(x);
-  expect_bits_equal(x, want);
+  const core::Planner planner(sequential_planner_config());
+  const auto faulted =
+      std::make_shared<const core::CholeskyPlan>(planner.plan_cholesky(a));
+  expect_compile_fault_contained(site, *faulted->jit, [&] {
+    return core::PlanCompiler::compile(*faulted);
+  });
+  const auto fresh =
+      std::make_shared<const core::CholeskyPlan>(planner.plan_cholesky(a));
+  expect_bits_equal(executor_solution(faulted, a),
+                    executor_solution(fresh, a));
 }
 
 TEST(FaultSweep, JitCompileFaultDegradesToInterpreter) {
-  check_jit_fault_degrades_to_interpreter(FaultSite::kJitCompile);
+  if (!core::JitModule::compiler_available())
+    GTEST_SKIP() << "no host compiler";
+  check_cholesky_compile_fault(FaultSite::kJitCompile);
 }
 
 TEST(FaultSweep, JitLoadFaultDegradesToInterpreter) {
-  check_jit_fault_degrades_to_interpreter(FaultSite::kJitLoad);
+  if (!core::JitModule::compiler_available())
+    GTEST_SKIP() << "no host compiler";
+  check_cholesky_compile_fault(FaultSite::kJitLoad);
 }
 
 TEST(FaultSweep, JitFaultOnTriangularSolver) {
+  if (!core::JitModule::compiler_available())
+    GTEST_SKIP() << "no host compiler";
   FaultGuard fg;
   api::Solver chol;
-  const CscMatrix a = gen::grid2d_laplacian(12, 12);
-  chol.factor(a);
+  chol.factor(gen::grid2d_laplacian(12, 12));
   const CscMatrix l = chol.factor_csc();
-  std::vector<index_t> beta(static_cast<std::size_t>(l.cols()));
-  for (index_t j = 0; j < l.cols(); ++j) beta[j] = j;
-
-  const std::vector<value_t> b = gen::dense_rhs(l.cols(), 31);
-  std::vector<value_t> want = b;
-  {
-    const api::TriangularSolver tri(l, beta);  // jit off
-    tri.solve(want);
+  const std::vector<value_t> b = gen::sparse_rhs(l.cols(), 6, 31);
+  std::vector<index_t> beta;
+  for (index_t i = 0; i < l.cols(); ++i)
+    if (b[i] != 0.0) beta.push_back(i);
+  const core::Planner planner(sequential_planner_config());
+  const auto solve = [&](const std::shared_ptr<const core::TriSolvePlan>& p) {
+    const core::TriSolveExecutor exec(p, l);
+    std::vector<value_t> x = b;
+    exec.solve(x);
+    return x;
+  };
+  for (const FaultSite site : {FaultSite::kJitCompile, FaultSite::kJitLoad}) {
+    SCOPED_TRACE(FaultInjector::name(site));
+    const auto faulted = std::make_shared<const core::TriSolvePlan>(
+        planner.plan_trisolve(l, beta));
+    expect_compile_fault_contained(site, *faulted->jit, [&] {
+      return core::PlanCompiler::compile(*faulted, l);
+    });
+    const auto fresh = std::make_shared<const core::TriSolvePlan>(
+        planner.plan_trisolve(l, beta));
+    expect_bits_equal(solve(faulted), solve(fresh));
   }
-
-  api::SolverConfig config;
-  config.options.jit = core::JitMode::kAlways;
-  const api::TriangularSolver tri(l, beta, config, nullptr);
-  if (!tri.plan()->evidence.jit_eligible)
-    GTEST_SKIP() << "planned path is not JIT-eligible here";
-  FaultInjector::arm(FaultSite::kJitCompile, 1);
-  std::vector<value_t> x = b;
-  tri.solve(x);
-  EXPECT_TRUE(tri.report().jit_degraded);
-  EXPECT_EQ(tri.report().last_error.code, ErrorCode::kJitUnavailable);
-  expect_bits_equal(x, want);
 }
 
 // ------------------------------------------------------ cache-insert fault
@@ -699,6 +735,14 @@ TEST(ParallelDegradation, TriSolveFaultsFallBackSerially) {
   expect_bits_equal(x, want);
   FaultInjector::reset();
 
+  // The report covers the most recent solve: a clean one forgets the
+  // fallback.
+  x = b;
+  tri.solve(x);
+  EXPECT_FALSE(tri.report().serial_fallback);
+  EXPECT_TRUE(tri.report().last_error.ok()) << tri.report().to_string();
+  expect_bits_equal(x, want);
+
   // Allocation fault at the interpreter's entry: x untouched, the
   // sequential executor serves the call.
   FaultInjector::arm(FaultSite::kAlloc, 1);
@@ -715,6 +759,7 @@ TEST(ParallelDegradation, TriSolveFaultsFallBackSerially) {
   std::vector<value_t> bs = gen::dense_rhs(l.cols() * nrhs, 41);
   std::vector<value_t> want_batch = bs;
   tri.solve_batch(want_batch, nrhs);
+  EXPECT_FALSE(tri.report().serial_fallback);
   FaultInjector::arm(FaultSite::kPivot, 1);
   std::vector<value_t> got_batch = bs;
   tri.solve_batch(got_batch, nrhs);
@@ -765,7 +810,7 @@ TEST(EnvFault, SpecArmsAndSurfacesAStructuredError) {
   if (store_site) {
     // Write-behind persistence faults must not degrade the factor: the
     // plan simply stays unpersisted, absorbed into the store counters
-    // (rung 5's write direction) — never a throw at the caller.
+    // (rung 4's write direction) — never a throw at the caller.
     store->flush();
     EXPECT_FALSE(threw);
     if (FaultInjector::fired() > 0)

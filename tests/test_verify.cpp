@@ -8,7 +8,7 @@
 //    applicable (corruption x path) cells;
 //  * clean-pass sweep — every plan the Planner builds over the generator
 //    suite, at three option configurations, verifies clean with the
-//    emitted-code audit on for jit-eligible paths;
+//    emitted-code audit on for the paths PlanCompiler::eligible accepts;
 //  * wiring — the Planner throws kPlanInvalid on findings (driven through
 //    the kVerify fault site), records verify time in the plan evidence,
 //    keeps verify_plan out of the cache key, and a warm facade factor()
@@ -29,6 +29,7 @@
 #include "core/compiled_kernel.h"
 #include "core/inspector.h"
 #include "core/pattern_key.h"
+#include "core/plan_compiler.h"
 #include "core/planner.h"
 #include "core/workspace.h"
 #include "gen/generators.h"
@@ -388,7 +389,7 @@ TEST(VerifyCleanSweep, EveryGeneratorSuitePlanPasses) {
       // set — so a finding would already have thrown).
       const CholeskyPlan cplan = Planner(cfg).plan_cholesky(a);
       VerifyOptions vo;
-      vo.audit_emitted_code = cplan.evidence.jit_eligible;
+      vo.audit_emitted_code = core::PlanCompiler::eligible(cplan);
       const Report creport = verify::verify_plan(cplan, vo);
       EXPECT_TRUE(creport.ok()) << cfg_name << "/" << mat_name
                                 << " cholesky: " << creport.to_string();
@@ -401,7 +402,7 @@ TEST(VerifyCleanSweep, EveryGeneratorSuitePlanPasses) {
       for (const auto& beta : {sparse, dense}) {
         const TriSolvePlan tplan = Planner(cfg).plan_trisolve(l, beta);
         VerifyOptions tvo;
-        tvo.audit_emitted_code = tplan.evidence.jit_eligible;
+        tvo.audit_emitted_code = core::PlanCompiler::eligible(tplan);
         const Report treport = verify::verify_plan(tplan, l, beta, tvo);
         EXPECT_TRUE(treport.ok())
             << cfg_name << "/" << mat_name << " trisolve (rhs "
@@ -469,23 +470,16 @@ TEST(VerifyWiring, ReportToStringNamesPassAndCheck) {
 // ------------------------------------------------------ emitted auditor
 
 TEST(VerifyEmitted, CatchesDishonestSourceBytes) {
-  // At the default source cap and with the cap off (0): uncapped sources
-  // all reach the host compiler, so they are audited too.
-  for (const index_t cap_kb :
-       {core::SympilerOptions{}.jit_max_source_kb, index_t{0}}) {
-    CholeskyPlan plan = simplicial_plan();
-    plan.options.jit_max_source_kb = cap_kb;
-    ASSERT_TRUE(plan.evidence.jit_eligible);
-    auto fake = std::make_shared<core::CompiledKernel>();
-    fake->source_bytes = 17;  // nothing real is this small
-    ASSERT_TRUE(plan.jit->publish(fake));
-    VerifyOptions vo;
-    vo.audit_emitted_code = true;
-    const Report report = verify::verify_plan(plan, vo);
-    ASSERT_FALSE(report.ok()) << "cap " << cap_kb << " KiB: "
-                              << report.to_string();
-    EXPECT_EQ(report.findings.front().check, "emitted.source-bytes");
-  }
+  const CholeskyPlan plan = simplicial_plan();
+  ASSERT_TRUE(core::PlanCompiler::eligible(plan));
+  auto fake = std::make_shared<core::CompiledKernel>();
+  fake->source_bytes = 17;  // nothing real is this small
+  ASSERT_TRUE(plan.jit->publish(fake));
+  VerifyOptions vo;
+  vo.audit_emitted_code = true;
+  const Report report = verify::verify_plan(plan, vo);
+  ASSERT_FALSE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.findings.front().check, "emitted.source-bytes");
 }
 
 TEST(VerifyEmitted, CatchesDishonestCapAccounting) {
