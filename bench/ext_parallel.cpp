@@ -72,7 +72,7 @@ int main() {
       exec.factorize(a);
     const CscMatrix l = parallel_plan
                             ? panels_to_csc(layout, panels,
-                                            plan.sets.sym.l_pattern)
+                                            plan.sets.factor_pattern())
                             : exec.factor_csc();
     const bool chol_same = parallel_plan && l.equals(exec.factor_csc());
 

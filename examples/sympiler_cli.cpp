@@ -27,6 +27,7 @@
 #include "gen/generators.h"
 #include "gen/suite.h"
 #include "graph/etree.h"
+#include "graph/symbolic.h"
 #include "parallel/schedule.h"
 #include "solvers/simplicial.h"
 #include "solvers/supernodal.h"
@@ -63,7 +64,7 @@ int run_verify(const CscMatrix& a, core::SympilerOptions opt) {
   const verify::Report creport = verify::verify_plan(cplan, vo);
   std::printf("cholesky %s\n", creport.to_string().c_str());
 
-  const CscMatrix& l = cplan.sets.sym.l_pattern;
+  const CscMatrix l = symbolic_cholesky(a).l_pattern;
   std::vector<index_t> beta(static_cast<std::size_t>(l.cols()));
   for (index_t j = 0; j < l.cols(); ++j) beta[j] = j;
   const core::TriSolvePlan tplan = planner.plan_trisolve(l, beta);
@@ -156,7 +157,7 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
   chol.emplace_back("chol/coarsened",
                     parallel_cholesky_plan(chol[1].second, a, true));
 
-  const CscMatrix& l = chol[1].second.sets.sym.l_pattern;
+  const CscMatrix l = symbolic_cholesky(a).l_pattern;
   const std::vector<index_t> sparse_beta = {0};
   std::vector<index_t> full_beta(static_cast<std::size_t>(l.cols()));
   std::iota(full_beta.begin(), full_beta.end(), 0);
@@ -229,14 +230,14 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
   std::printf("=== corruption-kill table (%zu classes x %zu plan variants) "
               "===\n",
               std::size(verify::kAllCorruptions), chol.size() + tri.size());
-  std::printf("%-24s %10s %6s\n", "class", "applicable", "killed");
+  std::printf("%-26s %10s %6s\n", "class", "applicable", "killed");
   int total_applicable = 0;
   int total_killed = 0;
   for (const verify::Corruption c : verify::kAllCorruptions) {
     const CorpusTally& tally = table[c];
     total_applicable += tally.applicable;
     total_killed += tally.killed;
-    std::printf("%-24s %10d %6d  %s\n", verify::to_string(c),
+    std::printf("%-26s %10d %6d  %s\n", verify::to_string(c),
                 tally.applicable, tally.killed,
                 tally.applicable == 0         ? "n/a"
                 : tally.killed == tally.applicable ? "KILLED"

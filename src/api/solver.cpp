@@ -276,9 +276,8 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
 
 void Solver::solve(std::span<value_t> bx) const {
   SYMPILER_CHECK(factorized_, "solver: solve() before factor()");
-  SYMPILER_CHECK(
-      static_cast<index_t>(bx.size()) == plan_->sets.sym.l_pattern.cols(),
-      "solver: RHS size mismatch");
+  SYMPILER_CHECK(static_cast<index_t>(bx.size()) == plan_->sets.n(),
+                 "solver: RHS size mismatch");
   if (plan_->path == ExecutionPath::ParallelSupernodal)
     solve_batch(bx, 1);  // the level-set sweep over one packed column
   else
@@ -288,7 +287,7 @@ void Solver::solve(std::span<value_t> bx) const {
 void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   SYMPILER_CHECK(factorized_, "solver: solve_batch() before factor()");
   SYMPILER_CHECK(nrhs >= 0, "solver: negative RHS count");
-  const auto n = static_cast<std::size_t>(plan_->sets.sym.l_pattern.cols());
+  const auto n = static_cast<std::size_t>(plan_->sets.n());
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solver: batch size mismatch");
   // Thin dispatch on the plan's path: a parallel plan sweeps packed RHS
@@ -312,7 +311,7 @@ void Solver::solve_batch(std::span<value_t> bx, index_t nrhs) const {
 
 void Solver::solve_batch(std::vector<std::vector<value_t>>& rhs) const {
   SYMPILER_CHECK(factorized_, "solver: solve_batch() before factor()");
-  const auto n = static_cast<std::size_t>(plan_->sets.sym.l_pattern.cols());
+  const auto n = static_cast<std::size_t>(plan_->sets.n());
   for (const std::vector<value_t>& r : rhs)
     SYMPILER_CHECK(r.size() == n, "solver: RHS size mismatch");
   // Gather the scattered columns into one contiguous batch so they ride
@@ -331,7 +330,7 @@ CscMatrix Solver::factor_csc() const {
   SYMPILER_CHECK(factorized_, "solver: factor_csc() before factor()");
   if (plan_->path == ExecutionPath::ParallelSupernodal)
     return solvers::panels_to_csc(plan_->sets.layout, panels_,
-                                  plan_->sets.sym.l_pattern);
+                                  plan_->sets.factor_pattern());
   return executor_->factor_csc();
 }
 

@@ -161,7 +161,9 @@ class Solver {
   /// span overload on hot paths.
   void solve_batch(std::vector<std::vector<value_t>>& rhs) const;
 
-  /// Extract L as CSC (requires factor()).
+  /// Extract L as CSC (requires factor()). On the supernodal paths each
+  /// call runs one symbolic_cholesky pass over the plan's A pattern to
+  /// re-derive L's exact pattern (the plan keeps no copy of it).
   [[nodiscard]] CscMatrix factor_csc() const;
 
   /// True when the last factor() ran no planning: its symbolic phase was

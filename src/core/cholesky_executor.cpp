@@ -246,7 +246,7 @@ void CholeskyExecutor::solve(std::span<value_t> bx) const {
 void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   SYMPILER_CHECK(factorized_, "solve_batch() before factorize()");
   SYMPILER_CHECK(nrhs >= 0, "solve_batch: negative RHS count");
-  const auto n = static_cast<std::size_t>(sets_->sym.l_pattern.cols());
+  const auto n = static_cast<std::size_t>(sets_->n());
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solve_batch: batch size mismatch");
   if (vs_block_applied()) {
@@ -265,11 +265,11 @@ void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
 
 CscMatrix CholeskyExecutor::factor_csc() const {
   SYMPILER_CHECK(factorized_, "factor_csc() before factorize()");
-  const CscMatrix& lp = sets_->sym.l_pattern;
-  if (vs_block_applied()) return panels_to_csc(sets_->layout, values_, lp);
-  CscMatrix l(lp.rows(), lp.cols());
-  l.colptr = lp.colptr;
-  l.rowind = lp.rowind;
+  // Supernodal plans keep A's pattern, not L's: one symbolic pass
+  // re-derives L's exact pattern, which the panels then fill.
+  CscMatrix l = sets_->factor_pattern();
+  if (vs_block_applied())
+    return panels_to_csc(sets_->layout, values_, std::move(l));
   l.values = values_;
   return l;
 }

@@ -101,7 +101,10 @@ class CholeskyExecutor {
   void solve_batch(std::span<value_t> bx, index_t nrhs) const;
 
   /// Extract L as CSC (for inspection and the triangular-solve pipeline):
-  /// a fresh copy of L's pattern filled with the factor's values.
+  /// L's exact pattern filled with the factor's values. A copy of the
+  /// plan's pattern on the simplicial path; on the supernodal paths, whose
+  /// plans keep A's pattern instead, one symbolic_cholesky pass per call
+  /// re-derives it (CholeskySets::factor_pattern).
   [[nodiscard]] CscMatrix factor_csc() const;
 
   [[nodiscard]] const CholeskyPlan& plan() const { return *plan_; }

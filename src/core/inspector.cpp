@@ -164,6 +164,11 @@ TriSolveSets inspect_trisolve_dense_rhs(const CscMatrix& l,
   return inspect_trisolve(l, beta, opt);
 }
 
+CscMatrix CholeskySets::factor_pattern() const {
+  if (layout.n == 0) return sym.l_pattern;
+  return symbolic_cholesky(a_pattern).l_pattern;
+}
+
 CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
                                       const SympilerOptions& opt,
                                       const CholeskyPlanRequest& req,
@@ -246,10 +251,15 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     return sets;
   }
 
-  // Supernodal: the layout takes over the partition, then the update lists
-  // and the schedule -> slot map, which read only the layout, run as
-  // sibling tasks. Each is a deterministic pattern function, so the
-  // assembly is bit-reproducible regardless of which thread builds what.
+  // Supernodal: the plan keeps A's pattern in place of L's, which only
+  // the layout reads (below) and which is dropped after the assembly.
+  sets.a_pattern = CscMatrix(n, n);
+  sets.a_pattern.colptr = a_lower.colptr;
+  sets.a_pattern.rowind = a_lower.rowind;
+  // The layout takes over the partition, then the update lists and the
+  // schedule -> slot map, which read only the layout, run as sibling
+  // tasks. Each is a deterministic pattern function, so the assembly is
+  // bit-reproducible regardless of which thread builds what.
   const auto build_layout = [&] {
     sets.layout = solvers::SupernodalLayout::build(sets.sym, std::move(blocks));
   };
@@ -303,6 +313,7 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
   build_updates();
   build_schedule();
 #endif
+  sets.sym.l_pattern = CscMatrix();
   if (products.committed) {
     // Coarsening reads the update lists, which may still be under
     // construction while build_schedule runs as a task sibling — so it

@@ -19,7 +19,7 @@
 // transpose(A) feeds the etree, the GNP column counts, and the fused
 // pattern sweep (inspect_cholesky_planned). The etree, the counts and the
 // block-set only derive the sets the numeric code reads, so they stay
-// local to the inspector.
+// local to the inspector, and so does L's pattern on the supernodal paths.
 #pragma once
 
 #include <span>
@@ -99,10 +99,18 @@ struct TriSolveSets {
 
 /// Inspection sets for sparse Cholesky A = L L^T: only what an executor,
 /// a solve or factor_csc() reads. The simplicial path carries the row
-/// patterns, the supernodal paths the layout and the update lists; both
-/// carry L's pattern, without values.
+/// patterns and L's pattern, which its factor and solves walk. The
+/// supernodal paths carry the layout, the update lists and the
+/// lower-triangle pattern of A they were planned from: no factor or solve
+/// there reads L's rows, so factor_csc() re-derives them from A's pattern
+/// (one symbolic_cholesky pass per call). Neither pattern has values.
 struct CholeskySets {
-  FactorPattern sym;                  ///< pattern of L, nnz(L), flops
+  /// nnz(L) and flops on every path; L's pattern on the simplicial path
+  /// only (empty, 0 x 0, on the supernodal paths).
+  FactorPattern sym;
+  /// Supernodal paths: the lower triangle of A's pattern (empty, 0 x 0, on
+  /// the simplicial path). The verifier checks the scatter of A against it.
+  CscMatrix a_pattern;
   /// Supernodal paths: the panel layout of the factor, whose partition is
   /// the block-set (fundamental supernodes, amalgamated as in
   /// graph/supernodes.h), and the static update schedule (decoupled).
@@ -117,9 +125,24 @@ struct CholeskySets {
   bool vs_block_profitable = false;
   [[nodiscard]] double flops() const { return sym.flops; }
 
+  /// Order of the factored matrix: the layout's on the supernodal paths
+  /// (the order their executors index), L's pattern's on the simplicial
+  /// path. The path is told by whether a layout is present; the verifier's
+  /// structure pass rejects a plan that carries the other path's sets.
+  [[nodiscard]] index_t n() const {
+    return layout.n != 0 ? layout.n : sym.l_pattern.cols();
+  }
+
+  /// L's exact pattern: a copy of the stored one on the simplicial path,
+  /// symbolic_cholesky(a_pattern) on the supernodal paths (whose zero
+  /// value array comes along), told apart as n() does. O(|A| alpha(n) +
+  /// |L|) there, one transpose.
+  [[nodiscard]] CscMatrix factor_pattern() const;
+
   /// Heap bytes of the inspection sets (plan-size accounting).
   [[nodiscard]] std::size_t bytes() const {
-    return sym.l_pattern.bytes() + layout.bytes() + updates.bytes() +
+    return sym.l_pattern.bytes() + a_pattern.bytes() + layout.bytes() +
+           updates.bytes() +
            (rowpat_ptr.size() + rowpat.size()) * sizeof(index_t);
   }
 };

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "util/fault.h"
 #include "util/status.h"
@@ -47,6 +48,24 @@ std::string shell_quote(const std::string& path) {
   out += '\'';
   return out;
 }
+
+/// Removes a compile's scratch directory when compile() returns or
+/// throws: on success the library is mapped by then (a mapping outlives
+/// its file), and on failure the compiler's diagnostics have been read
+/// into the error.
+class ScratchDirGuard {
+ public:
+  explicit ScratchDirGuard(std::string dir) : dir_(std::move(dir)) {}
+  ScratchDirGuard(const ScratchDirGuard&) = delete;
+  ScratchDirGuard& operator=(const ScratchDirGuard&) = delete;
+  ~ScratchDirGuard() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+ private:
+  std::string dir_;
+};
 
 }  // namespace
 
@@ -98,6 +117,7 @@ JitModule JitModule::compile(const std::string& source,
   if (ec)
     throw jit_unavailable_error("jit: cannot create scratch dir " + dir +
                                 ": " + ec.message());
+  const ScratchDirGuard guard(dir);
   const std::string src_path = dir + "/kernel.cpp";
   const std::string so_path = dir + "/kernel.so";
   const std::string err_path = dir + "/cc.err";
@@ -136,8 +156,6 @@ JitModule JitModule::compile(const std::string& source,
   mod.fn_ = ::dlsym(mod.handle_, symbol.c_str());
   if (mod.fn_ == nullptr)
     throw jit_unavailable_error("jit: symbol not found: " + symbol);
-  // Scratch files are kept for post-mortem inspection; they live under the
-  // process-specific directory and are tiny.
   return mod;
 }
 

@@ -1,7 +1,8 @@
 // JIT back end of the PlanCompiler (plan_compiler.h): write the emitted
 // translation unit to a scratch directory, invoke the host compiler to
 // produce a shared object, dlopen it, and hand back the kernel entry
-// point. The entry-point types live beside the kernel artifact in
+// point. The scratch directory is removed before compile() returns or
+// throws. The entry-point types live beside the kernel artifact in
 // compiled_kernel.h.
 //
 // The paper reports this cost explicitly (section 4.3: code generation and

@@ -34,7 +34,7 @@ constexpr std::size_t kTableCrcSize = 8;
 
 enum SectionId : std::uint32_t {
   kSecMeta = 1,      ///< options, path, evidence, workspace, set scalars
-  kSecSymbolic = 2,  ///< Cholesky: L pattern
+  kSecSymbolic = 2,  ///< Cholesky: L pattern (simplicial), A pattern
   kSecBlocks = 3,    ///< trisolve: block-set; Cholesky: panel layout
   kSecUpdates = 4,   ///< Cholesky: static update schedule
   kSecRowpat = 5,    ///< Cholesky: simplicial row patterns
@@ -507,8 +507,11 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   meta.scalar<index_t>(plan.sets.layout.n);
   sections.emplace_back(kSecMeta, meta.take());
 
+  // The path's stored pattern: L's on the simplicial path, A's on the
+  // supernodal ones; the other is empty (0 x 0, no colptr).
   Writer sym;
   put_csc(sym, plan.sets.sym.l_pattern);
+  put_csc(sym, plan.sets.a_pattern);
   sections.emplace_back(kSecSymbolic, sym.take());
 
   Writer blocks;
@@ -583,6 +586,7 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
 
     Reader sym = section_reader(sections, kSecSymbolic, "symbolic");
     get_csc(sym, &plan.sets.sym.l_pattern);
+    get_csc(sym, &plan.sets.a_pattern);
     sym.expect_done();
 
     Reader blocks = section_reader(sections, kSecBlocks, "blocks");

@@ -47,9 +47,11 @@ namespace sympiler::core {
 /// Cholesky plans no longer carry the etree, the column counts or a
 /// separate block-set, and no plan records the store directory. Version
 /// 6: the Cholesky meta section drops the layout's copy of the flop count.
-// Version 7: the meta section drops the jit dispatch options (mode, warm
-// call count, source cap) and the evidence's jit-eligibility flag.
-inline constexpr std::uint32_t kPlanFormatVersion = 7;
+/// Version 7: the meta section drops the jit dispatch options (mode, warm
+/// call count, source cap) and the evidence's jit-eligibility flag.
+/// Version 8: the Cholesky symbolic section holds two patterns, L's and
+/// A's lower triangle; simplicial plans fill L's, supernodal plans A's.
+inline constexpr std::uint32_t kPlanFormatVersion = 8;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

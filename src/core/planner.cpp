@@ -33,7 +33,7 @@ namespace {
 /// halves of the diagonal blocks. Empty for plans without panels.
 std::string panel_fill(const CholeskySets& sets) {
   const solvers::SupernodalLayout& layout = sets.layout;
-  const double nnz_l = static_cast<double>(sets.sym.l_pattern.nnz());
+  const double nnz_l = static_cast<double>(sets.sym.fill_nnz);
   if (layout.n == 0 || nnz_l == 0.0) return {};
   double trapezoid = 0.0;
   for (index_t s = 0; s < layout.nsuper(); ++s) {

@@ -99,17 +99,14 @@ void scatter_supernode(const SupernodalLayout& layout,
 }
 
 CscMatrix panels_to_csc(const SupernodalLayout& layout,
-                        std::span<const value_t> panels,
-                        const CscMatrix& l_pattern) {
-  const index_t n = layout.n;
-  SYMPILER_CHECK(l_pattern.cols() == n, "panels_to_csc: pattern order");
-  CscMatrix l(n, n);
-  l.colptr = l_pattern.colptr;
-  l.rowind = l_pattern.rowind;
+                        std::span<const value_t> panels, CscMatrix l) {
+  SYMPILER_CHECK(l.rows() == layout.n && l.cols() == layout.n,
+                 "panels_to_csc: pattern order");
   l.values.resize(l.rowind.size());
   // Column j's pattern is a sorted subset of its panel rows from its own
   // diagonal on, so one forward walk over the panel column finds every
   // entry; the rows it skips are explicit zeros of an amalgamated panel.
+  // A row the walk cannot find means the pattern is not the layout's.
   for (index_t s = 0; s < layout.nsuper(); ++s) {
     const index_t c1 = layout.sn.start[s];
     const index_t c2 = layout.sn.start[s + 1];
@@ -120,7 +117,9 @@ CscMatrix panels_to_csc(const SupernodalLayout& layout,
       const value_t* col = panel + static_cast<std::int64_t>(j - c1) * m;
       index_t t = j - c1;
       for (index_t p = l.col_begin(j); p < l.col_end(j); ++p) {
-        while (rows[t] < l.rowind[p]) ++t;
+        while (t < m && rows[t] < l.rowind[p]) ++t;
+        SYMPILER_CHECK(t < m && rows[t] == l.rowind[p],
+                       "panels_to_csc: pattern row not in the panel");
         l.values[p] = col[t];
       }
     }

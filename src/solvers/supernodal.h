@@ -90,12 +90,13 @@ void scatter_supernode(const SupernodalLayout& layout,
                        index_t j1, value_t* panel, const index_t* map);
 
 /// Convert factored panels to a CSC lower-triangular factor on the exact
-/// symbolic pattern `l_pattern` (the pattern the layout was built from):
-/// explicit zeros of amalgamated panels are dropped, so the result has the
-/// same pattern as a simplicial factor of the same matrix.
+/// symbolic pattern `l_pattern` (the pattern the layout was built from),
+/// which the result takes over and fills with values: explicit zeros of
+/// amalgamated panels are dropped, so the result has the same pattern as
+/// a simplicial factor of the same matrix.
 [[nodiscard]] CscMatrix panels_to_csc(const SupernodalLayout& layout,
                                       std::span<const value_t> panels,
-                                      const CscMatrix& l_pattern);
+                                      CscMatrix l_pattern);
 
 /// Supernodal forward solve L y = b over panels; x: b in, y out. `scratch`
 /// is caller workspace of at least max_tail(layout) entries; the 3-arg

@@ -17,6 +17,8 @@ std::uint64_t transpose_count() {
 CscMatrix transpose(const CscMatrix& a) {
   g_transpose_calls.fetch_add(1, std::memory_order_relaxed);
   CscMatrix at(a.cols(), a.rows(), a.nnz());
+  const bool with_values = a.values.size() == a.rowind.size();
+  if (!with_values) at.values.clear();  // a pattern transposes to a pattern
   std::vector<index_t> count(static_cast<std::size_t>(a.rows()) + 1, 0);
   for (index_t p = 0; p < a.nnz(); ++p) ++count[a.rowind[p] + 1];
   for (index_t i = 0; i < a.rows(); ++i) count[i + 1] += count[i];
@@ -26,7 +28,7 @@ CscMatrix transpose(const CscMatrix& a) {
     for (index_t p = a.col_begin(j); p < a.col_end(j); ++p) {
       const index_t q = next[a.rowind[p]]++;
       at.rowind[q] = j;
-      at.values[q] = a.values[p];
+      if (with_values) at.values[q] = a.values[p];
     }
   }
   return at;

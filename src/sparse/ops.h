@@ -12,7 +12,8 @@
 
 namespace sympiler {
 
-/// B = A^T (values transposed too). O(nnz + n).
+/// B = A^T (values transposed too; a pattern without values transposes
+/// to a pattern without values). O(nnz + n).
 [[nodiscard]] CscMatrix transpose(const CscMatrix& a);
 
 /// Process-wide count of transpose() calls. Regression instrumentation in

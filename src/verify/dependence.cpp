@@ -96,14 +96,10 @@ bool check_partition(Checker& c, const SupernodePartition& sn, index_t n,
 }
 
 /// Validate the CSC invariants of a factor pattern: monotone colptr,
-/// diagonal-first sorted in-bounds columns. When `offdiag_hash` is given,
-/// also compute the commutative pair hash of every off-diagonal entry (for
-/// the rowpat transpose check). Pass `check_sorted = false` when a later
-/// check compares every column against an independently-validated sorted
-/// row list (the supernodal panel compare), which subsumes the sweep.
+/// diagonal-first sorted in-bounds columns. Also computes the commutative
+/// pair hash of every off-diagonal entry (for the rowpat transpose check).
 bool check_lower_pattern(Checker& c, const CscMatrix& lp, const char* check,
-                         std::uint64_t* offdiag_hash = nullptr,
-                         bool check_sorted = true) {
+                         std::uint64_t& offdiag_hash) {
   const index_t n = lp.cols();
   if (static_cast<index_t>(lp.colptr.size()) != n + 1 ||
       lp.colptr.front() != 0 ||
@@ -116,45 +112,61 @@ bool check_lower_pattern(Checker& c, const CscMatrix& lp, const char* check,
       return c.fail(check, j, "diagonal missing or not first in column");
   }
   const auto& ri = lp.rowind;
-  if (check_sorted) {
-    // Two-tier sortedness: the branchless sweep with the n-1
-    // column-boundary pairs exempted; the per-element scan with a useful
-    // message runs only when the sweep says something is wrong. A negative
-    // interior entry is always <= its predecessor somewhere down the chain
-    // to the (validated) diagonal, so the two sweep comparisons cover
-    // bounds as well.
-    std::uint64_t viol = pair_violations(ri, n);
-    for (index_t j = 1; j < n; ++j) {
-      const index_t b = lp.colptr[j];
-      viol -= static_cast<std::uint64_t>(ri[b] <= ri[b - 1]);
-    }
-    if (viol != 0) {
-      for (index_t j = 0; j < n; ++j)
-        for (index_t p = lp.colptr[j] + 1; p < lp.colptr[j + 1]; ++p)
-          if (ri[p] <= ri[p - 1] || ri[p] >= n)
-            return c.fail(
-                check, j,
-                cat("row indices not strictly increasing in-bounds ",
-                    "at position ", p));
-      return c.fail(check, -1,
-                    "row indices not strictly increasing in-bounds");
+  // Two-tier sortedness: the branchless sweep with the n-1 column-boundary
+  // pairs exempted; the per-element scan with a useful message runs only
+  // when the sweep says something is wrong. A negative interior entry is
+  // always <= its predecessor somewhere down the chain to the (validated)
+  // diagonal, so the two sweep comparisons cover bounds as well.
+  std::uint64_t viol = pair_violations(ri, n);
+  for (index_t j = 1; j < n; ++j) {
+    const index_t b = lp.colptr[j];
+    viol -= static_cast<std::uint64_t>(ri[b] <= ri[b - 1]);
+  }
+  if (viol != 0) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t p = lp.colptr[j] + 1; p < lp.colptr[j + 1]; ++p)
+        if (ri[p] <= ri[p - 1] || ri[p] >= n)
+          return c.fail(check, j,
+                        cat("row indices not strictly increasing in-bounds ",
+                            "at position ", p));
+    return c.fail(check, -1, "row indices not strictly increasing in-bounds");
+  }
+  offdiag_hash = hash_offdiag(lp.colptr, ri, n);
+  return true;
+}
+
+/// Validate the stored lower triangle of A's pattern (supernodal plans):
+/// square, no values, monotone colptr, and every column's rows strictly
+/// ascending in [j, n). Unlike L, a column of A may lack its diagonal.
+bool check_a_pattern(Checker& c, const CscMatrix& ap) {
+  const index_t n = ap.cols();
+  if (ap.rows() != n || static_cast<index_t>(ap.colptr.size()) != n + 1 ||
+      ap.colptr.front() != 0 ||
+      static_cast<index_t>(ap.rowind.size()) != ap.colptr.back() ||
+      !ap.values.empty())
+    return c.fail("structure.a-pattern", -1,
+                  "shape, colptr/rowind sizes or value array inconsistent");
+  for (index_t j = 0; j < n; ++j) {
+    if (ap.colptr[j + 1] < ap.colptr[j])
+      return c.fail("structure.a-pattern", j, "colptr decreases");
+    index_t prev = j - 1;
+    for (index_t p = ap.colptr[j]; p < ap.colptr[j + 1]; ++p) {
+      const index_t i = ap.rowind[p];
+      if (i <= prev || i >= n)
+        return c.fail("structure.a-pattern", j,
+                      cat("row ", i, " at position ", p,
+                          " not strictly increasing in [", j, ", ", n, ")"));
+      prev = i;
     }
   }
-  if (offdiag_hash != nullptr) *offdiag_hash = hash_offdiag(lp.colptr, ri, n);
   return true;
 }
 
 /// Internal consistency of a SupernodalLayout (partition, row lists, panel
-/// offsets). Does not touch the L pattern.
-/// `panels_bound_to_l` marks that the caller will compare every panel's
-/// row list against the verified L pattern column-by-column (the
-/// supernode-invariant check). That compare, together with L's
-/// diagonal-first invariant, already implies rows >= width and that the
-/// first width(s) panel rows are the own columns, so those per-supernode
-/// checks are skipped here — they are the layout pass's hottest loop on
-/// meshes with thousands of narrow supernodes.
+/// offsets): every panel starts with its own columns, and its rows ascend
+/// strictly in [0, n).
 bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
-                  index_t n, bool panels_bound_to_l) {
+                  index_t n) {
   if (layout.n != n)
     return c.fail("structure.layout", -1,
                   cat("layout order ", layout.n, " != pattern order ", n));
@@ -172,16 +184,14 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
       return c.fail("structure.layout", s, "srow_ptr decreases");
     const index_t rows = layout.srow_ptr[s + 1] - layout.srow_ptr[s];
     const index_t w = layout.width(s);
-    if (!panels_bound_to_l) {
-      if (rows < w)
+    if (rows < w)
+      return c.fail("structure.layout", s,
+                    cat("panel has ", rows, " rows < width ", w));
+    const index_t base = layout.srow_ptr[s];
+    for (index_t u = 0; u < w; ++u)
+      if (layout.srows[base + u] != layout.sn.start[s] + u)
         return c.fail("structure.layout", s,
-                      cat("panel has ", rows, " rows < width ", w));
-      const index_t base = layout.srow_ptr[s];
-      for (index_t u = 0; u < w; ++u)
-        if (layout.srows[base + u] != layout.sn.start[s] + u)
-          return c.fail("structure.layout", s,
-                        "first width(s) panel rows must be the own columns");
-    }
+                      "first width(s) panel rows must be the own columns");
     if (layout.panel_ptr[s + 1] - layout.panel_ptr[s] !=
         static_cast<std::int64_t>(rows) * w)
       return c.fail("structure.layout", s,
@@ -191,9 +201,8 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
   // Two-tier tail check mirroring check_lower_pattern: branchless
   // ascending/bounds sweep over all panel rows with the panel-boundary
   // pairs exempted; the per-row diagnostic scan runs only on violation.
-  // The first rows of every panel are its own columns (verified above,
-  // or pinned through L's diagonal-first invariant by the caller's panel
-  // compare when panels_bound_to_l), so they anchor bounds from below.
+  // The first rows of every panel are its own columns (verified above),
+  // so they anchor bounds from below.
   const auto& sr = layout.srows;
   std::uint64_t viol = sr.empty() ? 0 : pair_violations(sr, n);
   for (index_t s = 1; s < nsuper; ++s) {
@@ -281,134 +290,166 @@ bool require_schedule(Checker& c, const parallel::AggregateSchedule& agg) {
 
 // ---------------------------------------------------------------- Cholesky
 
-void check_structure(Report& report, const core::CholeskyPlan& plan) {
-  Checker c(report, Pass::kStructure);
-  const CscMatrix& lp = plan.sets.sym.l_pattern;
-  const index_t n = lp.cols();
+namespace {
 
+/// Simplicial sets: L's pattern, and the row patterns, which must be
+/// exactly its off-diagonal CSR transpose, rows in ascending-column
+/// (elimination) order. Checked with streaming passes only (a literal
+/// cursor replay is one random access per nonzero — measurably the
+/// verifier's hottest loop on large factors): per-row entries strictly
+/// ascending in [0, i), total count equal to the off-diagonal count, and
+/// a commutative per-pair hash over both sides equal. Count + multiset
+/// equality + per-row ordering pin the exact CSR transpose.
+void check_simplicial_sets(Checker& c, const core::CholeskySets& sets) {
+  const CscMatrix& lp = sets.sym.l_pattern;
+  const index_t n = lp.cols();
   c.note();
   std::uint64_t offdiag_hash = 0;
-  const bool has_layout = plan.sets.layout.n != 0;
-  const bool lp_ok = check_lower_pattern(
-      c, lp, "structure.l-pattern",
-      plan.sets.rowpat_ptr.empty() ? nullptr : &offdiag_hash,
-      /*check_sorted=*/!has_layout);
+  if (!check_lower_pattern(c, lp, "structure.l-pattern", offdiag_hash))
+    return;
 
-  // Simplicial prune-sets: rowpat must be exactly the off-diagonal CSR
-  // transpose of the L pattern, rows in ascending-column (elimination)
-  // order. Checked with streaming passes only (a literal cursor replay is
-  // one random access per nonzero — measurably the verifier's hottest
-  // loop on large factors): per-row entries strictly ascending in [0, i),
-  // total count equal to the off-diagonal count, and a commutative
-  // per-pair hash over both sides equal. Count + multiset equality +
-  // per-row ordering pin the exact CSR transpose.
-  if (!plan.sets.rowpat_ptr.empty() && lp_ok) {
-    c.note();
-    const auto& rp = plan.sets.rowpat_ptr;
-    const auto& rows = plan.sets.rowpat;
-    if (static_cast<index_t>(rp.size()) != n + 1 || rp.front() != 0 ||
-        static_cast<index_t>(rows.size()) != rp.back()) {
-      c.fail("structure.rowpat", -1, "rowpat_ptr/rowpat sizes inconsistent");
-    } else if (rp.back() != lp.colptr.back() - n) {
-      c.fail("structure.rowpat", -1,
-             cat("rowpat lists ", rp.back(), " updates, the pattern has ",
-                 lp.colptr.back() - n, " off-diagonal entries"));
-    } else {
-      bool ok = true;
-      for (index_t i = 0; i < n && ok; ++i)
-        if (rp[i + 1] < rp[i])
-          ok = c.fail("structure.rowpat", i, "rowpat_ptr decreases");
-      if (ok) {
-        // Ascending/range two-tier: the global pair sweep plus one O(1)
-        // fix-up per row (exempt the row-boundary pair; bound the first
-        // entry below by 0 and the last by i — with interior ascending
-        // that brackets the whole row into [0, i)).
-        std::uint64_t viol = rows.empty() ? 0 : pair_violations(rows, n);
-        for (index_t i = 0; i < n; ++i) {
-          const index_t b = rp[i], e = rp[i + 1];
-          if (b == e) continue;
-          if (b > 0)
-            viol -= static_cast<std::uint64_t>(rows[b] <= rows[b - 1]);
-          viol += static_cast<std::uint64_t>(rows[b] < 0) +
-                  static_cast<std::uint64_t>(rows[e - 1] >= i);
+  c.note();
+  const auto& rp = sets.rowpat_ptr;
+  const auto& rows = sets.rowpat;
+  if (static_cast<index_t>(rp.size()) != n + 1 || rp.front() != 0 ||
+      static_cast<index_t>(rows.size()) != rp.back()) {
+    c.fail("structure.rowpat", -1, "rowpat_ptr/rowpat sizes inconsistent");
+    return;
+  }
+  if (rp.back() != lp.colptr.back() - n) {
+    c.fail("structure.rowpat", -1,
+           cat("rowpat lists ", rp.back(), " updates, the pattern has ",
+               lp.colptr.back() - n, " off-diagonal entries"));
+    return;
+  }
+  for (index_t i = 0; i < n; ++i)
+    if (rp[i + 1] < rp[i]) {
+      c.fail("structure.rowpat", i, "rowpat_ptr decreases");
+      return;
+    }
+  // Ascending/range two-tier: the global pair sweep plus one O(1) fix-up
+  // per row (exempt the row-boundary pair; bound the first entry below by
+  // 0 and the last by i — with interior ascending that brackets the whole
+  // row into [0, i)).
+  std::uint64_t viol = rows.empty() ? 0 : pair_violations(rows, n);
+  for (index_t i = 0; i < n; ++i) {
+    const index_t b = rp[i], e = rp[i + 1];
+    if (b == e) continue;
+    if (b > 0) viol -= static_cast<std::uint64_t>(rows[b] <= rows[b - 1]);
+    viol += static_cast<std::uint64_t>(rows[b] < 0) +
+            static_cast<std::uint64_t>(rows[e - 1] >= i);
+  }
+  if (viol != 0) {
+    for (index_t i = 0; i < n; ++i) {
+      index_t prev = -1;
+      for (index_t p = rp[i]; p < rp[i + 1]; ++p) {
+        const index_t j = rows[p];
+        if (j <= prev || j >= i) {
+          c.fail("structure.rowpat", i,
+                 cat("row pattern of row ", i, " entry ", j,
+                     " not strictly ascending in [0, ", i, ")"));
+          return;
         }
-        if (viol != 0) {
-          for (index_t i = 0; i < n && ok; ++i) {
-            index_t prev = -1;
-            for (index_t p = rp[i]; p < rp[i + 1] && ok; ++p) {
-              const index_t j = rows[p];
-              if (j <= prev || j >= i)
-                ok = c.fail("structure.rowpat", i,
-                            cat("row pattern of row ", i, " entry ", j,
-                                " not strictly ascending in [0, ", i, ")"));
-              prev = j;
-            }
-          }
-          if (ok)
-            ok = c.fail("structure.rowpat", -1,
-                        "row pattern entries inconsistent");
-        }
-        if (ok && hash_rowpat(rp, rows, n) != offdiag_hash)
-          c.fail("structure.rowpat", -1,
-                 "row patterns are not the transpose of the L pattern");
+        prev = j;
       }
     }
+    c.fail("structure.rowpat", -1, "row pattern entries inconsistent");
+    return;
   }
+  if (hash_rowpat(rp, rows, n) != offdiag_hash)
+    c.fail("structure.rowpat", -1,
+           "row patterns are not the transpose of the L pattern");
+}
 
-  bool layout_ok = false;
-  if (has_layout) {
-    c.note();
-    layout_ok = check_layout(c, plan.sets.layout, n,
-                             /*panels_bound_to_l=*/lp_ok);
-    if (layout_ok && lp_ok) {
-      // Supernodal invariant, bound to the layout: a supernode's panel
-      // rows are its own columns followed by the below-diagonal pattern of
-      // its last column, and every other column's pattern lies inside the
-      // panel rows from its own diagonal on (an amalgamated panel stores
-      // the rows a column lacks as explicit zeros). So the last column
-      // must equal its suffix exactly, and each earlier column must start
-      // at its own panel row and be found, in order, in the rows after it.
-      // With L's diagonal-first invariant this pins the srows content to
-      // the L pattern.
-      c.note();
-      const solvers::SupernodalLayout& layout = plan.sets.layout;
-      const index_t* sr = layout.srows.data();
-      bool sn_ok = true;
-      for (index_t s = 0; s < layout.nsuper() && sn_ok; ++s) {
-        const index_t c1 = layout.sn.start[s];
-        const index_t c2 = layout.sn.start[s + 1];
-        const index_t base = layout.srow_ptr[s];
-        const index_t end = layout.srow_ptr[s + 1];
-        for (index_t j = c1; j < c2 && sn_ok; ++j) {
-          const index_t b = lp.colptr[j];
-          const index_t e = lp.colptr[j + 1];
-          index_t q = base + (j - c1);
-          bool inside;
-          if (j == c2 - 1) {
-            inside = e - b == end - q &&
-                     std::equal(lp.rowind.begin() + b,
-                                lp.rowind.begin() + e, sr + q);
-          } else {
-            inside = q < end && sr[q] == lp.rowind[b];
-            for (index_t p = b + 1; p < e && inside; ++p) {
-              ++q;
-              while (q < end && sr[q] < lp.rowind[p]) ++q;
-              inside = q < end && sr[q] == lp.rowind[p];
-            }
-          }
-          if (!inside)
-            sn_ok = c.fail(
-                "structure.supernode-invariant", j,
-                cat("column ", j, " pattern is not ",
-                    j == c2 - 1 ? "the suffix" : "inside the suffix",
-                    " of supernode ", s, "'s panel rows"));
-        }
-      }
+/// The two preconditions the supernodal numeric scatter relies on, which
+/// the planner meets by construction: every stored entry of A lies in its
+/// supernode's panel rows (at or below its diagonal, since a panel's rows
+/// ascend from its own columns and A is lower), and every row a
+/// descendant update scatters is a row of its target. The target's own
+/// columns are its first panel rows (check_layout), and an update's rows
+/// [p1, p2) are target columns (check_updates), so only the rows from p2
+/// on are looked up. O(|A| + panel rows + update rows) with one n-sized
+/// stamp array: a row is in supernode s's panel iff its stamp is s.
+void check_scatter_rows(Checker& c, const core::CholeskySets& sets) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  const CscMatrix& ap = sets.a_pattern;
+  std::vector<index_t> stamp(static_cast<std::size_t>(layout.n), -1);
+  c.note();
+  c.note();
+  bool a_ok = true;
+  bool updates_ok = true;
+  for (index_t s = 0; s < layout.nsuper() && (a_ok || updates_ok); ++s) {
+    for (index_t t = layout.srow_ptr[s]; t < layout.srow_ptr[s + 1]; ++t)
+      stamp[layout.srows[t]] = s;
+    for (index_t j = layout.sn.start[s]; j < layout.sn.start[s + 1] && a_ok;
+         ++j)
+      for (index_t p = ap.colptr[j]; p < ap.colptr[j + 1] && a_ok; ++p)
+        if (stamp[ap.rowind[p]] != s)
+          a_ok = c.fail("structure.a-coverage", j,
+                        cat("A(", ap.rowind[p], ", ", j, ") lies outside ",
+                            "supernode ", s, "'s panel rows"));
+    for (index_t q = sets.updates.ptr[s];
+         q < sets.updates.ptr[s + 1] && updates_ok; ++q) {
+      const solvers::UpdateRef& ref = sets.updates.refs[q];
+      const index_t* drows = layout.srows.data() + layout.srow_ptr[ref.d];
+      for (index_t u = ref.p2; u < layout.nrows(ref.d) && updates_ok; ++u)
+        if (stamp[drows[u]] != s)
+          updates_ok = c.fail(
+              "structure.update-containment", s,
+              cat("descendant ", ref.d, " scatters row ", drows[u],
+                  ", which is not a row of target supernode ", s));
     }
   }
-  if (layout_ok && !plan.sets.updates.ptr.empty()) {
-    c.note();
-    check_updates(c, plan.sets.layout, plan.sets.updates);
+}
+
+/// Supernodal sets: A's stored pattern, the layout and the update lists
+/// are each well formed, then the scatter preconditions that tie them
+/// together.
+void check_supernodal_sets(Checker& c, const core::CholeskySets& sets) {
+  c.note();
+  if (!check_a_pattern(c, sets.a_pattern)) return;
+  c.note();
+  if (!check_layout(c, sets.layout, sets.a_pattern.cols())) return;
+  c.note();
+  if (!check_updates(c, sets.layout, sets.updates)) return;
+  check_scatter_rows(c, sets);
+}
+
+bool is_empty(const CscMatrix& m) {
+  return m.rows() == 0 && m.cols() == 0 && m.bytes() == 0;
+}
+
+/// A plan carries only its own path's sets. CholeskySets::n() and
+/// factor_pattern() tell the paths apart by whether a layout is present,
+/// and the workspace pass sizes dims.n by n(), so a stray set of the other
+/// path (an A pattern beside a simplicial L, a layout with no executor to
+/// read it) would let the plan be checked against the wrong order.
+bool check_path_sets(Checker& c, const core::CholeskyPlan& plan) {
+  const core::CholeskySets& sets = plan.sets;
+  c.note();
+  if (plan.path == core::ExecutionPath::Simplicial) {
+    if (!is_empty(sets.a_pattern) || sets.layout.n != 0 ||
+        sets.layout.bytes() != 0 || sets.updates.bytes() != 0)
+      return c.fail("structure.path-sets", -1,
+                    "simplicial plan carries an A pattern, a supernode "
+                    "layout or update lists");
+  } else if (!is_empty(sets.sym.l_pattern) || !sets.rowpat_ptr.empty() ||
+             !sets.rowpat.empty()) {
+    return c.fail("structure.path-sets", -1,
+                  "supernodal plan carries an L pattern or row patterns");
+  }
+  return true;
+}
+
+}  // namespace
+
+void check_structure(Report& report, const core::CholeskyPlan& plan) {
+  Checker c(report, Pass::kStructure);
+  if (!check_path_sets(c, plan)) return;
+  if (plan.path == core::ExecutionPath::Simplicial) {
+    check_simplicial_sets(c, plan.sets);
+  } else {
+    check_supernodal_sets(c, plan.sets);
   }
 }
 

@@ -6,6 +6,8 @@
 #include "verify/mutate.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace sympiler::verify {
 
@@ -82,40 +84,122 @@ bool reorder_chain(parallel::AggregateSchedule& agg) {
   return false;
 }
 
+/// Delete below-diagonal row u of supernode s's panel. Every offset stays
+/// consistent: later panels' row and value offsets, and the row windows of
+/// the supernode's own update refs.
+void erase_panel_row(core::CholeskySets& sets, index_t s, index_t u) {
+  solvers::SupernodalLayout& layout = sets.layout;
+  const index_t w = layout.width(s);
+  layout.srows.erase(layout.srows.begin() + layout.srow_ptr[s] + u);
+  for (index_t t = s + 1; t <= layout.nsuper(); ++t) {
+    --layout.srow_ptr[t];
+    layout.panel_ptr[t] -= w;
+  }
+  for (solvers::UpdateRef& ref : sets.updates.refs) {
+    if (ref.d != s) continue;
+    if (ref.p1 > u) --ref.p1;
+    if (ref.p2 > u) --ref.p2;
+  }
+}
+
 /// Delete one explicit-zero row of an amalgamated panel: a below-diagonal
 /// row that the supernode's first column lacks — the bug class of a
 /// layout builder that takes a merged panel's rows from its first column.
-/// Every offset stays consistent (later panels' row and value offsets,
-/// the row windows of the supernode's own update refs), so only the
-/// supernode-invariant check can see that the last column's row went
-/// missing.
+/// The plan keeps no L pattern, so the first column's rows come from
+/// symbolic_cholesky of the stored A pattern. The row reached L either
+/// from an entry of A in the supernode's columns (the A-coverage check
+/// sees it) or through a descendant's update (the containment check).
 bool drop_panel_zero_row(core::CholeskySets& sets) {
-  solvers::SupernodalLayout& layout = sets.layout;
-  const CscMatrix& lp = sets.sym.l_pattern;
-  const index_t nsuper = layout.nsuper();
-  for (index_t s = 0; s < nsuper; ++s) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  const CscMatrix lp = sets.factor_pattern();
+  for (index_t s = 0; s < layout.nsuper(); ++s) {
     const index_t c1 = layout.sn.start[s];
-    const index_t w = layout.width(s);
     const index_t base = layout.srow_ptr[s];
     index_t p = lp.col_begin(c1);
-    for (index_t u = w; u < layout.nrows(s); ++u) {
+    for (index_t u = layout.width(s); u < layout.nrows(s); ++u) {
       const index_t r = layout.srows[base + u];
       while (p < lp.col_end(c1) && lp.rowind[p] < r) ++p;
       if (p < lp.col_end(c1) && lp.rowind[p] == r) continue;
-      layout.srows.erase(layout.srows.begin() + base + u);
-      for (index_t t = s + 1; t <= nsuper; ++t) {
-        --layout.srow_ptr[t];
-        layout.panel_ptr[t] -= w;
-      }
-      for (solvers::UpdateRef& ref : sets.updates.refs) {
-        if (ref.d != s) continue;
-        if (ref.p1 > u) --ref.p1;
-        if (ref.p2 > u) --ref.p2;
-      }
+      erase_panel_row(sets, s, u);
       return true;
     }
   }
   return false;
+}
+
+/// Delete a below-diagonal panel row that no stored entry of A in the
+/// supernode's columns needs: the row reached the panel only through a
+/// descendant's update, which still scatters it. Only the update
+/// containment check can see that.
+bool drop_update_row(core::CholeskySets& sets) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  const CscMatrix& ap = sets.a_pattern;
+  std::vector<index_t> in_a(static_cast<std::size_t>(layout.n), -1);
+  for (index_t s = 0; s < layout.nsuper(); ++s) {
+    for (index_t j = layout.sn.start[s]; j < layout.sn.start[s + 1]; ++j)
+      for (index_t p = ap.col_begin(j); p < ap.col_end(j); ++p)
+        in_a[ap.rowind[p]] = s;
+    const index_t base = layout.srow_ptr[s];
+    for (index_t u = layout.width(s); u < layout.nrows(s); ++u) {
+      if (in_a[layout.srows[base + u]] == s) continue;
+      erase_panel_row(sets, s, u);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Move one stored entry of A to a row its supernode's panel lacks (kept
+/// sorted and inside the lower triangle, so the pattern itself stays well
+/// formed): the scatter of A would write through a stale row map. Only
+/// the A-coverage check can see it.
+bool move_a_entry_off_panel(core::CholeskySets& sets) {
+  const solvers::SupernodalLayout& layout = sets.layout;
+  CscMatrix& ap = sets.a_pattern;
+  const index_t n = layout.n;
+  std::vector<index_t> stamp(static_cast<std::size_t>(n), -1);
+  for (index_t s = 0; s < layout.nsuper(); ++s) {
+    for (index_t t = layout.srow_ptr[s]; t < layout.srow_ptr[s + 1]; ++t)
+      stamp[layout.srows[t]] = s;
+    for (index_t j = layout.sn.start[s]; j < layout.sn.start[s + 1]; ++j) {
+      const index_t b = ap.col_begin(j);
+      const index_t e = ap.col_end(j);
+      if (e - b < 2) continue;  // keep a column's only entry
+      for (index_t r = j + 1; r < n; ++r) {
+        if (stamp[r] == s ||
+            std::binary_search(ap.rowind.begin() + b, ap.rowind.begin() + e,
+                               r))
+          continue;
+        ap.rowind[e - 1] = r;
+        std::sort(ap.rowind.begin() + b, ap.rowind.begin() + e);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Plant the other path's pattern: beside a simplicial plan's L, a small
+/// well-formed A pattern (the diagonal of the leading half) with dims.n
+/// trimmed to its order; beside a supernodal plan's A, L's pattern — a
+/// plan builder or a plan file that keeps both. A simplicial plan checked
+/// against the stray order would overflow its dense column when it runs.
+bool plant_stray_pattern(core::CholeskyPlan& plan) {
+  core::CholeskySets& sets = plan.sets;
+  if (plan.path != ExecutionPath::Simplicial) {
+    sets.sym.l_pattern = sets.factor_pattern();
+    return true;
+  }
+  const index_t m = sets.n() / 2;
+  if (m == 0) return false;
+  CscMatrix stray(m, m);
+  for (index_t j = 0; j < m; ++j) {
+    stray.rowind.push_back(j);
+    stray.colptr[j + 1] = j + 1;
+  }
+  sets.a_pattern = std::move(stray);
+  plan.workspace.n = m;
+  return true;
 }
 
 /// Drop the last scheduled item: the schedule still looks well-formed but
@@ -162,6 +246,12 @@ const char* to_string(Corruption c) {
       return "dropped-schedule";
     case Corruption::kDroppedSlotMap:
       return "dropped-slot-map";
+    case Corruption::kAEntryOutsidePanel:
+      return "a-entry-outside-panel";
+    case Corruption::kUpdateRowOutsideTarget:
+      return "update-row-outside-target";
+    case Corruption::kStrayPattern:
+      return "stray-pattern";
   }
   return "?";
 }
@@ -170,7 +260,7 @@ const char* to_string(Corruption c) {
 
 bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
   auto& sets = plan.sets;
-  const index_t n = sets.sym.l_pattern.cols();
+  const index_t n = sets.n();
   const bool has_layout = sets.layout.n != 0;
 
   switch (c) {
@@ -267,6 +357,12 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
       return drop(plan.agg);
     case Corruption::kDroppedSlotMap:
       return drop(plan.solve_update_map);
+    case Corruption::kAEntryOutsidePanel:
+      return has_layout && move_a_entry_off_panel(sets);
+    case Corruption::kUpdateRowOutsideTarget:
+      return has_layout && drop_update_row(sets);
+    case Corruption::kStrayPattern:
+      return plant_stray_pattern(plan);
   }
   return false;
 }
@@ -365,7 +461,10 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
     case Corruption::kChainReorder:
       return !plan.agg.empty() && reorder_chain(plan.agg);
     case Corruption::kDroppedPanelZeroRow:
-      return false;  // trisolve plans carry no panels
+    case Corruption::kAEntryOutsidePanel:
+    case Corruption::kUpdateRowOutsideTarget:
+    case Corruption::kStrayPattern:
+      return false;  // trisolve plans carry no panels and no A pattern
     case Corruption::kDroppedSchedule:
       return drop(plan.agg);
     case Corruption::kDroppedSlotMap:

@@ -35,6 +35,9 @@ enum class Corruption {
   kDroppedPanelZeroRow,   // amalgamated panel loses an explicit-zero row
   kDroppedSchedule,       // parallel plan loses its aggregate schedule
   kDroppedSlotMap,        // parallel plan loses its update-slot map
+  kAEntryOutsidePanel,    // stored A entry moved off its supernode's rows
+  kUpdateRowOutsideTarget,  // target panel loses a row an update scatters
+  kStrayPattern,          // plan carries the other path's pattern
 };
 
 /// Every corruption class, in declaration order — the one list the kill
@@ -45,7 +48,8 @@ inline constexpr Corruption kAllCorruptions[] = {
     Corruption::kOutOfBoundsIndex,     Corruption::kWorkspaceTrim,
     Corruption::kScheduleGap,          Corruption::kChainReorder,
     Corruption::kDroppedPanelZeroRow,  Corruption::kDroppedSchedule,
-    Corruption::kDroppedSlotMap,
+    Corruption::kDroppedSlotMap,       Corruption::kAEntryOutsidePanel,
+    Corruption::kUpdateRowOutsideTarget, Corruption::kStrayPattern,
 };
 
 const char* to_string(Corruption c);

@@ -12,7 +12,10 @@
 //  * kStructure  — the inspection sets are internally consistent: L
 //    pattern invariants, row patterns match the factor's transpose, reach
 //    sets are topological closures of the RHS pattern, supernode layouts
-//    tile correctly, update refs point at real panel rows.
+//    tile correctly, update refs point at real panel rows, and the two
+//    preconditions of the supernodal scatter hold: every stored entry of
+//    A lies in its supernode's panel rows, and every row a descendant
+//    update scatters is a row of its target.
 //  * kDependence — a parallel plan carries an AggregateSchedule, and it is
 //    a legal topological refinement of the dependence relation recomputed
 //    from the sets: every dependence lands strictly earlier (level, or
@@ -99,8 +102,9 @@ struct VerifyOptions {
   bool audit_emitted_code = false;
 };
 
-/// Verify a Cholesky plan. Everything the passes need (pattern of L,
-/// layout, update lists, aggregate schedule, slot map) lives in the plan.
+/// Verify a Cholesky plan. Everything the passes need (L's pattern on the
+/// simplicial path, A's pattern, the layout and the update lists on the
+/// supernodal ones, aggregate schedule, slot map) lives in the plan.
 [[nodiscard]] Report verify_plan(const core::CholeskyPlan& plan,
                                  const VerifyOptions& opts = {});
 

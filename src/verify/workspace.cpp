@@ -14,7 +14,7 @@ namespace sympiler::verify::detail {
 void check_workspace(Report& report, const core::CholeskyPlan& plan) {
   Checker c(report, Pass::kWorkspace);
   const core::WorkspaceDims& d = plan.workspace;
-  const index_t n = plan.sets.sym.l_pattern.cols();
+  const index_t n = plan.sets.n();
 
   c.note();
   if (d.n < n) {

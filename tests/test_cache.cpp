@@ -100,6 +100,24 @@ TEST(PatternKey, CholeskyAndTrisolveDomainsNeverCollide) {
             core::trisolve_pattern_key(a, {}, opt));
 }
 
+TEST(PatternKey, StructureHashesArePinned) {
+  // The plan store names its files after structure_hash/structure_hash2,
+  // so their values must not move with how the hashing is written:
+  // h1 is FNV-1a over colptr||rowind||beta, h2 over rowind||colptr||beta.
+  const SympilerOptions opt;
+  const CscMatrix a = gen::grid2d_laplacian(12, 12);
+  const PatternKey grid = core::cholesky_pattern_key(a, opt);
+  EXPECT_EQ(grid.structure_hash, 0x1abef240437f0296ULL);
+  EXPECT_EQ(grid.structure_hash2, 0xc303e866aceefa32ULL);
+
+  solvers::SimplicialCholesky chol(a);
+  chol.factorize(a);
+  const std::vector<index_t> beta = {0, 5, 9};
+  const PatternKey tri = core::trisolve_pattern_key(chol.factor(), beta, opt);
+  EXPECT_EQ(tri.structure_hash, 0x0265d62c06cd7af8ULL);
+  EXPECT_EQ(tri.structure_hash2, 0xf0470f36248faa60ULL);
+}
+
 TEST(PatternKey, HashCollisionStillComparesUnequal) {
   // Hand-build two keys with identical container hash inputs forced equal:
   // even if the unordered-map hash collides, operator== must discriminate.

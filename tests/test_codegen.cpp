@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
@@ -374,19 +375,40 @@ TEST(Jit, CompileErrorSurfacesCompilerMessage) {
       std::runtime_error);
 }
 
+/// Points $TMPDIR at a fresh private directory for one test; restores the
+/// old value and removes the directory on exit.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const std::string& name)
+      : dir_(std::filesystem::temp_directory_path() /
+             (name + "-" + std::to_string(::getpid()))) {
+    if (const char* old = std::getenv("TMPDIR")) saved_ = old;
+    std::filesystem::create_directories(dir_);
+    ::setenv("TMPDIR", dir_.c_str(), 1);
+  }
+  ScopedTmpdir(const ScopedTmpdir&) = delete;
+  ScopedTmpdir& operator=(const ScopedTmpdir&) = delete;
+  ~ScopedTmpdir() {
+    if (saved_) {
+      ::setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  [[nodiscard]] const std::filesystem::path& path() const { return dir_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::optional<std::string> saved_;
+};
+
 TEST(Jit, ScratchPathWithSpaceAndQuoteCompiles) {
   // The scratch directory comes from $TMPDIR, so the shell commands must
   // quote the paths built from it.
   if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
-  const char* old_tmpdir = std::getenv("TMPDIR");
-  const std::optional<std::string> saved =
-      old_tmpdir != nullptr ? std::optional<std::string>(old_tmpdir)
-                            : std::nullopt;
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("sympiler jit's scratch-" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  ::setenv("TMPDIR", dir.c_str(), 1);
+  const ScopedTmpdir tmp("sympiler jit's scratch");
   int answer = 0;
   std::string error;
   try {
@@ -397,14 +419,38 @@ TEST(Jit, ScratchPathWithSpaceAndQuoteCompiles) {
   } catch (const std::exception& e) {
     error = e.what();
   }
-  if (saved) {
-    ::setenv("TMPDIR", saved->c_str(), 1);
-  } else {
-    ::unsetenv("TMPDIR");
-  }
-  std::filesystem::remove_all(dir);
   EXPECT_EQ(error, "");
   EXPECT_EQ(answer, 42);
+}
+
+TEST(Jit, ScratchDirectoriesAreRemoved) {
+  // Every compile writes kernel.cpp, kernel.so and cc.err into its own
+  // scratch directory under $TMPDIR. A successful compile removes it once
+  // the library is mapped, a failing one once the compiler's diagnostics
+  // are in the error: neither leaves an entry behind.
+  if (!JitModule::compiler_available()) GTEST_SKIP() << "no host compiler";
+  const ScopedTmpdir tmp("sympiler-scratch-cleanup");
+  int answer = 0;
+  {
+    const JitModule m = JitModule::compile(
+        "extern \"C\" int answer() { return 42; }", "answer");
+    answer = m.entry<int (*)()>()();
+  }
+  std::string error;
+  try {
+    auto m = JitModule::compile("this is not C++", "nope");
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(answer, 42);
+  EXPECT_NE(error.find("compiler failed"), std::string::npos) << error;
+  EXPECT_NE(error.find("error:"), std::string::npos)
+      << "the compiler's diagnostics belong in the error: " << error;
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(tmp.path()))
+    left.push_back(entry.path().filename().string());
+  EXPECT_TRUE(left.empty()) << left.size() << " entries left, first "
+                            << (left.empty() ? "" : left.front());
 }
 
 TEST(Jit, MissingSymbolThrows) {

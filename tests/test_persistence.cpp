@@ -40,6 +40,7 @@
 #include "core/planner.h"
 #include "core/workspace.h"
 #include "gen/generators.h"
+#include "graph/symbolic.h"
 #include "parallel/schedule.h"
 #include "support/plans.h"
 #include "util/crc32c.h"
@@ -140,7 +141,7 @@ TriSolvePlan coarsened_trisolve_plan(const CscMatrix& l,
 }
 
 CscMatrix factor_pattern(const CscMatrix& a) {
-  return supernodal_plan(a).sets.sym.l_pattern;
+  return symbolic_cholesky(a).l_pattern;
 }
 
 std::vector<index_t> dense_beta(index_t n) {
@@ -418,7 +419,7 @@ TEST(PlanSerde, StoreDirectoryIsNotPartOfThePlanImage) {
   const CholeskyPlan chol = Planner(short_dir).plan_cholesky(a);
   EXPECT_EQ(untimed_image(chol),
             untimed_image(Planner(long_dir).plan_cholesky(a)));
-  const CscMatrix& l = chol.sets.sym.l_pattern;
+  const CscMatrix l = factor_pattern(a);
   const std::vector<index_t> beta = {0};
   EXPECT_EQ(untimed_image(Planner(short_dir).plan_trisolve(l, beta)),
             untimed_image(Planner(long_dir).plan_trisolve(l, beta)));
@@ -494,6 +495,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
       {"format version 5 (layout copy of the flop count)", 8, 5, 4,
        ErrorCode::kStalePlanVersion},
       {"format version 6 (jit options and evidence flag)", 8, 6, 4,
+       ErrorCode::kStalePlanVersion},
+      {"format version 7 (supernodal plans stored L's pattern)", 8, 7, 4,
        ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
@@ -945,7 +948,7 @@ TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
   EXPECT_FALSE(rewarmed.degraded());
 }
 
-TEST(RestartWarmStart, VersionSixFileIsReplannedAndRewrittenAtVersionSeven) {
+TEST(RestartWarmStart, VersionSevenFileIsReplannedAndRewrittenAtVersionEight) {
   TempDir dir;
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
   api::SolverConfig config;
@@ -971,17 +974,18 @@ TEST(RestartWarmStart, VersionSixFileIsReplannedAndRewrittenAtVersionSeven) {
   };
   ASSERT_EQ(file_version(), core::kPlanFormatVersion);
 
-  // Stamp the file as a version-6 build left it: version 7 dropped only
-  // options hash_options never hashed, so the config hash and the file
-  // name are the same and the store opens the old file under its current
-  // name.
+  // Stamp the file as a version-7 build left it: version 8 changed only
+  // what the symbolic section holds (A's pattern in place of L's on this
+  // supernodal plan), so the key and the file name are the same and the
+  // store opens the old file under its current name. The version check
+  // comes before any section is read.
   std::vector<std::uint8_t> image;
   {
     std::ifstream f(path, std::ios::binary);
     image.assign(std::istreambuf_iterator<char>(f),
                  std::istreambuf_iterator<char>());
   }
-  wr<std::uint32_t>(image, 8, 6);
+  wr<std::uint32_t>(image, 8, 7);
   fix_header_crc(image);
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
@@ -999,7 +1003,7 @@ TEST(RestartWarmStart, VersionSixFileIsReplannedAndRewrittenAtVersionSeven) {
   EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
   EXPECT_EQ(store->stats().discards, discards_before + 1);
   store->flush();
-  EXPECT_EQ(file_version(), 7u);
+  EXPECT_EQ(file_version(), 8u);
   api::FactorReport rewarmed;
   expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();

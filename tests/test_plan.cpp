@@ -24,6 +24,7 @@
 #include "core/supernode_body.h"
 #include "core/trisolve_executor.h"
 #include "gen/generators.h"
+#include "graph/symbolic.h"
 #include "parallel/levelset.h"
 #include "solvers/simplicial.h"
 #include "solvers/supernodal.h"
@@ -133,7 +134,7 @@ TEST(Planner, PlanBytesAccountForSetsAndSchedule) {
   const CholeskyPlan plan = Planner(supernodal_config()).plan_cholesky(a);
   EXPECT_GT(plan.bytes(), plan.sets.bytes());
   EXPECT_GE(plan.sets.bytes(),
-            plan.sets.sym.l_pattern.bytes() + plan.sets.layout.bytes());
+            plan.sets.a_pattern.bytes() + plan.sets.layout.bytes());
   const std::string text = plan.summary();
   EXPECT_NE(text.find("supernodal"), std::string::npos);
   EXPECT_NE(text.find("plan bytes"), std::string::npos);
@@ -202,7 +203,7 @@ TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
 
   // And the result is a correct factorization.
   const CscMatrix l = solvers::panels_to_csc(plan->sets.layout, panels_plan,
-                                             plan->sets.sym.l_pattern);
+                                             symbolic_cholesky(a).l_pattern);
   EXPECT_LT(llt_residual_inf_norm(l, a), 1e-8);
 }
 
@@ -225,9 +226,8 @@ TEST(ExecutionPlan, FacadeParallelPathMatchesDirectParallelCallBitwise) {
   std::vector<value_t> panels(
       static_cast<std::size_t>(plan.sets.layout.total_values()), 0.0);
   parallel::parallel_cholesky(plan, a, panels);
-  ASSERT_TRUE(solver.factor_csc().equals(
-      solvers::panels_to_csc(plan.sets.layout, panels,
-                             plan.sets.sym.l_pattern)));
+  ASSERT_TRUE(solver.factor_csc().equals(solvers::panels_to_csc(
+      plan.sets.layout, panels, symbolic_cholesky(a).l_pattern)));
 }
 
 // ------------------------------------------------- trisolve plan paths
@@ -478,6 +478,7 @@ TEST(ParallelDeterminism, ParallelCholeskyEqualsSequentialExecutorBitwise) {
   core::CholeskyExecutor sequential(seq_plan);
   sequential.factorize(a);
   const CscMatrix want = sequential.factor_csc();
+  const CscMatrix lp = symbolic_cholesky(a).l_pattern;
   const auto values =
       static_cast<std::size_t>(par_plan.sets.layout.total_values());
   for (const int threads : {1, 2, 3, 4}) {
@@ -486,8 +487,8 @@ TEST(ParallelDeterminism, ParallelCholeskyEqualsSequentialExecutorBitwise) {
 #endif
     std::vector<value_t> panels(values, -1.0);
     parallel::parallel_cholesky(par_plan, a, panels);
-    const CscMatrix got = solvers::panels_to_csc(
-        par_plan.sets.layout, panels, par_plan.sets.sym.l_pattern);
+    const CscMatrix got =
+        solvers::panels_to_csc(par_plan.sets.layout, panels, lp);
     ASSERT_TRUE(got.same_pattern(want));
     ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
                           want.values.size() * sizeof(value_t)),
@@ -510,6 +511,7 @@ TEST(ParallelDeterminism, SolveEqualsSerialPanelSolvesAtOneToFourThreads) {
   if (!Planner::parallel_enabled()) return;
 
   const std::vector<value_t> b = gen::dense_rhs(a.cols(), 91);
+  const CscMatrix lp = symbolic_cholesky(a).l_pattern;
   for (const int threads : {1, 2, 3, 4}) {
 #ifdef SYMPILER_HAS_OPENMP
     omp_set_num_threads(threads);
@@ -521,8 +523,8 @@ TEST(ParallelDeterminism, SolveEqualsSerialPanelSolvesAtOneToFourThreads) {
     std::vector<value_t> panels(
         static_cast<std::size_t>(plan.sets.layout.total_values()));
     parallel::parallel_cholesky(plan, a, panels);
-    ASSERT_TRUE(solver.factor_csc().equals(solvers::panels_to_csc(
-        plan.sets.layout, panels, plan.sets.sym.l_pattern)));
+    ASSERT_TRUE(solver.factor_csc().equals(
+        solvers::panels_to_csc(plan.sets.layout, panels, lp)));
 
     std::vector<value_t> want = b;
     solvers::panel_forward_solve(plan.sets.layout, panels, want);
@@ -772,7 +774,7 @@ TEST(ScheduleCoarsening, CoarsenedSchedulesHaveNoEmptyLevel) {
     ASSERT_EQ(plan.path, ExecutionPath::Supernodal) << name;
     expect_no_empty_level(support::supernode_schedule(plan, a, true),
                           name + " supernodes");
-    const CscMatrix& l = plan.sets.sym.l_pattern;
+    const CscMatrix l = symbolic_cholesky(a).l_pattern;
     expect_no_empty_level(
         parallel::coarsen_schedule_columns(
             l, parallel::level_schedule_columns(l)),
@@ -863,9 +865,11 @@ std::vector<PlannerConfig> plan_test_configs() {
 
 TEST(Planner, PlanPatternMatchesNaiveSymbolicOnEveryPattern) {
   // The GNP counts and the fused sweep change how L's pattern is found,
-  // never what it is: on every generator pattern under every path choice
-  // the plan's pattern (row order included), nnz(L) and flops equal those
-  // of the retired count-every-ereach pipeline (tests/support).
+  // never what it is: on every generator pattern under every path choice,
+  // nnz(L), the flops and L's pattern (row order included) equal those of
+  // the retired count-every-ereach pipeline (tests/support). A simplicial
+  // plan stores L's pattern; a supernodal plan stores A's in its place,
+  // and L's is re-derived from it.
   const auto patterns = plan_test_patterns();
   const auto configs = plan_test_configs();
   for (std::size_t m = 0; m < patterns.size(); ++m) {
@@ -874,14 +878,63 @@ TEST(Planner, PlanPatternMatchesNaiveSymbolicOnEveryPattern) {
       const std::string label =
           "pattern " + std::to_string(m) + " config " + std::to_string(c);
       const CholeskyPlan plan = Planner(configs[c]).plan_cholesky(patterns[m]);
-      const CscMatrix& lp = plan.sets.sym.l_pattern;
+      const core::CholeskySets& sets = plan.sets;
+      if (plan.path == ExecutionPath::Simplicial) {
+        EXPECT_TRUE(sets.a_pattern.colptr.empty()) << label;
+        EXPECT_TRUE(sets.sym.l_pattern.values.empty()) << label;
+      } else {
+        EXPECT_TRUE(sets.sym.l_pattern.colptr.empty()) << label;
+        EXPECT_EQ(sets.a_pattern.rows(), patterns[m].rows()) << label;
+        EXPECT_EQ(sets.a_pattern.colptr, patterns[m].colptr) << label;
+        EXPECT_EQ(sets.a_pattern.rowind, patterns[m].rowind) << label;
+        EXPECT_TRUE(sets.a_pattern.values.empty()) << label;
+      }
+      EXPECT_EQ(sets.n(), patterns[m].cols()) << label;
+      const CscMatrix lp = sets.factor_pattern();
       EXPECT_EQ(lp.colptr, naive.l_pattern.colptr) << label;
       EXPECT_EQ(lp.rowind, naive.l_pattern.rowind) << label;
-      EXPECT_TRUE(lp.values.empty()) << label;  // executors own the values
-      EXPECT_EQ(plan.sets.sym.fill_nnz, naive.fill_nnz) << label;
-      EXPECT_EQ(plan.sets.sym.flops, naive.flops) << label;
+      EXPECT_EQ(sets.sym.fill_nnz, naive.fill_nnz) << label;
+      EXPECT_EQ(sets.sym.flops, naive.flops) << label;
     }
   }
+}
+
+TEST(Planner, SupernodalFactorCscHasTheNaiveSymbolicPattern) {
+  // factor_csc() on a supernodal plan re-derives L's pattern from the
+  // stored A pattern: on every generator pattern under every path choice,
+  // the sequential executor's factor and the facade's (the level-set
+  // factor on a parallel plan) have exactly the pattern of the retired
+  // oracle and fill_nnz entries.
+  const auto patterns = plan_test_patterns();
+  const auto configs = plan_test_configs();
+  int supernodal = 0;
+  for (std::size_t m = 0; m < patterns.size(); ++m) {
+    const CscMatrix& a = patterns[m];
+    const SymbolicFactor naive = symbolic_cholesky_naive(a);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const std::string label =
+          "pattern " + std::to_string(m) + " config " + std::to_string(c);
+      api::SolverConfig cfg;
+      cfg.options = configs[c].options;
+      cfg.parallel_min_supernodes = configs[c].parallel_min_supernodes;
+      cfg.parallel_min_avg_level_width =
+          configs[c].parallel_min_avg_level_width;
+      api::Solver solver(cfg, std::make_shared<api::SymbolicContext>());
+      solver.factor(a);
+      if (solver.path() == ExecutionPath::Simplicial) continue;
+      ++supernodal;
+      core::CholeskyExecutor sequential(solver.plan());
+      sequential.factorize(a);
+      for (const CscMatrix& l :
+           {solver.factor_csc(), sequential.factor_csc()}) {
+        EXPECT_EQ(l.colptr, naive.l_pattern.colptr) << label;
+        EXPECT_EQ(l.rowind, naive.l_pattern.rowind) << label;
+        EXPECT_EQ(l.nnz(), solver.plan()->sets.sym.fill_nnz) << label;
+        EXPECT_EQ(l.values.size(), l.rowind.size()) << label;
+      }
+    }
+  }
+  EXPECT_GE(supernodal, static_cast<int>(patterns.size()));
 }
 
 #ifdef SYMPILER_HAS_OPENMP
@@ -896,6 +949,8 @@ void expect_plans_identical(CholeskyPlan a, CholeskyPlan b,
       << label;
   EXPECT_EQ(a.sets.sym.l_pattern.rowind, b.sets.sym.l_pattern.rowind)
       << label;
+  EXPECT_EQ(a.sets.a_pattern.colptr, b.sets.a_pattern.colptr) << label;
+  EXPECT_EQ(a.sets.a_pattern.rowind, b.sets.a_pattern.rowind) << label;
   EXPECT_EQ(a.sets.rowpat_ptr, b.sets.rowpat_ptr) << label;
   EXPECT_EQ(a.sets.rowpat, b.sets.rowpat) << label;
   EXPECT_EQ(a.sets.layout.sn.start, b.sets.layout.sn.start) << label;
@@ -1016,8 +1071,8 @@ TEST(MergedPlan, ParallelFactorIdenticalAcrossThreadsAndCoarsening) {
           << "threads=" << threads << " coarsen=" << coarsen;
     }
   }
-  const CscMatrix l =
-      solvers::panels_to_csc(plan.sets.layout, ref, plan.sets.sym.l_pattern);
+  const CscMatrix l = solvers::panels_to_csc(plan.sets.layout, ref,
+                                             symbolic_cholesky(a).l_pattern);
   solvers::SimplicialCholesky simplicial(a);
   simplicial.factorize(a);
   ASSERT_TRUE(l.same_pattern(simplicial.factor()));
@@ -1030,24 +1085,43 @@ TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
   const CholeskyPlan supernodal =
       Planner(supernodal_config()).plan_cholesky(a);
   ASSERT_EQ(supernodal.path, ExecutionPath::Supernodal);
-  // Supernodal plans carry the layout but neither the simplicial row
-  // patterns nor the |L|-sized zero value array.
+  // Supernodal plans carry the layout, the update lists and the pattern
+  // of A's lower triangle without values, but neither the simplicial row
+  // patterns nor L's pattern: no factor or solve there reads L's rows.
   EXPECT_FALSE(supernodal.sets.layout.srows.empty());
   EXPECT_FALSE(supernodal.sets.updates.ptr.empty());
   EXPECT_TRUE(supernodal.sets.rowpat_ptr.empty());
-  EXPECT_TRUE(supernodal.sets.sym.l_pattern.values.empty());
-  EXPECT_FALSE(supernodal.sets.sym.l_pattern.rowind.empty());
+  EXPECT_EQ(supernodal.sets.sym.l_pattern.bytes(), 0u);
+  EXPECT_EQ(supernodal.sets.a_pattern.colptr, a.colptr);
+  EXPECT_EQ(supernodal.sets.a_pattern.rowind, a.rowind);
+  EXPECT_TRUE(supernodal.sets.a_pattern.values.empty());
+  // A supernodal plan weighs exactly its A pattern, layout and update
+  // lists, plus the aggregate schedule and the slot map on a parallel one.
+  const CholeskyPlan parallel =
+      support::parallel_cholesky_plan(supernodal, a, /*coarsen=*/true);
+  for (const CholeskyPlan* plan : {&supernodal, &parallel}) {
+    const core::CholeskySets& s = plan->sets;
+    EXPECT_EQ(plan->bytes(), sizeof(CholeskyPlan) + s.a_pattern.bytes() +
+                                 s.layout.bytes() + s.updates.bytes() +
+                                 plan->agg.bytes() +
+                                 plan->solve_update_map.bytes())
+        << core::to_string(plan->path);
+  }
+  EXPECT_FALSE(parallel.agg.empty());
+  EXPECT_FALSE(parallel.solve_update_map.empty());
 
   PlannerConfig simp;
   simp.options.vsblock_min_avg_size = 1e9;
   const CholeskyPlan simplicial = Planner(simp).plan_cholesky(a);
   ASSERT_EQ(simplicial.path, ExecutionPath::Simplicial);
   // Simplicial plans carry rowpat and L's pattern, but no supernodal
-  // layout and no value array: the executor owns the factor's values.
+  // layout, no A pattern and no value array: the executor owns the
+  // factor's values.
   const CscMatrix& lp = simplicial.sets.sym.l_pattern;
   EXPECT_FALSE(simplicial.sets.rowpat_ptr.empty());
   EXPECT_FALSE(lp.rowind.empty());
   EXPECT_TRUE(lp.values.empty());
+  EXPECT_EQ(simplicial.sets.a_pattern.bytes(), 0u);
   EXPECT_TRUE(simplicial.sets.layout.srows.empty());
   EXPECT_TRUE(simplicial.sets.updates.refs.empty());
   // The plan weighs exactly 8 bytes per nnz(L) less than one that pinned
@@ -1058,15 +1132,15 @@ TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
             with_zeros.bytes() - sizeof(value_t) * lp.rowind.size());
 
   // Neither path carries the etree, the column counts or a block-set
-  // apart from the layout's partition: the sets weigh exactly L's pattern
-  // plus the path's products.
+  // apart from the layout's partition: the sets weigh exactly the path's
+  // stored pattern plus its products.
   for (const CholeskyPlan* plan : {&supernodal, &simplicial}) {
     const core::CholeskySets& s = plan->sets;
     const solvers::SupernodalLayout& layout = s.layout;
     const std::size_t indices = layout.srow_ptr.size() + layout.srows.size() +
                                 s.rowpat_ptr.size() + s.rowpat.size();
-    EXPECT_EQ(s.bytes(), s.sym.l_pattern.bytes() + layout.sn.bytes() +
-                             indices * sizeof(index_t) +
+    EXPECT_EQ(s.bytes(), s.sym.l_pattern.bytes() + s.a_pattern.bytes() +
+                             layout.sn.bytes() + indices * sizeof(index_t) +
                              layout.panel_ptr.size() * sizeof(std::int64_t) +
                              s.updates.bytes())
         << core::to_string(plan->path);

@@ -33,6 +33,7 @@
 #include "core/planner.h"
 #include "core/workspace.h"
 #include "gen/generators.h"
+#include "graph/symbolic.h"
 #include "parallel/schedule.h"
 #include "util/fault.h"
 #include "support/plans.h"
@@ -129,9 +130,10 @@ CholeskyPlan parallel_cholesky_plan(bool coarsen) {
 }
 
 /// A realistic supernodal lower factor pattern to drive trisolve plans:
-/// a Cholesky plan's L pattern (the verifier never reads values).
+/// L's pattern from the symbolic factorization (the verifier never reads
+/// values).
 CscMatrix factor_pattern(const CscMatrix& a) {
-  return Planner(sequential_config(0.0)).plan_cholesky(a).sets.sym.l_pattern;
+  return symbolic_cholesky(a).l_pattern;
 }
 
 TriSolvePlan pruned_plan(const CscMatrix& l, std::span<const index_t> beta) {
@@ -199,6 +201,12 @@ void expect_killed(const char* path, Corruption c, const Report& report,
   if (!report.ok()) tally.killed.insert(c);
 }
 
+/// The classes that corrupt a Cholesky plan's panels, A pattern or
+/// path sets: each applies to some Cholesky path and to no trisolve one.
+constexpr Corruption kCholeskySetsClasses[] = {
+    Corruption::kDroppedPanelZeroRow, Corruption::kAEntryOutsidePanel,
+    Corruption::kUpdateRowOutsideTarget, Corruption::kStrayPattern};
+
 TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
   const std::vector<std::pair<const char*, CholeskyPlan>> variants = [] {
     std::vector<std::pair<const char*, CholeskyPlan>> v;
@@ -243,7 +251,8 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
   // 100% kill rate: every corruption class that applied was caught.
   EXPECT_EQ(tally.killed, tally.applied);
   EXPECT_GE(tally.applied.size(), 6u);
-  EXPECT_TRUE(tally.applied.count(Corruption::kDroppedPanelZeroRow));
+  for (const Corruption c : kCholeskySetsClasses)
+    EXPECT_TRUE(tally.applied.count(c)) << verify::to_string(c);
 }
 
 TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
@@ -292,24 +301,80 @@ TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
   EXPECT_GE(tally.applicable, 16);
   // 100% kill rate, and across the trisolve paths alone every corruption
   // class in the taxonomy must both apply somewhere and be caught — all
-  // but the panel-row drop, since trisolve plans carry no panels.
+  // but the Cholesky-set classes, since trisolve plans carry no panels and
+  // no A pattern.
   EXPECT_EQ(tally.killed, tally.applied);
-  EXPECT_EQ(tally.applied.size(), std::size(kAllCorruptions) - 1);
-  EXPECT_FALSE(tally.applied.count(Corruption::kDroppedPanelZeroRow));
+  EXPECT_EQ(tally.applied.size(),
+            std::size(kAllCorruptions) - std::size(kCholeskySetsClasses));
+  for (const Corruption c : kCholeskySetsClasses)
+    EXPECT_FALSE(tally.applied.count(c)) << verify::to_string(c);
+}
+
+/// The check ids of a report's findings.
+std::set<std::string> finding_checks(const Report& report) {
+  std::set<std::string> checks;
+  for (const auto& f : report.findings) checks.insert(f.check);
+  return checks;
+}
+
+// The supernodal structure pass checks the two preconditions the numeric
+// scatter relies on: every stored entry of A lies in its supernode's panel
+// rows, and every row a descendant update scatters is a row of its
+// target. The a-entry-outside-panel and update-row-outside-target
+// classes each break exactly one of them while every offset, extent and
+// update window stays consistent, so on a sequential plan exactly one
+// check fires.
+TEST(VerifyKillMatrix, ScatterPreconditionsEachDiagnosedByTheirOwnCheck) {
+  const std::pair<Corruption, const char*> cases[] = {
+      {Corruption::kAEntryOutsidePanel, "structure.a-coverage"},
+      {Corruption::kUpdateRowOutsideTarget, "structure.update-containment"},
+  };
+  for (const auto& [corruption, check] : cases) {
+    CholeskyPlan plan = supernodal_plan();
+    ASSERT_TRUE(verify::verify_plan(plan).ok());
+    ASSERT_TRUE(PlanMutator::apply(plan, corruption))
+        << verify::to_string(corruption);
+    const Report report = verify::verify_plan(plan);
+    EXPECT_EQ(finding_checks(report), std::set<std::string>{check})
+        << verify::to_string(corruption) << ": " << report.to_string();
+  }
 }
 
 // Dropping an explicit-zero row from an amalgamated panel keeps every
-// offset, extent and update window consistent; the one thing that breaks
-// is that the supernode's last column no longer finds its row in the
-// panel. Only the supernode-invariant check can see that.
-TEST(VerifyKillMatrix, DroppedPanelZeroRowDiagnosedOnlyBySupernodeInvariant) {
+// offset, extent and update window consistent. The plan keeps no L
+// pattern to compare the panel with, but the dropped row reached L either
+// from an entry of A in the supernode's columns or through a descendant's
+// update, so one of the two scatter preconditions breaks, and nothing
+// else does.
+TEST(VerifyKillMatrix, DroppedPanelZeroRowDiagnosedByAScatterPrecondition) {
   CholeskyPlan plan = supernodal_plan();
   ASSERT_TRUE(verify::verify_plan(plan).ok());
   ASSERT_TRUE(PlanMutator::apply(plan, Corruption::kDroppedPanelZeroRow));
   const Report report = verify::verify_plan(plan);
   ASSERT_FALSE(report.ok());
-  for (const auto& f : report.findings)
-    EXPECT_EQ(f.check, "structure.supernode-invariant") << report.to_string();
+  for (const std::string& check : finding_checks(report))
+    EXPECT_TRUE(check == "structure.a-coverage" ||
+                check == "structure.update-containment")
+        << report.to_string();
+}
+
+// A plan carries only its own path's pattern. A simplicial plan that
+// also holds a small A pattern, its workspace trimmed to that order, is
+// caught twice: by the structure pass, and by the workspace pass, which
+// sizes dims.n by L's order because no layout is present. A supernodal
+// plan that also holds L's pattern is caught by the structure pass alone.
+TEST(VerifyKillMatrix, StrayPatternDiagnosedByPathSets) {
+  const std::pair<CholeskyPlan, std::set<std::string>> cases[] = {
+      {simplicial_plan(), {"structure.path-sets", "workspace.n"}},
+      {supernodal_plan(), {"structure.path-sets"}},
+  };
+  for (const auto& [base, checks] : cases) {
+    CholeskyPlan plan = base;
+    ASSERT_TRUE(verify::verify_plan(plan).ok());
+    ASSERT_TRUE(PlanMutator::apply(plan, Corruption::kStrayPattern));
+    const Report report = verify::verify_plan(plan);
+    EXPECT_EQ(finding_checks(report), checks) << report.to_string();
+  }
 }
 
 // The races pass must diagnose an out-of-order chain as its own
@@ -396,7 +461,7 @@ TEST(VerifyCleanSweep, EveryGeneratorSuitePlanPasses) {
       EXPECT_GT(creport.checks, 0);
 
       // Trisolve plans over the factor pattern, sparse and dense RHS.
-      const CscMatrix l = cplan.sets.sym.l_pattern;
+      const CscMatrix l = factor_pattern(a);
       const std::vector<index_t> sparse = {0, a.cols() / 2};
       const std::vector<index_t> dense = dense_beta(l.cols());
       for (const auto& beta : {sparse, dense}) {
