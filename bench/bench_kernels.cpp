@@ -321,7 +321,7 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
   pc.enable_parallel = true;
   pc.parallel_min_avg_level_width = 0.0;
   auto plan = std::make_shared<const core::TriSolvePlan>(
-      core::Planner(pc).plan_trisolve(l, beta, /*with_key=*/false));
+      core::Planner(pc).plan_trisolve(l, beta, core::PatternKey{}));
   if (plan->path != core::ExecutionPath::ParallelTriSolve)
     return {};  // sequential build: the planner never opens the path
 
@@ -399,7 +399,7 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
     for (index_t j = 0; j < lb.cols(); ++j)
       bbeta[static_cast<std::size_t>(j)] = j;
     auto bplan = std::make_shared<const core::TriSolvePlan>(
-        core::Planner(pc).plan_trisolve(lb, bbeta, /*with_key=*/false));
+        core::Planner(pc).plan_trisolve(lb, bbeta, core::PatternKey{}));
     if (bplan->path == core::ExecutionPath::ParallelTriSolve) {
       const parallel::LevelSchedule blevels =
           parallel::level_schedule_columns(lb);

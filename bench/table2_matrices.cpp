@@ -25,7 +25,7 @@ int main() {
   const core::Planner planner(config);
   for (const auto& spec : gen::suite()) {
     const CscMatrix a = spec.make();
-    const core::CholeskyPlan plan = planner.plan_cholesky(a, false);
+    const core::CholeskyPlan plan = planner.plan_cholesky(a, core::PatternKey{});
     const core::CholeskySets& sets = plan.sets;
     std::printf(
         "%2d %-14s %15d / %-9.3f | %8d %9d %11lld %8d %9.1f %7.1f %5s  %s\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -120,23 +121,38 @@ typename core::PlanCache<Plan>::Lookup lookup_plan(
 
 }  // namespace
 
+// Both validators make one pass that only raises flags (CscMatrix::valid
+// with the diagonal-first check, and the RHS range); a flagged input
+// reruns the ordered checks below, which throw the first violation's
+// message, so a valid input never pays for them.
+
 void validate_factor_input(const CscMatrix& a_lower, bool scan_values) {
-  a_lower.validate();
-  SYMPILER_CHECK(a_lower.rows() == a_lower.cols(),
-                 "solver: matrix must be square");
-  check_diagonal_first(a_lower, "solver");
+  if (a_lower.rows() != a_lower.cols() ||
+      !a_lower.valid(/*diagonal_first=*/true)) {
+    a_lower.validate();
+    SYMPILER_CHECK(a_lower.rows() == a_lower.cols(),
+                   "solver: matrix must be square");
+    check_diagonal_first(a_lower, "solver");
+  }
   if (scan_values) check_values_finite(a_lower, "solver");
 }
 
 void validate_trisolve_input(const CscMatrix& l, std::span<const index_t> beta,
                              bool scan_values) {
-  l.validate();
-  SYMPILER_CHECK(l.rows() == l.cols(), "triangular solver: L must be square");
-  check_diagonal_first(l, "triangular solver");
+  bool beta_out = false;
   for (const index_t i : beta)
-    SYMPILER_CHECK(i >= 0 && i < l.cols(),
-                   "triangular solver: RHS pattern index " +
-                       std::to_string(i) + " out of range");
+    beta_out |= static_cast<std::uint32_t>(i) >=
+                static_cast<std::uint32_t>(l.cols());
+  if (l.rows() != l.cols() || !l.valid(/*diagonal_first=*/true) || beta_out) {
+    l.validate();
+    SYMPILER_CHECK(l.rows() == l.cols(),
+                   "triangular solver: L must be square");
+    check_diagonal_first(l, "triangular solver");
+    for (const index_t i : beta)
+      SYMPILER_CHECK(i >= 0 && i < l.cols(),
+                     "triangular solver: RHS pattern index " +
+                         std::to_string(i) + " out of range");
+  }
   if (scan_values) check_values_finite(l, "triangular solver");
 }
 
@@ -236,7 +252,7 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
   has_key_ = false;
   core::CholeskyCache::Lookup lookup = lookup_plan(
       context_->cholesky_cache(), key, config_.options, report_,
-      [&] { return planner.plan_cholesky(a_lower); },
+      [&] { return planner.plan_cholesky(a_lower, key); },
       [](const core::CholeskyPlan& plan) { return verify::verify_plan(plan); });
   symbolic_cached_ = lookup.hit;
   plan_ = std::move(lookup.plan);
@@ -359,7 +375,7 @@ std::shared_ptr<const core::TriSolvePlan> lookup_trisolve_plan(
   const core::PatternKey key = planner.trisolve_key(l, beta);
   core::TriSolveCache::Lookup lookup = lookup_plan(
       context.trisolve_cache(), key, config.options, report,
-      [&] { return planner.plan_trisolve(l, beta); },
+      [&] { return planner.plan_trisolve(l, beta, key); },
       [&](const core::TriSolvePlan& plan) {
         return verify::verify_plan(plan, l, beta);
       });

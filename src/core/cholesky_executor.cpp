@@ -17,9 +17,9 @@ std::shared_ptr<const CholeskyPlan> plan_sequential(const CscMatrix& a_lower,
   PlannerConfig config;
   config.options = opt;
   config.enable_parallel = false;  // direct executors interpret sequentially
-  // No cache involved, so skip stamping the key (O(nnz) hashing).
+  // No cache involved, so no key: an empty one skips the O(nnz) hash.
   return std::make_shared<const CholeskyPlan>(
-      Planner(config).plan_cholesky(a_lower, /*with_key=*/false));
+      Planner(config).plan_cholesky(a_lower, PatternKey{}));
 }
 
 /// dst[0..len) -= src[0..len) * s: the dense form of a contiguous row run.

@@ -60,7 +60,9 @@ struct PlanEvidence {
   index_t agg_tasks = 0;              ///< tasks (chains + bundles) it runs
   index_t agg_bundles = 0;            ///< lock-step SIMD bundles among tasks
   double build_seconds = 0.0;         ///< wall time spent planning (cost to
-                                      ///< recompute; weighs eviction)
+                                      ///< recompute; weighs eviction). No
+                                      ///< key hash: a store load pays one
+                                      ///< too, so it is not planning.
   /// Per-phase cold-planning breakdown (etree / counts / pattern /
   /// schedule / slotmap seconds — the cache_reuse bench emits these).
   PlanPhaseTimes phases;

@@ -55,54 +55,6 @@ double participating_avg_width(const SupernodePartition& sn) {
 
 }  // namespace
 
-namespace {
-
-/// Run the given product builders concurrently (OpenMP sections when
-/// available, serially otherwise). Exceptions thrown inside a section are
-/// captured and the first one rethrown after the join — a worksharing
-/// construct must not leak.
-template <typename F1, typename F2, typename F3>
-void run_parallel_products(F1&& f1, F2&& f2, F3&& f3) {
-#ifdef SYMPILER_HAS_OPENMP
-  std::exception_ptr errors[3] = {nullptr, nullptr, nullptr};
-#pragma omp parallel sections
-  {
-#pragma omp section
-    {
-      try {
-        f1();
-      } catch (...) {
-        errors[0] = std::current_exception();
-      }
-    }
-#pragma omp section
-    {
-      try {
-        f2();
-      } catch (...) {
-        errors[1] = std::current_exception();
-      }
-    }
-#pragma omp section
-    {
-      try {
-        f3();
-      } catch (...) {
-        errors[2] = std::current_exception();
-      }
-    }
-  }
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-#else
-  f1();
-  f2();
-  f3();
-#endif
-}
-
-}  // namespace
-
 TriSolveSets inspect_trisolve(const CscMatrix& l,
                               std::span<const index_t> beta,
                               const SympilerOptions& opt) {
@@ -110,26 +62,19 @@ TriSolveSets inspect_trisolve(const CscMatrix& l,
   TriSolveSets sets;
   const index_t n = l.cols();
 
-  // The three inspection products below are independent pattern reads;
-  // run them concurrently (each is deterministic, so the result is the
-  // same on every build and thread count).
-  run_parallel_products(
-      [&] {
-        // VI-Prune inspection: DFS over DG_L (Table 1 row 1).
-        sets.reach = reach(l, beta);
-      },
-      [&] {
-        // Column counts (peel decisions and thresholds).
-        sets.colcount.resize(static_cast<std::size_t>(n));
-        for (index_t j = 0; j < n; ++j)
-          sets.colcount[j] = l.col_end(j) - l.col_begin(j);
-      },
-      [&] {
-        // VS-Block inspection: node equivalence on DG_L (Table 1 row 2).
-        SupernodeOptions sn_opt;
-        sn_opt.max_width = opt.max_supernode_width;
-        sets.blocks = supernodes_node_equivalence(l, sn_opt);
-      });
+  // The three inspection products are independent pattern reads of well
+  // under a millisecond each on large factors, so they run on the calling
+  // thread: waking an idle OpenMP team for them costs more than they do.
+  // VI-Prune inspection: DFS over DG_L (Table 1 row 1).
+  sets.reach = reach(l, beta);
+  // Column counts (peel decisions and thresholds).
+  sets.colcount.resize(static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n; ++j)
+    sets.colcount[j] = l.col_end(j) - l.col_begin(j);
+  // VS-Block inspection: node equivalence on DG_L (Table 1 row 2).
+  SupernodeOptions sn_opt;
+  sn_opt.max_width = opt.max_supernode_width;
+  sets.blocks = supernodes_node_equivalence(l, sn_opt);
   sets.avg_supernode_size =
       participating_avg_rows(sets.blocks, sets.colcount);
   sets.vs_block_profitable =

@@ -1,5 +1,7 @@
 #include "core/pattern_key.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <sstream>
 
@@ -23,12 +25,44 @@ void fnv_mix(std::uint64_t& h, const void* data, std::size_t bytes) {
 
 // One FNV step per index instead of per byte: keys are hashed on every
 // facade entry (the warm path's only symbolic cost), so hashing must stay
-// a small fraction of a numeric solve even at millions of nonzeros.
-void fnv_mix_indices(std::uint64_t& h, std::span<const index_t> v) {
-  for (const index_t x : v) {
-    h ^= static_cast<std::uint32_t>(x);
-    h *= kFnvPrime;
+// a small fraction of a numeric solve even at millions of nonzeros. Each
+// chain is one dependent multiply per index, so the two streams are
+// stepped side by side (h1 over a, h2 over b, equal lengths) to overlap
+// their latencies.
+void fnv_mix_indices2(std::uint64_t& h1, const index_t* a, std::uint64_t& h2,
+                      const index_t* b, std::size_t len) {
+  std::uint64_t x1 = h1;
+  std::uint64_t x2 = h2;
+  for (std::size_t i = 0; i < len; ++i) {
+    x1 = (x1 ^ static_cast<std::uint32_t>(a[i])) * kFnvPrime;
+    x2 = (x2 ^ static_cast<std::uint32_t>(b[i])) * kFnvPrime;
   }
+  h1 = x1;
+  h2 = x2;
+}
+
+/// h1 over colptr||rowind and h2 over rowind||colptr, stepped together:
+/// both concatenations have the same length, and between their segment
+/// cuts (at |colptr| for h1, at |rowind| for h2) each chain reads one
+/// contiguous array, so three two-chain runs cover them.
+void fnv_mix_crossed(std::uint64_t& h1, std::uint64_t& h2,
+                     std::span<const index_t> colptr,
+                     std::span<const index_t> rowind) {
+  const std::size_t nc = colptr.size();
+  const std::size_t nr = rowind.size();
+  const std::size_t cut1 = std::min(nc, nr);
+  const std::size_t cut2 = std::max(nc, nr);
+  // Position k of h1's input is colptr[k] below nc, rowind[k - nc] above;
+  // of h2's, rowind[k] below nr, colptr[k - nr] above.
+  const auto in1 = [&](std::size_t k) {
+    return k < nc ? colptr.data() + k : rowind.data() + (k - nc);
+  };
+  const auto in2 = [&](std::size_t k) {
+    return k < nr ? rowind.data() + k : colptr.data() + (k - nr);
+  };
+  fnv_mix_indices2(h1, in1(0), h2, in2(0), cut1);
+  fnv_mix_indices2(h1, in1(cut1), h2, in2(cut1), cut2 - cut1);
+  fnv_mix_indices2(h1, in1(cut2), h2, in2(cut2), nc + nr - cut2);
 }
 
 void fnv_mix_u64(std::uint64_t& h, std::uint64_t v) {
@@ -47,9 +81,12 @@ void fnv_mix_double(std::uint64_t& h, double v) {
 constexpr std::uint64_t kTagCholesky = 0x43484f4cULL;  // "CHOL"
 constexpr std::uint64_t kTagTriSolve = 0x54524953ULL;  // "TRIS"
 
+std::atomic<std::uint64_t> g_pattern_keys{0};
+
 PatternKey structural_key(std::uint64_t tag, const CscMatrix& m,
                           std::span<const index_t> beta,
                           const SympilerOptions& opt) {
+  g_pattern_keys.fetch_add(1, std::memory_order_relaxed);
   PatternKey key;
   key.rows = m.rows();
   key.cols = m.cols();
@@ -60,12 +97,8 @@ PatternKey structural_key(std::uint64_t tag, const CscMatrix& m,
   std::uint64_t h2 = kFnvOffset2;
   fnv_mix_u64(h1, tag);
   fnv_mix_u64(h2, ~tag);
-  fnv_mix_indices(h1, m.colptr);
-  fnv_mix_indices(h1, m.rowind);
-  fnv_mix_indices(h1, beta);
-  fnv_mix_indices(h2, m.rowind);
-  fnv_mix_indices(h2, m.colptr);
-  fnv_mix_indices(h2, beta);
+  fnv_mix_crossed(h1, h2, m.colptr, m.rowind);
+  fnv_mix_indices2(h1, beta.data(), h2, beta.data(), beta.size());
   key.structure_hash = h1;
   key.structure_hash2 = h2;
   key.config_hash = hash_options(opt);
@@ -91,6 +124,10 @@ std::uint64_t hash_options(const SympilerOptions& opt) {
   // cache key. plan_store_dir likewise: where a plan is persisted never
   // changes what the plan contains.
   return h;
+}
+
+std::uint64_t pattern_key_count() {
+  return g_pattern_keys.load(std::memory_order_relaxed);
 }
 
 PatternKey cholesky_pattern_key(const CscMatrix& a_lower,

@@ -62,4 +62,10 @@ struct PatternKeyHash {
                                               std::span<const index_t> beta,
                                               const SympilerOptions& opt);
 
+/// Process-wide count of structural hashes (cholesky_pattern_key and
+/// trisolve_pattern_key calls), in the style of planner_transpose_count():
+/// tests pin that a facade call reads the caller's pattern into a key
+/// once, and that the direct executors never hash.
+[[nodiscard]] std::uint64_t pattern_key_count();
+
 }  // namespace sympiler::core

@@ -184,11 +184,15 @@ PatternKey Planner::trisolve_key(const CscMatrix& l,
   return key;
 }
 
+CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower) const {
+  return plan_cholesky(a_lower, cholesky_key(a_lower));
+}
+
 CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower,
-                                    bool with_key) const {
+                                    const PatternKey& key) const {
   Timer timer;
   CholeskyPlan plan;
-  if (with_key) plan.key = cholesky_key(a_lower);
+  plan.key = key;
   plan.options = config_.options;
 
   // The inspector runs the whole cold pipeline: one shared transpose, GNP
@@ -252,11 +256,16 @@ CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower,
 std::uint64_t planner_transpose_count() { return transpose_count(); }
 
 TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
+                                    std::span<const index_t> beta) const {
+  return plan_trisolve(l, beta, trisolve_key(l, beta));
+}
+
+TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
                                     std::span<const index_t> beta,
-                                    bool with_key) const {
+                                    const PatternKey& key) const {
   Timer timer;
   TriSolvePlan plan;
-  if (with_key) plan.key = trisolve_key(l, beta);
+  plan.key = key;
   plan.options = config_.options;
   plan.sets = inspect_trisolve(l, beta, config_.options);
 

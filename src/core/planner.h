@@ -60,12 +60,16 @@ class Planner {
                                         std::span<const index_t> beta) const;
 
   /// Full Cholesky planning: inspect, schedule if profitable, pick a path.
-  /// `with_key` stamps the plan's cache key — skip it (plan.key stays
-  /// default) when the plan will never meet a cache, e.g. the direct
-  /// executors' convenience constructors, to keep their "inspection time"
-  /// free of O(nnz) key-hashing the caller throws away.
+  /// The plan is stamped with `key` as given: the facades pass the key
+  /// they looked the plan up with, so a cache miss hashes the pattern
+  /// once; the direct executors, whose plans never meet a cache, pass an
+  /// empty PatternKey{}. The one-argument form computes cholesky_key
+  /// first. evidence.build_seconds never includes the hash: a plan loaded
+  /// from a store pays one too, so the store's persist gate and the
+  /// cache's eviction score must not count it as planning.
+  [[nodiscard]] CholeskyPlan plan_cholesky(const CscMatrix& a_lower) const;
   [[nodiscard]] CholeskyPlan plan_cholesky(const CscMatrix& a_lower,
-                                           bool with_key = true) const;
+                                           const PatternKey& key) const;
 
   /// Full triangular-solve planning. The ParallelTriSolve path is only
   /// picked for a dense RHS (|beta| == n) under vi_prune: with a sparse
@@ -73,10 +77,13 @@ class Planner {
   /// level sweep, and the !vi_prune naive loop's skip-exact-zero special
   /// case cannot be replayed from the pattern alone. A parallel plan also
   /// carries the privatized update-slot map that keeps the level-set
-  /// solve bit-identical to the sequential one.
+  /// solve bit-identical to the sequential one. `key` is stamped as in
+  /// plan_cholesky; the two-argument form computes trisolve_key first.
+  [[nodiscard]] TriSolvePlan plan_trisolve(const CscMatrix& l,
+                                           std::span<const index_t> beta) const;
   [[nodiscard]] TriSolvePlan plan_trisolve(const CscMatrix& l,
                                            std::span<const index_t> beta,
-                                           bool with_key = true) const;
+                                           const PatternKey& key) const;
 
   /// Whether this build can run the level-set paths in parallel at all
   /// (compile-time: SYMPILER_HAS_OPENMP).

@@ -13,9 +13,9 @@ std::shared_ptr<const TriSolvePlan> plan_sequential(
   PlannerConfig config;
   config.options = opt;
   config.enable_parallel = false;  // direct executors interpret sequentially
-  // No cache involved, so skip stamping the key (O(nnz) hashing).
+  // No cache involved, so no key: an empty one skips the O(nnz) hash.
   return std::make_shared<const TriSolvePlan>(
-      Planner(config).plan_trisolve(l, beta, /*with_key=*/false));
+      Planner(config).plan_trisolve(l, beta, PatternKey{}));
 }
 
 }  // namespace

@@ -60,8 +60,16 @@ class CscMatrix {
   /// Value at (i, j), zero if not stored. O(log nnz(col j)).
   [[nodiscard]] value_t at(index_t i, index_t j) const;
 
-  /// Throws invalid_matrix_error if any invariant is broken.
+  /// Throws invalid_matrix_error describing the first broken invariant.
+  /// Runs valid() first; only a flagged matrix pays the ordered checks.
   void validate() const;
+
+  /// validate()'s verdict without a message: true iff validate() would
+  /// not throw and, when `diagonal_first`, every column stores its
+  /// diagonal as its first entry (a lower triangle). O(1) and O(ncols)
+  /// checks of colptr come first, so nothing is read past a bound; the
+  /// O(nnz) sweep over rowind is branch-free and only counts violations.
+  [[nodiscard]] bool valid(bool diagonal_first = false) const noexcept;
 
   /// True if all stored entries satisfy row >= col.
   [[nodiscard]] bool is_lower_triangular() const;

@@ -277,6 +277,34 @@ bool check_updates(Checker& c, const solvers::SupernodalLayout& layout,
   return true;
 }
 
+/// The update lists are complete: exactly the (descendant, row window)
+/// segments a walk of the layout yields, which is how the planner built
+/// them (solvers::compute_update_lists). check_updates proves each ref
+/// well formed; only this proves none is missing, so a factor cannot
+/// silently skip a descendant's update. Runs on a checked layout.
+bool check_update_completeness(Checker& c,
+                               const solvers::SupernodalLayout& layout,
+                               const solvers::UpdateLists& updates) {
+  c.note();
+  const solvers::UpdateLists want = solvers::compute_update_lists(layout);
+  for (index_t s = 0; s < layout.nsuper(); ++s) {
+    const index_t have = updates.ptr[s + 1] - updates.ptr[s];
+    const index_t need = want.ptr[s + 1] - want.ptr[s];
+    bool same = have == need;
+    for (index_t k = 0; k < need && same; ++k) {
+      const solvers::UpdateRef& a = updates.refs[updates.ptr[s] + k];
+      const solvers::UpdateRef& b = want.refs[want.ptr[s] + k];
+      same = a.d == b.d && a.p1 == b.p1 && a.p2 == b.p2;
+    }
+    if (!same)
+      return c.fail("structure.update-completeness", s,
+                    cat("update refs of target ", s, " (", have,
+                        ") differ from the ", need,
+                        " segments a walk of the layout yields"));
+  }
+  return true;
+}
+
 /// A parallel path executes nothing but its aggregate schedule, so a plan
 /// on that path without one would silently skip every item.
 bool require_schedule(Checker& c, const parallel::AggregateSchedule& agg) {
@@ -412,6 +440,7 @@ void check_supernodal_sets(Checker& c, const core::CholeskySets& sets) {
   if (!check_layout(c, sets.layout, sets.a_pattern.cols())) return;
   c.note();
   if (!check_updates(c, sets.layout, sets.updates)) return;
+  check_update_completeness(c, sets.layout, sets.updates);
   check_scatter_rows(c, sets);
 }
 

@@ -202,6 +202,18 @@ bool plant_stray_pattern(core::CholeskyPlan& plan) {
   return true;
 }
 
+/// Delete the first update ref of the first target that has one, with
+/// every later offset kept consistent: each remaining ref is still well
+/// formed, but the factor would skip that descendant's update.
+bool drop_update_ref(solvers::UpdateLists& updates) {
+  if (updates.refs.empty()) return false;
+  std::size_t s = 0;
+  while (updates.ptr[s + 1] == updates.ptr[s]) ++s;
+  updates.refs.erase(updates.refs.begin() + updates.ptr[s]);
+  for (std::size_t t = s + 1; t < updates.ptr.size(); ++t) --updates.ptr[t];
+  return true;
+}
+
 /// Drop the last scheduled item: the schedule still looks well-formed but
 /// silently loses work.
 bool drop_schedule_item(parallel::AggregateSchedule& agg) {
@@ -252,6 +264,8 @@ const char* to_string(Corruption c) {
       return "update-row-outside-target";
     case Corruption::kStrayPattern:
       return "stray-pattern";
+    case Corruption::kDroppedUpdateRef:
+      return "dropped-update-ref";
   }
   return "?";
 }
@@ -363,6 +377,8 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
       return has_layout && drop_update_row(sets);
     case Corruption::kStrayPattern:
       return plant_stray_pattern(plan);
+    case Corruption::kDroppedUpdateRef:
+      return has_layout && drop_update_ref(sets.updates);
   }
   return false;
 }
@@ -464,7 +480,8 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
     case Corruption::kAEntryOutsidePanel:
     case Corruption::kUpdateRowOutsideTarget:
     case Corruption::kStrayPattern:
-      return false;  // trisolve plans carry no panels and no A pattern
+    case Corruption::kDroppedUpdateRef:
+      return false;  // trisolve plans carry no panels, A pattern or updates
     case Corruption::kDroppedSchedule:
       return drop(plan.agg);
     case Corruption::kDroppedSlotMap:

@@ -38,6 +38,7 @@ enum class Corruption {
   kAEntryOutsidePanel,    // stored A entry moved off its supernode's rows
   kUpdateRowOutsideTarget,  // target panel loses a row an update scatters
   kStrayPattern,          // plan carries the other path's pattern
+  kDroppedUpdateRef,      // update lists lose one descendant's update
 };
 
 /// Every corruption class, in declaration order — the one list the kill
@@ -50,6 +51,7 @@ inline constexpr Corruption kAllCorruptions[] = {
     Corruption::kDroppedPanelZeroRow,  Corruption::kDroppedSchedule,
     Corruption::kDroppedSlotMap,       Corruption::kAEntryOutsidePanel,
     Corruption::kUpdateRowOutsideTarget, Corruption::kStrayPattern,
+    Corruption::kDroppedUpdateRef,
 };
 
 const char* to_string(Corruption c);

@@ -13,6 +13,7 @@
 #include "core/execution_plan.h"
 #include "core/inspector.h"
 #include "core/pattern_key.h"
+#include "core/planner.h"
 #include "core/symbolic_cache.h"
 #include "core/trisolve_executor.h"
 #include "gen/generators.h"
@@ -116,6 +117,40 @@ TEST(PatternKey, StructureHashesArePinned) {
   const PatternKey tri = core::trisolve_pattern_key(chol.factor(), beta, opt);
   EXPECT_EQ(tri.structure_hash, 0x0265d62c06cd7af8ULL);
   EXPECT_EQ(tri.structure_hash2, 0xf0470f36248faa60ULL);
+}
+
+// A facade call reads the caller's pattern into a key once: a cache miss
+// stamps the new plan with the key the facade looked it up with instead
+// of hashing again. The direct executors never meet a cache, so they
+// never hash.
+TEST(PatternKey, OneHashPerFacadeCallAndNoneForTheDirectExecutors) {
+  const auto hashes = [](const auto& call) {
+    const std::uint64_t before = core::pattern_key_count();
+    call();
+    return core::pattern_key_count() - before;
+  };
+  const CscMatrix a = gen::grid2d_laplacian(12, 12);
+  auto context = std::make_shared<api::SymbolicContext>();
+  api::Solver cold({}, context);
+  EXPECT_EQ(hashes([&] { cold.factor(a); }), 1u);
+  EXPECT_FALSE(cold.symbolic_cached());
+  EXPECT_EQ(cold.plan()->key,
+            core::Planner(api::SolverConfig{}.planner_config())
+                .cholesky_key(a));
+  api::Solver warm({}, context);
+  EXPECT_EQ(hashes([&] { warm.factor(a); }), 1u);
+  EXPECT_TRUE(warm.symbolic_cached());
+
+  const CscMatrix l = cold.factor_csc();
+  const std::vector<index_t> beta = {0, 5, 9};
+  EXPECT_EQ(hashes([&] {
+              const api::TriangularSolver tri(l, beta, {}, context);
+              EXPECT_FALSE(tri.symbolic_cached());
+            }),
+            1u);
+
+  EXPECT_EQ(hashes([&] { const core::CholeskyExecutor exec(a); }), 0u);
+  EXPECT_EQ(hashes([&] { const core::TriSolveExecutor exec(l, beta); }), 0u);
 }
 
 TEST(PatternKey, HashCollisionStillComparesUnequal) {

@@ -201,11 +201,13 @@ void expect_killed(const char* path, Corruption c, const Report& report,
   if (!report.ok()) tally.killed.insert(c);
 }
 
-/// The classes that corrupt a Cholesky plan's panels, A pattern or
-/// path sets: each applies to some Cholesky path and to no trisolve one.
+/// The classes that corrupt a Cholesky plan's panels, A pattern, update
+/// lists or path sets: each applies to some Cholesky path and to no
+/// trisolve one.
 constexpr Corruption kCholeskySetsClasses[] = {
     Corruption::kDroppedPanelZeroRow, Corruption::kAEntryOutsidePanel,
-    Corruption::kUpdateRowOutsideTarget, Corruption::kStrayPattern};
+    Corruption::kUpdateRowOutsideTarget, Corruption::kStrayPattern,
+    Corruption::kDroppedUpdateRef};
 
 TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
   const std::vector<std::pair<const char*, CholeskyPlan>> variants = [] {
@@ -356,6 +358,32 @@ TEST(VerifyKillMatrix, DroppedPanelZeroRowDiagnosedByAScatterPrecondition) {
     EXPECT_TRUE(check == "structure.a-coverage" ||
                 check == "structure.update-containment")
         << report.to_string();
+}
+
+// The update lists must be exactly the segments a walk of the layout
+// yields. Deleting one ref keeps every remaining ref well formed and
+// every offset consistent, and a parallel plan's schedule still orders
+// the missing edge, so on every supernodal variant the completeness
+// check alone sees it. A simplicial plan has no update lists.
+TEST(VerifyKillMatrix, DroppedUpdateRefDiagnosedOnlyByUpdateCompleteness) {
+  const std::pair<const char*, CholeskyPlan> cases[] = {
+      {"supernodal", supernodal_plan()},
+      {"parallel-identity", parallel_cholesky_plan(false)},
+      {"coarsened", parallel_cholesky_plan(true)},
+  };
+  for (const auto& [name, base] : cases) {
+    CholeskyPlan plan = base;
+    ASSERT_TRUE(verify::verify_plan(plan).ok()) << name;
+    ASSERT_TRUE(PlanMutator::apply(plan, Corruption::kDroppedUpdateRef))
+        << name;
+    ASSERT_EQ(plan.sets.updates.refs.size() + 1, base.sets.updates.refs.size());
+    const Report report = verify::verify_plan(plan);
+    EXPECT_EQ(finding_checks(report),
+              std::set<std::string>{"structure.update-completeness"})
+        << name << ": " << report.to_string();
+  }
+  CholeskyPlan simplicial = simplicial_plan();
+  EXPECT_FALSE(PlanMutator::apply(simplicial, Corruption::kDroppedUpdateRef));
 }
 
 // A plan carries only its own path's pattern. A simplicial plan that
