@@ -1,10 +1,9 @@
-// Ablation of the design choices DESIGN.md section 6 calls out:
+// Ablation of the tuning knobs in core/options.h:
 //  1. the VS-Block profitability threshold (paper hand-tunes to 160),
-//  2. the column-count switch between specialized kernels and the generic
-//     blocked ("BLAS") path,
-//  3. the peel column-count threshold (paper Figure 1e uses 2),
-//  4. the supernode width cap (it also caps relaxed amalgamation, which
-//     supernodal plans always apply).
+//  2. the supernode width cap (it also caps relaxed amalgamation, which
+//     supernodal plans always apply),
+//  3. the peel column-count threshold of the pruned triangular solve
+//     (paper Figure 1e uses 2).
 // Three representative regimes: block-structural ND (cbuckle-like), strip
 // natural (Dubcova2-like), large 2-D ND mesh (ecology2-like).
 #include <cstdio>
@@ -24,9 +23,8 @@ void cholesky_row(const char* label, const CscMatrix& a,
                   const core::SympilerOptions& opt) {
   core::CholeskyExecutor exec(a, opt);
   const double t = bench::bench_seconds([&] { exec.factorize(a); });
-  std::printf("  %-38s %10.4fs  %8.3f GF/s  vsb=%-3s kernels=%s\n", label, t,
-              exec.flops() / t * 1e-9, exec.vs_block_applied() ? "yes" : "no",
-              exec.specialized_kernels() ? "small" : "blocked");
+  std::printf("  %-38s %10.4fs  %8.3f GF/s  vsb=%s\n", label, t,
+              exec.flops() / t * 1e-9, exec.vs_block_applied() ? "yes" : "no");
   std::fflush(stdout);
 }
 
@@ -50,12 +48,6 @@ int main() {
     cholesky_row("VS-Block forced ON", a, opt);
     opt.vsblock_min_avg_size = 1e18;
     cholesky_row("VS-Block forced OFF (VI-Prune only)", a, opt);
-
-    opt = {};
-    opt.blas_switch_colcount = 1e18;
-    cholesky_row("always specialized kernels", a, opt);
-    opt.blas_switch_colcount = 0.0;
-    cholesky_row("always generic blocked kernels", a, opt);
 
     opt = {};
     opt.max_supernode_width = 16;

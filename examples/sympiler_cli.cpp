@@ -351,13 +351,13 @@ int main(int argc, char** argv) {
     core::CholeskyExecutor chol(a, opt);
     std::printf(
         "inspection: %.1f ms | nnz(L)=%lld, %d supernodes, "
-        "vsb-size=%.1f, avg colcount=%.1f -> VS-Block %s, %s kernels\n",
+        "vsb-size=%.1f, nnz(L)/n=%.1f -> VS-Block %s\n",
         t_ins.seconds() * 1e3,
         static_cast<long long>(chol.sets().sym.fill_nnz),
         chol.plan().evidence.supernodes, chol.sets().avg_supernode_size,
-        chol.sets().avg_colcount,
-        chol.vs_block_applied() ? "applied" : "skipped",
-        chol.specialized_kernels() ? "specialized" : "blocked");
+        a.cols() > 0 ? static_cast<double>(chol.sets().sym.fill_nnz) / a.cols()
+                     : 0.0,
+        chol.vs_block_applied() ? "applied" : "skipped");
 
     // --- numeric factorization vs baselines ---
     Timer t_num;

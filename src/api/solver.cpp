@@ -400,9 +400,9 @@ TriangularSolver::TriangularSolver(const CscMatrix& l,
   pws_.set_guard(config.options.guard_workspace);
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
     // Pre-grow the parallel interpreter's terms buffer plus the one-column
-    // snapshot the serial-fallback rung restores from, so the first
-    // solve() is already allocation-free (the packed batch block still
-    // grows on the first solve_batch, sized to the batch actually used).
+    // packed block solve() sweeps, so the first solve() is already
+    // allocation-free (the packed batch block still grows on the first
+    // solve_batch, sized to the batch actually used).
     core::WorkspaceDims dims = executor_.plan().workspace;
     dims.rhs_block = 1;
     pws_.ensure(dims);
@@ -421,35 +421,15 @@ void TriangularSolver::clear_fallback() const {
 void TriangularSolver::solve(std::span<value_t> x) const {
   SYMPILER_CHECK(static_cast<index_t>(x.size()) == n_,
                  "triangular solver: size mismatch");
-  clear_fallback();
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
-    // Level-set interpreter with the plan's privatized update slots:
-    // atomic-free, bit-identical to executor_.solve() at any thread count.
-    // The Borrow sits outside the try: a concurrent-borrow trip is caller
-    // misuse and must propagate, not degrade.
-    const core::Workspace::Borrow guard(pws_);
-    try {
-      Status fallback;
-      if (parallel::parallel_trisolve(*l_, executor_.plan(), x, pws_,
-                                      &fallback)) {
-        report_.serial_fallback = true;
-        report_.last_error = fallback;
-      }
-    } catch (const resource_exhausted_error& e) {
-      // The interpreter's own entry ensure failed before x was touched —
-      // the sequential executor (its workspace already grown at plan
-      // adoption) is the last rung.
-      report_.serial_fallback = true;
-      report_.last_error = e.status();
-      executor_.solve(x);
-    } catch (const std::bad_alloc& e) {
-      report_.serial_fallback = true;
-      report_.last_error = Status{ErrorCode::kResourceExhausted, e.what()};
-      executor_.solve(x);
-    }
-  } else {
-    executor_.solve(x);
+    // The level-set sweep over one packed column, with the batch's
+    // degradation rungs: atomic-free, bit-identical to executor_.solve()
+    // at any thread count.
+    solve_batch(x, 1);
+    return;
   }
+  clear_fallback();
+  executor_.solve(x);
 }
 
 void TriangularSolver::solve_batch(std::span<value_t> xs, index_t nrhs) const {
@@ -460,8 +440,10 @@ void TriangularSolver::solve_batch(std::span<value_t> xs, index_t nrhs) const {
   clear_fallback();
   if (executor_.plan().path == ExecutionPath::ParallelTriSolve) {
     // Blocked level-set path: packed RHS blocks sweep the plan schedule
-    // (parallel inside each level), per column bit-identical to looped
-    // solve().
+    // (parallel inside each level), per column bit-identical to the
+    // sequential executor. The Borrow sits outside the try: a
+    // concurrent-borrow trip is caller misuse and must propagate, not
+    // degrade.
     const core::Workspace::Borrow guard(pws_);
     try {
       Status fallback;

@@ -238,8 +238,8 @@ class TriangularSolver {
                        SymbolicContext::global());
 
   /// Numeric solve: x holds b on entry, the solution on exit. Thin
-  /// dispatch on plan->path (the ParallelTriSolve path is only planned
-  /// for dense RHS patterns under OpenMP builds).
+  /// dispatch on plan->path; on the ParallelTriSolve path (planned only
+  /// for dense RHS patterns under OpenMP builds) it is solve_batch(x, 1).
   void solve(std::span<value_t> x) const;
 
   /// Multi-RHS variant; every column must carry the planned pattern.

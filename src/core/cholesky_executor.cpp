@@ -72,9 +72,7 @@ CholeskyExecutor::CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan,
     : plan_(std::move(plan)) {
   SYMPILER_CHECK(plan_ != nullptr, "cholesky executor: null plan");
   sets_ = &plan_->sets;
-  const SympilerOptions& opt = plan_->options;
   ws_.set_guard(guard_workspace);
-  specialized_ = core::specialized_kernels(opt, *sets_);
   // Size all numeric scratch once, from the plan's dimensions: factorize()
   // and solve() never allocate after this point. The executor's own
   // workspace skips the packed-RHS block (solve_batch uses per-thread
@@ -146,8 +144,7 @@ void CholeskyExecutor::factorize_supernodal(const CscMatrix& a_lower) {
   value_t* work = ws_.update().data();
   index_t* map = ws_.map().data();
   for (index_t s = 0; s < sets_->layout.nsuper(); ++s)
-    factor_supernode(*sets_, a_lower, s, values_.data(), map, work,
-                     specialized_);
+    factor_supernode(*sets_, a_lower, s, values_.data(), map, work);
 }
 
 void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
@@ -228,6 +225,8 @@ void CholeskyExecutor::backward_simplicial(value_t* x) const {
 
 void CholeskyExecutor::solve(std::span<value_t> bx) const {
   SYMPILER_CHECK(factorized_, "solve() before factorize()");
+  SYMPILER_CHECK(static_cast<index_t>(bx.size()) == sets_->n(),
+                 "solve: size mismatch");
   if (vs_block_applied()) {
     // solve() borrows the shared tail scratch — loud in debug builds if
     // two threads enter one executor (use solve_batch instead).
@@ -235,9 +234,6 @@ void CholeskyExecutor::solve(std::span<value_t> bx) const {
     panel_forward_solve(sets_->layout, values_, bx, ws_.tail());
     panel_backward_solve(sets_->layout, values_, bx, ws_.tail());
   } else {
-    SYMPILER_CHECK(
-        static_cast<index_t>(bx.size()) == sets_->sym.l_pattern.cols(),
-        "solve: size mismatch");
     forward_simplicial(bx.data());
     backward_simplicial(bx.data());
   }

@@ -9,11 +9,9 @@
 //    schedule is a static list;
 //  * no path decisions at numeric time — the plan already committed to
 //    simplicial vs supernodal from its profitability evidence;
-//  * peeled single-target-column updates when the low-level
-//    transformations are on and the column-count heuristic picks the
-//    specialized forms (the supernode body in core/supernode_body.h);
-//    the dense kernels run unrolled small kernels on their diagonal
-//    blocks;
+//  * one form per supernodal update, a trapezoid tile and its scatter
+//    (the supernode body in core/supernode_body.h); the dense kernels
+//    run unrolled small kernels on their diagonal blocks;
 //  * no copy of the symbolic products: a simplicial executor reads L's
 //    pattern from the plan and owns only an nnz(L) value buffer, and its
 //    column updates take a dense unit-stride loop wherever the sorted
@@ -115,9 +113,6 @@ class CholeskyExecutor {
   [[nodiscard]] bool vs_block_applied() const {
     return plan_->path != ExecutionPath::Simplicial;
   }
-  /// True when the plan runs the specialized supernode forms (peeled
-  /// single-target-column updates) — the paper's column-count BLAS switch.
-  [[nodiscard]] bool specialized_kernels() const { return specialized_; }
   [[nodiscard]] double flops() const { return plan_->sets.flops(); }
   /// True when a concurrent borrow of this executor's workspace throws
   /// (the guard_workspace opt-in, or any debug build).
@@ -132,7 +127,6 @@ class CholeskyExecutor {
 
   std::shared_ptr<const CholeskyPlan> plan_;  ///< shared with the cache
   const CholeskySets* sets_ = nullptr;        ///< &plan_->sets
-  bool specialized_ = false;
   /// Factor storage, the executor's only copy of anything: the supernodal
   /// panels, or L's values over the plan's pattern (sets_->sym.l_pattern)
   /// on the simplicial path.

@@ -152,9 +152,6 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
   SupernodePartition blocks = supernodes_cholesky(parent, colcount, sn_opt);
   products.fundamental_supernodes = blocks.count();
   sets.avg_supernode_size = participating_avg_rows(blocks, colcount);
-  double cc = 0.0;
-  for (index_t j = 0; j < n; ++j) cc += colcount[j];
-  sets.avg_colcount = n > 0 ? cc / n : 0.0;
   sets.vs_block_profitable =
       opt.vs_block && sets.avg_supernode_size >= opt.vsblock_min_avg_size &&
       participating_avg_width(blocks) >= opt.vsblock_min_avg_width;

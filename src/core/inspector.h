@@ -121,7 +121,6 @@ struct CholeskySets {
   std::vector<index_t> rowpat_ptr;    ///< size n+1
   std::vector<index_t> rowpat;
   double avg_supernode_size = 0.0;    ///< rows, over width>=2 supernodes
-  double avg_colcount = 0.0;          ///< BLAS-switch threshold input
   bool vs_block_profitable = false;
   [[nodiscard]] double flops() const { return sym.flops; }
 

@@ -12,8 +12,11 @@ struct SympilerOptions {
   // Inspector-guided transformations (paper section 2.3).
   bool vs_block = true;
   bool vi_prune = true;
-  // Enabled low-level transformations (paper section 2.4): peeling,
-  // unrolling/vectorized small kernels, scalar replacement.
+  // Low-level transformations of the triangular solve (paper section
+  // 2.4): the peeled 4-way unrolled column body of the pruned solve
+  // (peel_colcount), and the peeled single-column blocks and two-column
+  // tail pairing of the blocked solve. The Cholesky reads it nowhere:
+  // every supernodal update there is one trapezoid tile and its scatter.
   bool low_level = true;
 
   /// VS-Block is applied only when the participating-supernode size
@@ -32,14 +35,9 @@ struct SympilerOptions {
   /// performance").
   double vsblock_min_avg_width = 4.0;
 
-  /// Average column-count threshold below which Cholesky uses the
-  /// generated specialized dense kernels; above it the generic blocked
-  /// ("BLAS") routines are used (paper section 4.2: the column-count
-  /// decides when to switch to BLAS).
-  double blas_switch_colcount = 40.0;
-
-  /// Peel loop iterations whose column count exceeds this (paper Figure 1e
-  /// uses 2: peeled columns get unrolled/vectorized bodies).
+  /// The pruned triangular solve peels reached columns with more than
+  /// this many below-diagonal entries into a 4-way unrolled body (paper
+  /// Figure 1e uses 2). It changes speed, never bits.
   index_t peel_colcount = 2;
 
   /// Cap on supernode panel width (bounds temporary storage), for the
@@ -81,14 +79,11 @@ struct SympilerOptions {
   /// replay of the slot maps, workspace coverage. A finding throws
   /// kPlanInvalid from plan time — before any numeric code touches the
   /// plan. O(plan) work on the cold path only; warm cache hits never
-  /// re-verify. On by default in Debug builds, opt-in for Release. Not
-  /// hashed into the cache key: it changes whether a plan is checked,
-  /// never what the plan contains.
-#ifndef NDEBUG
-  bool verify_plan = true;
-#else
-  bool verify_plan = false;
-#endif
+  /// re-verify. On by default when the library is a Debug build
+  /// (library_debug_build()), opt-in for Release. Not hashed into the
+  /// cache key: it changes whether a plan is checked, never what the plan
+  /// contains.
+  bool verify_plan = library_debug_build();
 
   /// Directory of the on-disk plan store (core/plan_store.h). Empty =
   /// persistence off. When set, cache misses first try to load a persisted

@@ -114,7 +114,6 @@ std::uint64_t hash_options(const SympilerOptions& opt) {
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.low_level));
   fnv_mix_double(h, opt.vsblock_min_avg_size);
   fnv_mix_double(h, opt.vsblock_min_avg_width);
-  fnv_mix_double(h, opt.blas_switch_colcount);
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.peel_colcount));
   fnv_mix_u64(h, static_cast<std::uint64_t>(opt.max_supernode_width));
   // The robustness knobs (validate_input .. guard_workspace) and

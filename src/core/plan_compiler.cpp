@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/cholesky_executor.h"
-#include "core/supernode_body.h"
 
 namespace sympiler::core {
 
@@ -128,8 +127,8 @@ void emit_cholesky_simplicial(std::ostringstream& os,
 /// _ref-order dense helpers (blas/kernels_ref.cpp): the blocked blas tier
 /// is pinned bit-identical to these scalar loop nests, so emitting them
 /// keeps the compiled kernel bit-identical to the interpreter across the
-/// small-kernel / blocked dispatch (including the w==1 peel, whose scalar
-/// sequence equals potrf(1) + trsm(m-1, 1)).
+/// small-kernel / blocked dispatch (including width-1 supernodes, whose
+/// scalar sequence equals potrf(1) + trsm(m-1, 1)).
 void emit_dense_helpers(std::ostringstream& os) {
   os << "static int potrf_lower(const int n, double* a, const int lda) {\n"
         "  for (int j = 0; j < n; ++j) {\n"
@@ -183,7 +182,6 @@ void emit_cholesky_supernodal(std::ostringstream& os,
                               const CholeskyPlan& plan) {
   const solvers::SupernodalLayout& layout = plan.sets.layout;
   const index_t nsuper = layout.nsuper();
-  const bool specialized = specialized_kernels(plan.options, plan.sets);
 
   std::vector<index_t> upd_d, upd_p1, upd_p2;
   upd_d.reserve(plan.sets.updates.refs.size());
@@ -202,9 +200,7 @@ void emit_cholesky_supernodal(std::ostringstream& os,
                "// into straight-line phases, one per barrier level (any\n"
                "// topological order is bit-identical for left-looking\n"
                "// updates).\n")
-     << "// Operation order mirrors\n"
-        "// core::factor_supernode exactly, including the\n"
-        "// peeled single-target-column update when SPECIALIZED.\n";
+     << "// Operation order mirrors core::factor_supernode exactly.\n";
   emit_dense_helpers(os);
   emit_array(os, "snStart", layout.sn.start);
   emit_array(os, "srowPtr", layout.srow_ptr);
@@ -214,8 +210,7 @@ void emit_cholesky_supernodal(std::ostringstream& os,
   emit_array(os, "updD", upd_d);
   emit_array(os, "updP1", upd_p1);
   emit_array(os, "updP2", upd_p2);
-  os << "enum { N = " << layout.n << ", NSUPER = " << nsuper
-     << ", SPECIALIZED = " << (specialized ? 1 : 0) << " };\n\n";
+  os << "enum { N = " << layout.n << ", NSUPER = " << nsuper << " };\n\n";
 
   os << "static int factor_one(const int s, const double* Ax, double* panels,\n"
         "                      double* work, int* map) {\n"
@@ -235,17 +230,6 @@ void emit_cholesky_supernodal(std::ostringstream& os,
         "    const int dw = snStart[d + 1] - snStart[d];\n"
         "    const double* dpanel = panels + panelPtr[d];\n"
         "    const int mu = dm - p1;\n"
-        "    if (SPECIALIZED && nu == 1) {\n"
-        "      double* dst = panel + (long long)(drows[p1] - c1) * m;\n"
-        "      for (int p = 0; p < dw; ++p) {\n"
-        "        const double* dcol = dpanel + (long long)p * dm;\n"
-        "        const double fv = dcol[p1];\n"
-        "        if (fv == 0.0) continue;\n"
-        "        for (int r = 0; r < mu; ++r)\n"
-        "          dst[map[drows[p1 + r]]] -= dcol[p1 + r] * fv;\n"
-        "      }\n"
-        "      continue;\n"
-        "    }\n"
         "    for (long long t = 0; t < (long long)mu * nu; ++t) work[t] = "
         "0.0;\n"
         "    gemm_nt_minus(mu, nu, dw, dpanel + p1, dm, dpanel + p1, dm, "
@@ -406,9 +390,9 @@ void emit_trisolve_blocked(std::ostringstream& os, const TriSolvePlan& plan,
   os << "// VS-Block supernodal forward solve over the baked block-set\n"
         "// (restricted to the supernode-level prune-set when VI-Prune is\n"
         "// on), one pass per block: each column's diagonal part, then its\n"
-        "// tail contribution. Operation order mirrors\n"
-        "// TriSolveExecutor::solve_blocked exactly, including the LOW_LEVEL\n"
-        "// column pairing and the peeled single-column supernodes.\n";
+        "// tail contribution. Operation order mirrors the one-column\n"
+        "// TriSolveExecutor::solve_blocked_multi exactly, including the\n"
+        "// LOW_LEVEL column pairing and the peeled single-column supernodes.\n";
   emit_array(os, "blkC1", blk_c1);
   emit_array(os, "blkC2", blk_c2);
   emit_array(os, "blkCr", blk_cr);

@@ -173,7 +173,6 @@ void put_options(Writer& w, const SympilerOptions& o) {
   w.scalar<std::uint8_t>(o.low_level);
   w.scalar<double>(o.vsblock_min_avg_size);
   w.scalar<double>(o.vsblock_min_avg_width);
-  w.scalar<double>(o.blas_switch_colcount);
   w.scalar<index_t>(o.peel_colcount);
   w.scalar<index_t>(o.max_supernode_width);
   w.scalar<std::uint8_t>(o.validate_input);
@@ -189,7 +188,6 @@ void get_options(Reader& r, SympilerOptions* o) {
   o->low_level = r.scalar<std::uint8_t>("low_level") != 0;
   o->vsblock_min_avg_size = r.scalar<double>("vsblock_min_avg_size");
   o->vsblock_min_avg_width = r.scalar<double>("vsblock_min_avg_width");
-  o->blas_switch_colcount = r.scalar<double>("blas_switch_colcount");
   o->peel_colcount = r.scalar<index_t>("peel_colcount");
   o->max_supernode_width = r.scalar<index_t>("max_supernode_width");
   o->validate_input = r.scalar<std::uint8_t>("validate_input") != 0;
@@ -500,7 +498,6 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   put_evidence(meta, plan.evidence);
   put_workspace(meta, plan.workspace);
   meta.scalar<double>(plan.sets.avg_supernode_size);
-  meta.scalar<double>(plan.sets.avg_colcount);
   meta.scalar<std::uint8_t>(plan.sets.vs_block_profitable);
   meta.scalar<std::int64_t>(plan.sets.sym.fill_nnz);
   meta.scalar<double>(plan.sets.sym.flops);
@@ -575,7 +572,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     get_evidence(meta, &plan.evidence);
     get_workspace(meta, &plan.workspace);
     plan.sets.avg_supernode_size = meta.scalar<double>("avg_supernode_size");
-    plan.sets.avg_colcount = meta.scalar<double>("avg_colcount");
     plan.sets.vs_block_profitable =
         meta.scalar<std::uint8_t>("vs_block_profitable") != 0;
     plan.sets.sym.fill_nnz = meta.scalar<std::int64_t>("fill_nnz");

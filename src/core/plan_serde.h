@@ -51,7 +51,10 @@ namespace sympiler::core {
 /// call count, source cap) and the evidence's jit-eligibility flag.
 /// Version 8: the Cholesky symbolic section holds two patterns, L's and
 /// A's lower triangle; simplicial plans fill L's, supernodal plans A's.
-inline constexpr std::uint32_t kPlanFormatVersion = 8;
+/// Version 9: the peeled supernodal update is gone, so the options drop
+/// its column-count switch and the Cholesky meta section drops the
+/// average column count the switch read.
+inline constexpr std::uint32_t kPlanFormatVersion = 9;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

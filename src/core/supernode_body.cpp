@@ -8,14 +8,10 @@
 
 namespace sympiler::core {
 
-bool specialized_kernels(const SympilerOptions& opt, const CholeskySets& sets) {
-  return opt.low_level && sets.avg_colcount < opt.blas_switch_colcount;
-}
-
 void assemble_supernode_columns(const CholeskySets& sets,
                                 const CscMatrix& a_lower, index_t s,
                                 index_t j0, index_t j1, value_t* panels,
-                                index_t* map, value_t* work, bool peel) {
+                                index_t* map, value_t* work) {
   const solvers::SupernodalLayout& layout = sets.layout;
   const index_t c1 = layout.sn.start[s];
   const index_t m = layout.nrows(s);
@@ -32,7 +28,6 @@ void assemble_supernode_columns(const CholeskySets& sets,
     const solvers::UpdateRef ref = sets.updates.refs[u];
     const index_t* drows = layout.srows.data() + layout.srow_ptr[ref.d];
     const index_t dm = layout.nrows(ref.d);
-    const index_t dw = layout.width(ref.d);
     const value_t* dpanel = panels + layout.panel_ptr[ref.d];
     const index_t mu = dm - ref.p1;
     const index_t nu = ref.p2 - ref.p1;
@@ -44,19 +39,6 @@ void assemble_supernode_columns(const CholeskySets& sets,
     const index_t hi = static_cast<index_t>(
         std::lower_bound(tcols + lo, tcols + nu, c1 + j1) - tcols);
     if (lo == hi) continue;
-    if (peel && nu == 1) {
-      // Peeled single-target-column update: subtract directly, no
-      // scratch buffer (scalar-replacement style).
-      value_t* dst = panel + static_cast<std::int64_t>(tcols[0] - c1) * m;
-      for (index_t p = 0; p < dw; ++p) {
-        const value_t* dcol = dpanel + static_cast<std::int64_t>(p) * dm;
-        const value_t f = dcol[ref.p1];
-        if (f == 0.0) continue;
-        for (index_t r = 0; r < mu; ++r)
-          dst[map[drows[ref.p1 + r]]] -= dcol[ref.p1 + r] * f;
-      }
-      continue;
-    }
     // Tile rows [lo, mu) x target columns [lo, hi), computed only at or
     // below each target column (the rows the scatter reads): every tile
     // entry is its own ascending-k reduction, so this trapezoid holds the
@@ -64,8 +46,8 @@ void assemble_supernode_columns(const CholeskySets& sets,
     const index_t mt = mu - lo;
     const index_t nt = hi - lo;
     std::fill(work, work + static_cast<std::int64_t>(mt) * nt, 0.0);
-    blas::syrk_trapezoid_minus(mt, nt, dw, dpanel + ref.p1 + lo, dm, work,
-                               mt);
+    blas::syrk_trapezoid_minus(mt, nt, layout.width(ref.d),
+                               dpanel + ref.p1 + lo, dm, work, mt);
     for (index_t cj = lo; cj < hi; ++cj) {
       value_t* dst = panel + static_cast<std::int64_t>(tcols[cj] - c1) * m;
       const value_t* src = work + static_cast<std::int64_t>(cj - lo) * mt;
@@ -118,11 +100,11 @@ void solve_supernode_rows(const solvers::SupernodalLayout& layout, index_t s,
 }
 
 void factor_supernode(const CholeskySets& sets, const CscMatrix& a_lower,
-                      index_t s, value_t* panels, index_t* map, value_t* work,
-                      bool peel) {
+                      index_t s, value_t* panels, index_t* map,
+                      value_t* work) {
   const solvers::SupernodalLayout& layout = sets.layout;
   assemble_supernode_columns(sets, a_lower, s, 0, layout.width(s), panels, map,
-                             work, peel);
+                             work);
   factor_panel_rows(layout, s, layout.nrows(s), panels);
 }
 

@@ -12,28 +12,21 @@
 #pragma once
 
 #include "core/inspector.h"
-#include "core/options.h"
 #include "sparse/csc.h"
 #include "util/common.h"
 
 namespace sympiler::core {
 
-/// The paper's column-count BLAS switch: with the low-level
-/// transformations on and a short average column, a plan runs the
-/// specialized forms — here the peeled single-target-column update.
-[[nodiscard]] bool specialized_kernels(const SympilerOptions& opt,
-                                       const CholeskySets& sets);
-
 /// Assemble local columns [j0, j1) of supernode s's panel: scatter A's
 /// columns into them, then apply every static update that targets them,
 /// in update-list order. `map` is n-sized scratch that this call fills
 /// with s's row map; `work` holds one update tile (max panel rows x max
-/// panel width). With `peel`, an update whose single target column is in
-/// range subtracts its terms straight into the panel, skipping the tile.
+/// panel width). Every update is one trapezoid tile followed by its
+/// scatter.
 void assemble_supernode_columns(const CholeskySets& sets,
                                 const CscMatrix& a_lower, index_t s,
                                 index_t j0, index_t j1, value_t* panels,
-                                index_t* map, value_t* work, bool peel);
+                                index_t* map, value_t* work);
 
 /// Factor supernode s's assembled diagonal block in place
 /// (blas::potrf_lower). The kPivot fault point fires here, once per
@@ -53,7 +46,6 @@ void solve_supernode_rows(const solvers::SupernodalLayout& layout, index_t s,
 /// same kPivot fault point and pivot anchoring as
 /// factor_supernode_diagonal).
 void factor_supernode(const CholeskySets& sets, const CscMatrix& a_lower,
-                      index_t s, value_t* panels, index_t* map, value_t* work,
-                      bool peel);
+                      index_t s, value_t* panels, index_t* map, value_t* work);
 
 }  // namespace sympiler::core

@@ -61,8 +61,10 @@ void TriSolveExecutor::solve(std::span<value_t> x) const {
     return;
   }
   if (plan_->path == ExecutionPath::BlockedTriSolve) {
+    // The one-column case of the packed sweep: x itself is the packed
+    // block.
     const Workspace::Borrow guard(ws_);
-    solve_blocked(x);
+    solve_blocked_multi(x.data(), 1, 1, ws_.tail().data());
   } else {
     solve_pruned(x);
   }
@@ -110,80 +112,6 @@ void TriSolveExecutor::solve_pruned(std::span<value_t> x) const {
   }
 }
 
-void TriSolveExecutor::solve_blocked(std::span<value_t> x) const {
-  // VS-Block (+ VI-Prune): supernodal traversal, one pass per block. Each
-  // reached column's diagonal part is solved with direct indexing (rows
-  // inside a block are consecutive: no Li lookups), and its tail part,
-  // which follows it in memory, is accumulated densely into a gather
-  // buffer right after; the buffer is scattered once per block. So every
-  // column of L is read front to back once. A tail term reads only x
-  // values that are already final, so each x and tail entry receives its
-  // terms in the same order as in a diagonal pass followed by a tail pass.
-  const CscMatrix& l = *l_;
-  const index_t* Li = l.rowind.data();
-  const value_t* Lx = l.values.data();
-  const index_t nblocks = plan_->options.vi_prune
-                              ? static_cast<index_t>(sets_->sn_reach.size())
-                              : sets_->blocks.count();
-  value_t* tail = ws_.tail().data();
-  for (index_t k = 0; k < nblocks; ++k) {
-    const index_t s = plan_->options.vi_prune ? sets_->sn_reach[k] : k;
-    const index_t c1 = sets_->blocks.start[s];
-    const index_t c2 = sets_->blocks.start[s + 1];
-    const index_t cr = plan_->options.vi_prune ? sets_->sn_first_col[k] : c1;
-    const index_t tail_len = sets_->colcount[c1] - (c2 - c1);
-
-    if (plan_->options.low_level && c2 - cr == 1 && cr == c1) {
-      // Peeled single-column supernode: straight scalar column, no gather
-      // buffer traffic.
-      const index_t p0 = l.col_begin(cr);
-      const value_t xj = x[cr] / Lx[p0];
-      x[cr] = xj;
-      for (index_t p = p0 + 1; p < l.col_end(cr); ++p)
-        x[Li[p]] -= Lx[p] * xj;
-      continue;
-    }
-
-    // Column j's diagonal part: dense forward substitution into the
-    // consecutive targets x[j+1..c2).
-    const auto diagonal = [&](index_t j) {
-      const index_t p0 = l.col_begin(j);
-      const value_t xj = x[j] / Lx[p0];
-      x[j] = xj;
-      const value_t* col = Lx + p0 + 1;
-      value_t* xrow = x.data() + j + 1;
-      const index_t blen = c2 - j - 1;
-      for (index_t t = 0; t < blen; ++t) xrow[t] -= col[t] * xj;
-    };
-    // Tail: tail[t] = sum_j L(tail_t, j) * x[j], accumulated densely.
-    std::fill(tail, tail + tail_len, 0.0);
-    index_t j = cr;
-    if (plan_->options.low_level) {
-      // Process two columns at a time (register reuse / ILP — the
-      // "vectorization" the VS-Block pass annotates).
-      for (; j + 1 < c2; j += 2) {
-        diagonal(j);
-        diagonal(j + 1);
-        const value_t xa = x[j];
-        const value_t xb = x[j + 1];
-        const value_t* ca = Lx + l.col_begin(j) + (c2 - j);
-        const value_t* cb = Lx + l.col_begin(j + 1) + (c2 - j - 1);
-        for (index_t t = 0; t < tail_len; ++t)
-          tail[t] += ca[t] * xa + cb[t] * xb;
-      }
-    }
-    for (; j < c2; ++j) {
-      diagonal(j);
-      const value_t xj = x[j];
-      const value_t* cj = Lx + l.col_begin(j) + (c2 - j);
-      for (index_t t = 0; t < tail_len; ++t) tail[t] += cj[t] * xj;
-    }
-    // One indirect scatter per block (row list of the first column).
-    const index_t* rows = Li + l.col_begin(c1) + (c2 - c1);
-    for (index_t t = 0; t < tail_len; ++t) x[rows[t]] -= tail[t];
-  }
-}
-
 void TriSolveExecutor::solve_batch(std::span<value_t> xs, index_t nrhs) const {
   SYMPILER_CHECK(nrhs >= 0, "trisolve solve_batch: negative RHS count");
   const auto n = static_cast<std::size_t>(l_->cols());
@@ -218,10 +146,17 @@ void TriSolveExecutor::solve_batch(std::span<value_t> xs, index_t nrhs) const {
 
 void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
                                            index_t ldp, value_t* tail) const {
-  // The multi-RHS mirror of solve_blocked: identical one-pass traversal,
-  // identical per-column operation sequence (including the two-column
-  // pairing of the tail accumulation), with the RHS index as the
-  // unit-stride inner loop. Looped solve() and solve_batch() are therefore
+  // VS-Block (+ VI-Prune): supernodal traversal, one pass per block, over
+  // an RHS-major packed block (solve() passes x itself, one column). Each
+  // reached column's diagonal part is solved with direct indexing (rows
+  // inside a block are consecutive: no Li lookups), and its tail part,
+  // which follows it in memory, is accumulated densely into a gather
+  // buffer right after; the buffer is scattered once per block. So every
+  // column of L is read front to back once. A tail term reads only x
+  // values that are already final, so each x and tail entry receives its
+  // terms in the same order as in a diagonal pass followed by a tail pass.
+  // The RHS index is the unit-stride inner loop and never reorders a
+  // column's operations, so looped solve() and solve_batch() are
   // bit-identical per column — pinned by tests/test_batch.cpp.
   const CscMatrix& l = *l_;
   const index_t* Li = l.rowind.data();
@@ -237,7 +172,8 @@ void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
     const index_t tail_len = sets_->colcount[c1] - (c2 - c1);
 
     if (plan_->options.low_level && c2 - cr == 1 && cr == c1) {
-      // Peeled single-column supernode.
+      // Peeled single-column supernode: a straight column update, no
+      // gather buffer traffic.
       const index_t p0 = l.col_begin(cr);
       const value_t piv = Lx[p0];
       value_t* xc = xp + cr * ldp;
@@ -265,10 +201,12 @@ void TriSolveExecutor::solve_blocked_multi(value_t* xp, index_t nrhs,
         for (index_t r = 0; r < nrhs; ++r) xrow[r] -= lv * xj[r];
       }
     };
-    // Tail accumulation, mirroring solve_blocked's column pairing.
+    // Tail: tail[t] = sum_j L(tail_t, j) * x[j], accumulated densely.
     std::fill(tail, tail + static_cast<std::int64_t>(tail_len) * ldp, 0.0);
     index_t j = cr;
     if (plan_->options.low_level) {
+      // Two columns at a time (register reuse / ILP — the "vectorization"
+      // the VS-Block pass annotates).
       for (; j + 1 < c2; j += 2) {
         diagonal(j);
         diagonal(j + 1);

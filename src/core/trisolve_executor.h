@@ -50,8 +50,9 @@ class TriSolveExecutor {
   /// Blocked multi-RHS solve: `xs` holds nrhs column-major dense RHS of
   /// length n, every column carrying the planned pattern. On the
   /// BlockedTriSolve path the batch is tiled into packed RHS blocks and
-  /// swept through the supernodal traversal once per block (bit-identical
-  /// per column to looped solve() calls); other paths loop.
+  /// swept through the supernodal traversal once per block (solve() is
+  /// the same sweep over one column, so the two are bit-identical per
+  /// column); other paths loop.
   void solve_batch(std::span<value_t> xs, index_t nrhs) const;
 
   [[nodiscard]] const TriSolvePlan& plan() const { return *plan_; }
@@ -69,7 +70,8 @@ class TriSolveExecutor {
 
  private:
   void solve_pruned(std::span<value_t> x) const;
-  void solve_blocked(std::span<value_t> x) const;
+  /// The blocked sweep over an RHS-major packed block of nrhs columns
+  /// (X(i, r) at xp[r + i * ldp]); solve() runs it on x with one column.
   void solve_blocked_multi(value_t* xp, index_t nrhs, index_t ldp,
                            value_t* tail) const;
 

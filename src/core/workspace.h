@@ -139,12 +139,10 @@ class Workspace {
   /// Facades wire this from SympilerOptions::guard_workspace.
   void set_guard(bool on) { guard_opt_in_ = on; }
 
+  /// The library's build decides "debug" (library_debug_build()), not the
+  /// including translation unit's NDEBUG.
   [[nodiscard]] bool guard_enabled() const {
-#ifndef NDEBUG
-    return true;
-#else
-    return guard_opt_in_;
-#endif
+    return guard_opt_in_ || library_debug_build();
   }
 
   /// Reentrancy guard over a borrowed workspace. solve() and friends are

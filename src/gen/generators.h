@@ -1,7 +1,8 @@
 // Synthetic SPD matrix generators — stand-ins for the SuiteSparse matrices
-// of paper Table 2 (the collection is not reachable offline; see DESIGN.md
-// section 3 for the substitution argument). Every generator returns the
-// LOWER triangle of a symmetric positive-definite matrix.
+// of paper Table 2 (the collection is not reachable offline; gen/suite.h
+// pairs each paper matrix with the generator that mirrors its structural
+// regime). Every generator returns the LOWER triangle of a symmetric
+// positive-definite matrix.
 //
 // Node numbering is controlled by GridOrder: Natural produces banded
 // factors with tiny supernodes and large column counts (the regime where

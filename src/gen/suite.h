@@ -1,6 +1,7 @@
 // The Table-2 analogue suite: eleven SPD problems mirroring the regimes of
-// the paper's SuiteSparse selection (see DESIGN.md section 3 for the
-// substitution table and EXPERIMENTS.md for measured structure).
+// the paper's SuiteSparse selection (suite.cpp pairs each paper matrix
+// with its generator; bench/table2_matrices prints their measured
+// structure).
 //
 // Sizes are scaled to laptop/CI scale (n ~ 14k..185k instead of 14k..1M);
 // the suite deliberately spans the structural regimes the paper's

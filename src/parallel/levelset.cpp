@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <type_traits>
 
 #ifdef SYMPILER_HAS_OPENMP
 #include <omp.h>
@@ -170,22 +171,23 @@ inline void maybe_inject_pivot_fault(index_t j, value_t diag) {
         diag);
 }
 
+/// The level-set forward solve over an RHS-major packed block of nrhs <=
+/// blas::kRhsBlockMax columns (X(i, r) at xp[r + i * ldp]); terms holds
+/// umap.slots() rows of ldp values.
 void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
-                     const UpdateSlotMap& umap, std::span<value_t> x,
-                     std::span<value_t> terms, [[maybe_unused]] bool serial) {
+                     const UpdateSlotMap& umap, value_t* xp, index_t nrhs,
+                     index_t ldp, value_t* terms,
+                     [[maybe_unused]] bool serial) {
   const value_t* Lx = l.values.data();
   const index_t* colptr = l.colptr.data();
   const index_t* slot = umap.slot.data();
   const index_t* rptr = umap.row_ptr.data();
-  value_t* xp = x.data();
-  value_t* tp = terms.data();
   util::AbortGuard guard;
   // One parallel region for the whole solve; each aggregate level is a
   // worksharing loop over tasks whose implicit barrier realizes the
   // wavefront dependence (and publishes the level's slot writes to every
   // later level). Tiny levels skip the omp-for and run serially in-place
-  // (run_level). A fused chain runs its members in order on one thread,
-  // and a bundle solves its lanes lock-step in the ISA-dispatched kernel.
+  // (run_level). A fused chain runs its members in order on one thread.
   // Slot fold order is untouched, so results stay bit-identical to the
   // serial solve at any thread count.
   //
@@ -202,40 +204,65 @@ void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
 #pragma omp parallel if (!serial)
 #endif
   {
-    const auto run_task = [&](index_t t) {
+    // One task body for every block width. A one-column block passes its
+    // width as a compile-time 1, so the RHS loops vanish and the fold
+    // accumulates in a register, and it hands a SIMD bundle to the
+    // ISA-dispatched lock-step kernel. A wider block runs bundle lanes in
+    // order: the RHS loop is already the vector direction, and serial
+    // lanes are bit-identical to lock-step by the bundle contract.
+    const auto run_task = [&](index_t t, auto width) {
       const index_t k0 = agg.task_ptr[t];
       const index_t k1 = agg.task_ptr[t + 1];
       const index_t j0 = agg.items[k0];
       maybe_inject_pivot_fault(j0, Lx[colptr[j0]]);
-      if (agg.bundle[t]) {
+      if (width == 1 && agg.bundle[t]) {
         // All lanes share one (incoming-term, update) shape — the
         // coarsener grouped by it — so the counts of the first lane
         // describe every lane.
         blas::trisolve_bundle(k1 - k0, rptr[j0 + 1] - rptr[j0],
                               colptr[j0 + 1] - colptr[j0] - 1,
                               agg.items.data() + k0, colptr, Lx, slot, rptr,
-                              xp, tp);
+                              xp, terms);
         return;
       }
       for (index_t k = k0; k < k1; ++k) {
         const index_t j = agg.items[k];
+        value_t* xj = xp + static_cast<std::int64_t>(j) * ldp;
+        // Row j of the block is staged in a local copy, which no term
+        // store can alias: at width 1 it is a register, as in a scalar
+        // solve, so the fold's dependent subtractions never wait on a
+        // store to x.
+        value_t xr[blas::kRhsBlockMax];
+        for (index_t r = 0; r < width; ++r) xr[r] = xj[r];
         // Fold the privatized incoming updates in ascending-column order —
         // the exact subtraction sequence of the serial solve.
-        value_t xj = xp[j];
-        for (index_t q = rptr[j]; q < rptr[j + 1]; ++q) xj -= tp[q];
+        for (index_t q = rptr[j]; q < rptr[j + 1]; ++q) {
+          const value_t* tq = terms + static_cast<std::int64_t>(q) * ldp;
+          for (index_t r = 0; r < width; ++r) xr[r] -= tq[r];
+        }
         const index_t p0 = colptr[j];
-        xj /= Lx[p0];
-        xp[j] = xj;
+        const value_t piv = Lx[p0];
+        for (index_t r = 0; r < width; ++r) xj[r] = xr[r] /= piv;
         // Scatter this column's updates into its plan-assigned private
         // slots (compact off-diagonal indexing: position p maps to
         // p - j - 1); no two columns share a slot, so no atomics are needed.
-        for (index_t p = p0 + 1; p < colptr[j + 1]; ++p)
-          tp[slot[p - j - 1]] = Lx[p] * xj;
+        for (index_t p = p0 + 1; p < colptr[j + 1]; ++p) {
+          const value_t lv = Lx[p];
+          value_t* tq =
+              terms + static_cast<std::int64_t>(slot[p - j - 1]) * ldp;
+          for (index_t r = 0; r < width; ++r) tq[r] = lv * xr[r];
+        }
       }
     };
     for (index_t lev = 0; lev < agg.levels(); ++lev)
-      run_level(agg.level_ptr[lev], agg.level_ptr[lev + 1],
-                [&](index_t t) { guard.run([&] { run_task(t); }); });
+      run_level(agg.level_ptr[lev], agg.level_ptr[lev + 1], [&](index_t t) {
+        guard.run([&] {
+          if (nrhs == 1)
+            run_task(t, std::integral_constant<index_t, 1>{});
+          else
+            run_task(t, nrhs);
+        });
+      });
   }
   guard.rethrow_if_failed();
 }
@@ -245,83 +272,14 @@ void trisolve_levels(const CscMatrix& l, const AggregateSchedule& agg,
 void parallel_trisolve(const CscMatrix& l, const AggregateSchedule& agg,
                        const UpdateSlotMap& umap, std::span<value_t> x,
                        std::span<value_t> terms) {
-  trisolve_levels(l, agg, umap, x, terms, /*serial=*/false);
+  trisolve_levels(l, agg, umap, x.data(), 1, 1, terms.data(),
+                  /*serial=*/false);
 }
-
-namespace {
-
-void trisolve_multi_levels(const CscMatrix& l, const AggregateSchedule& agg,
-                           const UpdateSlotMap& umap, value_t* xp,
-                           index_t nrhs, index_t ldp, value_t* terms,
-                           [[maybe_unused]] bool serial) {
-  const value_t* Lx = l.values.data();
-  const index_t* colptr = l.colptr.data();
-  const index_t* slot = umap.slot.data();
-  const index_t* rptr = umap.row_ptr.data();
-  util::AbortGuard guard;
-  // Chain fusion still pays here (fewer barriers), but bundles degenerate
-  // to sequential lanes: the RHS loop is already the vector direction, and
-  // serial lanes are bit-identical to lock-step by the bundle contract.
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp parallel if (!serial)
-#endif
-  {
-    const auto run_task = [&](index_t t) {
-      const index_t jf = agg.items[agg.task_ptr[t]];
-      maybe_inject_pivot_fault(jf, Lx[colptr[jf]]);
-      for (index_t k = agg.task_ptr[t]; k < agg.task_ptr[t + 1]; ++k) {
-        const index_t j = agg.items[k];
-        value_t* xj = xp + static_cast<std::int64_t>(j) * ldp;
-        for (index_t q = rptr[j]; q < rptr[j + 1]; ++q) {
-          const value_t* tq = terms + static_cast<std::int64_t>(q) * ldp;
-          for (index_t r = 0; r < nrhs; ++r) xj[r] -= tq[r];
-        }
-        const index_t p0 = colptr[j];
-        const value_t piv = Lx[p0];
-        for (index_t r = 0; r < nrhs; ++r) xj[r] /= piv;
-        for (index_t p = p0 + 1; p < colptr[j + 1]; ++p) {
-          const value_t lv = Lx[p];
-          value_t* tq =
-              terms + static_cast<std::int64_t>(slot[p - j - 1]) * ldp;
-          for (index_t r = 0; r < nrhs; ++r) tq[r] = lv * xj[r];
-        }
-      }
-    };
-    for (index_t lev = 0; lev < agg.levels(); ++lev)
-      run_level(agg.level_ptr[lev], agg.level_ptr[lev + 1],
-                [&](index_t t) { guard.run([&] { run_task(t); }); });
-  }
-  guard.rethrow_if_failed();
-}
-
-}  // namespace
 
 bool parallel_trisolve(const CscMatrix& l, const core::TriSolvePlan& plan,
                        std::span<value_t> x, core::Workspace& ws,
                        Status* fallback_error) {
-  SYMPILER_CHECK(plan.path == core::ExecutionPath::ParallelTriSolve,
-                 "parallel_trisolve: plan path is not ParallelTriSolve");
-  core::WorkspaceDims dims = plan.workspace;
-  dims.rhs_block = 1;  // one packed column: the pre-sweep snapshot of x
-  ws.ensure(dims);
-  // The sweep solves in place, so the serial fallback needs the input
-  // back: snapshot it into the (otherwise idle) packed-RHS column.
-  value_t* snap = ws.rhs_block();
-  std::copy(x.begin(), x.end(), snap);
-  const auto sweep = [&](bool serial) {
-    trisolve_levels(l, plan.agg, plan.update_map, x, ws.terms(), serial);
-  };
-  try {
-    sweep(/*serial=*/false);
-    return false;
-  } catch (const std::exception& e) {
-    // Infrastructure fault mid-sweep: restore the input and re-run the
-    // same schedule serially — bit-identical by the determinism contract.
-    if (fallback_error != nullptr) *fallback_error = status_of(e);
-    std::copy(snap, snap + x.size(), x.begin());
-    sweep(/*serial=*/true);
-    return true;
-  }
+  return parallel_trisolve_batch(l, plan, x, 1, ws, fallback_error);
 }
 
 bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
@@ -346,8 +304,7 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
     value_t* x0 = xs.data() + static_cast<std::size_t>(r0) * n;
     blas::pack_rhs(n, nb, x0, n, xp, nb);
     const auto sweep = [&](bool serial) {
-      trisolve_multi_levels(l, plan.agg, plan.update_map, xp, nb, nb, terms,
-                            serial);
+      trisolve_levels(l, plan.agg, plan.update_map, xp, nb, nb, terms, serial);
     };
     try {
       sweep(/*serial=*/false);
@@ -388,8 +345,7 @@ index_t area_split(index_t w, index_t m, index_t t, index_t nt) {
 /// sequential executor at any team size.
 void cholesky_levels(const core::CholeskySets& sets,
                      const AggregateSchedule& agg, const CscMatrix& a_lower,
-                     std::span<value_t> panels, bool peel,
-                     [[maybe_unused]] bool serial) {
+                     std::span<value_t> panels, [[maybe_unused]] bool serial) {
   const solvers::SupernodalLayout& layout = sets.layout;
   // Plan-sized scratch dimensions (pure layout reads); each OS thread
   // keeps one grow-only workspace across calls and plans, so a warm
@@ -428,7 +384,7 @@ void cholesky_levels(const core::CholeskySets& sets,
         core::assemble_supernode_columns(sets, a_lower, s,
                                          area_split(w, m, tid, nt),
                                          area_split(w, m, tid + 1, nt), pan,
-                                         map, work, peel);
+                                         map, work);
       });
 #ifdef SYMPILER_HAS_OPENMP
 #pragma omp barrier
@@ -462,7 +418,7 @@ void cholesky_levels(const core::CholeskySets& sets,
         guard.run([&] {
           for (index_t k = agg.task_ptr[t]; k < agg.task_ptr[t + 1]; ++k)
             core::factor_supernode(sets, a_lower, agg.items[k], pan, map,
-                                   work, peel);
+                                   work);
         });
     }
   }
@@ -474,9 +430,7 @@ void cholesky_levels(const core::CholeskySets& sets,
 void parallel_cholesky(const core::CholeskySets& sets,
                        const AggregateSchedule& agg, const CscMatrix& a_lower,
                        std::span<value_t> panels) {
-  cholesky_levels(sets, agg, a_lower, panels,
-                  core::specialized_kernels(core::SympilerOptions{}, sets),
-                  /*serial=*/false);
+  cholesky_levels(sets, agg, a_lower, panels, /*serial=*/false);
 }
 
 bool parallel_cholesky(const core::CholeskyPlan& plan,
@@ -484,10 +438,8 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
                        Status* fallback_error) {
   SYMPILER_CHECK(plan.path == core::ExecutionPath::ParallelSupernodal,
                  "parallel_cholesky: plan path is not ParallelSupernodal");
-  const bool peel = core::specialized_kernels(plan.options, plan.sets);
   try {
-    cholesky_levels(plan.sets, plan.agg, a_lower, panels, peel,
-                    /*serial=*/false);
+    cholesky_levels(plan.sets, plan.agg, a_lower, panels, /*serial=*/false);
     return false;
   } catch (const numerical_error&) {
     // A pivot failure is a property of the data: the serial re-run would
@@ -499,8 +451,7 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
     // A and re-run the same schedule serially — bit-identical by the
     // determinism contract.
     if (fallback_error != nullptr) *fallback_error = status_of(e);
-    cholesky_levels(plan.sets, plan.agg, a_lower, panels, peel,
-                    /*serial=*/true);
+    cholesky_levels(plan.sets, plan.agg, a_lower, panels, /*serial=*/true);
     return true;
   }
 }

@@ -75,13 +75,11 @@ void parallel_trisolve(const CscMatrix& l, const AggregateSchedule& agg,
                        std::span<value_t> terms);
 
 /// Plan-driven interpreter: runs the aggregate schedule + slot map carried
-/// by a trisolve plan whose path is ExecutionPath::ParallelTriSolve. `ws` is
-/// the caller's plan-sized workspace (holds the shared terms buffer plus a
-/// one-column snapshot of x; grow-only, so a warm solve allocates
-/// nothing). On a parallel-sweep failure the input is restored from the
-/// snapshot and the sweep re-runs serially (bit-identical); returns true
-/// when that fallback was taken, recording the triggering failure in
-/// `*fallback_error` when non-null.
+/// by a trisolve plan whose path is ExecutionPath::ParallelTriSolve. It is
+/// parallel_trisolve_batch over one column: `ws` is the caller's
+/// plan-sized workspace (the shared terms buffer and a one-column packed
+/// block; grow-only, so a warm solve allocates nothing), and the return
+/// value and `*fallback_error` are the batch's.
 bool parallel_trisolve(const CscMatrix& l, const core::TriSolvePlan& plan,
                        std::span<value_t> x, core::Workspace& ws,
                        Status* fallback_error = nullptr);
@@ -111,9 +109,7 @@ bool parallel_trisolve_batch(const CscMatrix& l, const core::TriSolvePlan& plan,
 /// split. Left-looking updates only read descendants, which finish in
 /// earlier levels or earlier in the same chain. Every piece is the
 /// sequential executor's supernode body (core/supernode_body.h), so the
-/// factor equals CholeskyExecutor's bit for bit at any team size for sets
-/// inspected under the default low-level options (which decide the peeled
-/// updates here; the plan-driven overload reads the plan's).
+/// factor equals CholeskyExecutor's bit for bit at any team size.
 void parallel_cholesky(const core::CholeskySets& sets,
                        const AggregateSchedule& agg, const CscMatrix& a_lower,
                        std::span<value_t> panels);

@@ -137,20 +137,7 @@ index_t max_tail_rows(const SupernodalLayout& layout) {
 void panel_forward_solve(const SupernodalLayout& layout,
                          std::span<const value_t> panels, std::span<value_t> x,
                          std::span<value_t> scratch) {
-  value_t* xs = scratch.data();  // gathered tail segment, plan-sized
-  for (index_t s = 0; s < layout.nsuper(); ++s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t w = layout.width(s);
-    const index_t m = layout.nrows(s);
-    const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
-    const value_t* panel = panels.data() + layout.panel_ptr[s];
-    blas::trsv_lower(w, panel, m, x.data() + c1);
-    if (m > w) {
-      std::fill(xs, xs + (m - w), 0.0);
-      blas::gemv_minus(m - w, w, panel + w, m, x.data() + c1, xs);
-      for (index_t t = w; t < m; ++t) x[rows[t]] += xs[t - w];
-    }
-  }
+  panel_forward_solve_multi(layout, panels, x.data(), 1, 1, scratch.data());
 }
 
 void panel_forward_solve(const SupernodalLayout& layout,
@@ -164,19 +151,7 @@ void panel_forward_solve(const SupernodalLayout& layout,
 void panel_backward_solve(const SupernodalLayout& layout,
                           std::span<const value_t> panels, std::span<value_t> x,
                           std::span<value_t> scratch) {
-  value_t* xg = scratch.data();
-  for (index_t s = layout.nsuper() - 1; s >= 0; --s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t w = layout.width(s);
-    const index_t m = layout.nrows(s);
-    const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
-    const value_t* panel = panels.data() + layout.panel_ptr[s];
-    if (m > w) {
-      for (index_t t = w; t < m; ++t) xg[t - w] = x[rows[t]];
-      blas::gemv_trans_minus(m - w, w, panel + w, m, xg, x.data() + c1);
-    }
-    blas::trsv_lower_transpose(w, panel, m, x.data() + c1);
-  }
+  panel_backward_solve_multi(layout, panels, x.data(), 1, 1, scratch.data());
 }
 
 void panel_backward_solve(const SupernodalLayout& layout,
@@ -196,11 +171,18 @@ void panel_forward_solve_multi(const SupernodalLayout& layout,
     const index_t m = layout.nrows(s);
     const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
     const value_t* panel = panels.data() + layout.panel_ptr[s];
-    blas::trsm_lower_multi(w, nrhs, panel, m, xp + c1 * ldp, ldp);
+    value_t* xc = xp + static_cast<std::int64_t>(c1) * ldp;
+    if (nrhs == 1)
+      blas::trsv_lower(w, panel, m, xc);
+    else
+      blas::trsm_lower_multi(w, nrhs, panel, m, xc, ldp);
     if (m > w) {
       std::fill(tail, tail + static_cast<std::int64_t>(m - w) * ldp, 0.0);
-      blas::gemm_minus_multi(m - w, w, nrhs, panel + w, m, xp + c1 * ldp, ldp,
-                             tail, ldp);
+      if (nrhs == 1)
+        blas::gemv_minus(m - w, w, panel + w, m, xc, tail);
+      else
+        blas::gemm_minus_multi(m - w, w, nrhs, panel + w, m, xc, ldp, tail,
+                               ldp);
       for (index_t t = w; t < m; ++t) {
         value_t* dst = xp + rows[t] * ldp;
         const value_t* src = tail + static_cast<std::int64_t>(t - w) * ldp;
@@ -219,16 +201,23 @@ void panel_backward_solve_multi(const SupernodalLayout& layout,
     const index_t m = layout.nrows(s);
     const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
     const value_t* panel = panels.data() + layout.panel_ptr[s];
+    value_t* xc = xp + static_cast<std::int64_t>(c1) * ldp;
     if (m > w) {
       for (index_t t = w; t < m; ++t) {
         const value_t* src = xp + rows[t] * ldp;
         value_t* dst = tail + static_cast<std::int64_t>(t - w) * ldp;
         for (index_t r = 0; r < nrhs; ++r) dst[r] = src[r];
       }
-      blas::gemm_trans_minus_multi(m - w, w, nrhs, panel + w, m, tail, ldp,
-                                   xp + c1 * ldp, ldp);
+      if (nrhs == 1)
+        blas::gemv_trans_minus(m - w, w, panel + w, m, tail, xc);
+      else
+        blas::gemm_trans_minus_multi(m - w, w, nrhs, panel + w, m, tail, ldp,
+                                     xc, ldp);
     }
-    blas::trsm_lower_transpose_multi(w, nrhs, panel, m, xp + c1 * ldp, ldp);
+    if (nrhs == 1)
+      blas::trsv_lower_transpose(w, panel, m, xc);
+    else
+      blas::trsm_lower_transpose_multi(w, nrhs, panel, m, xc, ldp);
   }
 }
 

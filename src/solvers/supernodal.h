@@ -100,7 +100,8 @@ void scatter_supernode(const SupernodalLayout& layout,
 
 /// Supernodal forward solve L y = b over panels; x: b in, y out. `scratch`
 /// is caller workspace of at least max_tail(layout) entries; the 3-arg
-/// overload allocates it per call.
+/// overload allocates it per call. The one-column case of
+/// panel_forward_solve_multi (x is a packed block of one column).
 void panel_forward_solve(const SupernodalLayout& layout,
                          std::span<const value_t> panels, std::span<value_t> x,
                          std::span<value_t> scratch);
@@ -108,7 +109,8 @@ void panel_forward_solve(const SupernodalLayout& layout,
                          std::span<const value_t> panels,
                          std::span<value_t> x);
 
-/// Supernodal backward solve L^T x = y over panels.
+/// Supernodal backward solve L^T x = y over panels: the one-column case of
+/// panel_backward_solve_multi.
 void panel_backward_solve(const SupernodalLayout& layout,
                           std::span<const value_t> panels, std::span<value_t> x,
                           std::span<value_t> scratch);
@@ -122,10 +124,11 @@ void panel_backward_solve(const SupernodalLayout& layout,
 /// Multi-RHS supernodal solves over an RHS-major packed block: X(i, r) at
 /// xp[r + i * ldp], nrhs <= blas::kRhsBlockMax. `tail` is caller scratch of
 /// at least max_tail_rows(layout) * ldp values. Per RHS column the
-/// arithmetic is bit-identical to the single-RHS panel solves — blocking
-/// changes data movement (panels stream once per block instead of once per
-/// RHS; the r-loop is the unit-stride SIMD direction), never the per-column
-/// operation sequence.
+/// arithmetic does not depend on nrhs — blocking changes data movement
+/// (panels stream once per block instead of once per RHS; the r-loop is
+/// the unit-stride SIMD direction), never the per-column operation
+/// sequence. A one-column block runs the single-RHS dense kernels
+/// (trsv/gemv), which the multi-RHS ones match bit for bit.
 void panel_forward_solve_multi(const SupernodalLayout& layout,
                                std::span<const value_t> panels, value_t* xp,
                                index_t nrhs, index_t ldp, value_t* tail);

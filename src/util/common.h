@@ -26,4 +26,12 @@ using value_t = double;
     if (!(cond)) throw invalid_matrix_error(msg);      \
   } while (0)
 
+/// Whether the library was built with assertions on (NDEBUG undefined).
+/// Defined out of line, so the debug-only defaults that headers carry
+/// (SympilerOptions::verify_plan, the Workspace borrow guard) follow the
+/// library's build, never the NDEBUG of whichever translation unit
+/// includes them: inline code that branched on NDEBUG would differ
+/// between translation units and break the one-definition rule.
+[[nodiscard]] bool library_debug_build() noexcept;
+
 }  // namespace sympiler

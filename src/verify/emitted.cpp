@@ -6,7 +6,7 @@
 // the result against the plan's own sets: baked arrays equal the
 // inspection sets element for element, baked indices stay in-bounds
 // against baked extents (the straight-line trisolve bakes thousands of
-// literal x[]/Lx[] offsets), specialization/unroll constants agree with
+// literal x[]/Lx[] offsets), unroll and pairing constants agree with
 // the plan's options, nothing in the source re-enables FP contraction
 // (the bit-identity contract compiles at -ffp-contract=off), and the
 // JitSlot's source-size accounting matches what was actually emitted.
@@ -23,7 +23,6 @@
 
 #include "core/cholesky_executor.h"
 #include "core/plan_compiler.h"
-#include "core/supernode_body.h"
 #include "verify/internal.h"
 
 namespace sympiler::verify::detail {
@@ -318,7 +317,6 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
       upd_p1.push_back(ref.p1);
       upd_p2.push_back(ref.p2);
     }
-    const bool specialized = core::specialized_kernels(plan.options, plan.sets);
     if (match_array<index_t>(c, baked, "snStart", layout.sn.start) &&
         match_array<index_t>(c, baked, "srowPtr", layout.srow_ptr) &&
         match_array<index_t>(c, baked, "srows", layout.srows) &&
@@ -329,7 +327,6 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
         match_array<index_t>(c, baked, "updP2", upd_p2) &&
         match_enum(c, baked, "N", layout.n) &&
         match_enum(c, baked, "NSUPER", layout.nsuper()) &&
-        match_enum(c, baked, "SPECIALIZED", specialized ? 1 : 0) &&
         !plan.agg.empty()) {
       // A scheduled plan's sequential interpretation bakes the aggregate
       // schedule: the item order verbatim, one phase comment per barrier.

@@ -1,4 +1,4 @@
-#include "lu/ic0.h"
+#include "support/ic0.h"
 
 #include <cmath>
 #include <string>

@@ -2,7 +2,8 @@
 // prune-set machinery (row patterns) drives a factorization restricted to
 // the pattern of A (no fill). Used as a preconditioner; the repeated
 // triangular solves it implies are the paper's motivating workload for
-// the specialized trisolve.
+// the specialized trisolve. It lives beside its tests, which are its only
+// caller, and keeps the namespace of its section-3.3 sibling lu::LuFactor.
 #pragma once
 
 #include <span>

@@ -154,10 +154,9 @@ TEST(PlanCompiledCholesky, WholePanelsMemcmpEqualToInterpreter) {
       const auto total = static_cast<std::size_t>(layout.total_values());
 
       std::vector<value_t> interp(total, 1.0);
-      const bool peel = specialized_kernels(plan->options, plan->sets);
       for (index_t s = 0; s < layout.nsuper(); ++s)
         factor_supernode(plan->sets, a, s, interp.data(), map.data(),
-                         work.data(), peel);
+                         work.data());
 
       const auto kernel = PlanCompiler::compile(*plan);
       ASSERT_NE(kernel, nullptr) << plan->jit->failure();

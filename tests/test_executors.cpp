@@ -3,9 +3,12 @@
 // library baselines on every generator regime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/cholesky_executor.h"
 #include "core/inspector.h"
@@ -194,6 +197,69 @@ TEST(CholeskyExecutor, NonSpdThrows) {
   EXPECT_THROW(exec.factorize(a), numerical_error);
   core::CholeskyExecutor simp(a, make_options(false, true, true));
   EXPECT_THROW(simp.factorize(a), numerical_error);
+}
+
+TEST(CholeskyExecutor, SolveRejectsAWrongLengthRhsOnEveryPath) {
+  // The length check runs before either path touches the RHS: a short
+  // span must not be written past its end, nor a long one solved as if
+  // it had n entries. The short span is a prefix of an owned buffer, so a
+  // missing check cannot write outside the test's memory.
+  const CscMatrix a = gen::grid2d_laplacian(30, 30);
+  const index_t n = a.cols();
+  for (const bool vs : {true, false}) {
+    core::CholeskyExecutor exec(a, make_options(vs, true, true));
+    ASSERT_EQ(exec.vs_block_applied(), vs);
+    exec.factorize(a);
+    const std::vector<value_t> rhs(static_cast<std::size_t>(n) + 3, 1.0);
+    std::vector<value_t> buf = rhs;
+    EXPECT_THROW(exec.solve(std::span<value_t>(buf).first(n - 7)),
+                 invalid_matrix_error)
+        << "vs_block " << vs;
+    EXPECT_THROW(exec.solve(buf), invalid_matrix_error) << "vs_block " << vs;
+    EXPECT_EQ(buf, rhs) << "vs_block " << vs;
+  }
+}
+
+TEST(TriSolveExecutor, PeelColcountChangesSpeedNeverBits) {
+  // Column j holds 1 + j % 9 below-diagonal entries (fewer near the end),
+  // so across the peel thresholds the pruned solve runs the 4-way body,
+  // its remainder loop and the plain loop. Every threshold must give the
+  // bits of the library's reach-set solve.
+  const index_t n = 120;
+  std::vector<Triplet> trips;
+  for (index_t j = 0; j < n; ++j) {
+    trips.push_back({j, j, 2.0 + 0.01 * static_cast<value_t>(j)});
+    const index_t count = std::min<index_t>(1 + j % 9, n - 1 - j);
+    const index_t stride = j + 1 + 3 * (count - 1) < n ? 3 : 1;
+    for (index_t t = 0; t < count; ++t)
+      trips.push_back({j + 1 + t * stride, j,
+                       (t % 2 == 0 ? 0.3 : -0.2) / (1.0 + t)});
+  }
+  const CscMatrix l = CscMatrix::from_triplets(n, n, trips);
+  std::vector<value_t> b(static_cast<std::size_t>(n), 0.0);
+  b[n / 4] = 1.5;
+  b[n / 3] = -0.75;
+  const std::vector<index_t> beta = {n / 4, n / 3};
+
+  std::vector<value_t> want;
+  for (const index_t peel : {index_t{0}, index_t{1}, index_t{2}, index_t{8},
+                             n}) {
+    core::SympilerOptions opt;
+    opt.vs_block = false;
+    opt.peel_colcount = peel;
+    const core::TriSolveExecutor exec(l, beta, opt);
+    ASSERT_EQ(exec.plan().path, core::ExecutionPath::PrunedTriSolve);
+    std::vector<value_t> x = b;
+    exec.solve(x);
+    if (want.empty()) {
+      ASSERT_LT(exec.sets().reach.size(), static_cast<std::size_t>(n));
+      want = b;
+      solvers::trisolve_decoupled(l, exec.sets().reach, want);
+    }
+    ASSERT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(value_t)),
+              0)
+        << "peel_colcount " << peel;
+  }
 }
 
 TEST(TriSolveExecutor, SupernodePruneSetIsSuffixConsistent) {

@@ -9,13 +9,13 @@
 #include "gen/generators.h"
 #include "graph/supernodes.h"
 #include "graph/symbolic.h"
-#include "lu/ic0.h"
 #include "lu/lu.h"
 #include "parallel/levelset.h"
 #include "solvers/simplicial.h"
 #include "solvers/trisolve.h"
 #include "sparse/dense.h"
 #include "sparse/ops.h"
+#include "support/ic0.h"
 #include "support/plans.h"
 
 namespace sympiler {

@@ -498,6 +498,8 @@ TEST(CorruptionCorpus, HeaderLiesAreRejectedWithFixedUpChecksums) {
        ErrorCode::kStalePlanVersion},
       {"format version 7 (supernodal plans stored L's pattern)", 8, 7, 4,
        ErrorCode::kStalePlanVersion},
+      {"format version 8 (column-count switch and average column count)", 8,
+       8, 4, ErrorCode::kStalePlanVersion},
       {"foreign endianness", 12, 0x04030201u, 4,
        ErrorCode::kStalePlanVersion},
       {"index ABI", 16, 8, 2, ErrorCode::kStalePlanVersion},
@@ -948,7 +950,7 @@ TEST(RestartWarmStart, VersionThreeSimplicialFileIsRewrittenWithoutValues) {
   EXPECT_FALSE(rewarmed.degraded());
 }
 
-TEST(RestartWarmStart, VersionSevenFileIsReplannedAndRewrittenAtVersionEight) {
+TEST(RestartWarmStart, VersionEightFileIsReplannedAndRewrittenAtVersionNine) {
   TempDir dir;
   const CscMatrix a = gen::grid2d_laplacian(30, 30);
   api::SolverConfig config;
@@ -974,18 +976,18 @@ TEST(RestartWarmStart, VersionSevenFileIsReplannedAndRewrittenAtVersionEight) {
   };
   ASSERT_EQ(file_version(), core::kPlanFormatVersion);
 
-  // Stamp the file as a version-7 build left it: version 8 changed only
-  // what the symbolic section holds (A's pattern in place of L's on this
-  // supernodal plan), so the key and the file name are the same and the
-  // store opens the old file under its current name. The version check
-  // comes before any section is read.
+  // Stamp the file with version 8. A version-8 build hashed the retired
+  // column-count switch into the options hash, so its file for this
+  // pattern lies under another name and is never opened; the stamp stands
+  // for any older file the store finds under the current name. The
+  // version check comes before any section is read.
   std::vector<std::uint8_t> image;
   {
     std::ifstream f(path, std::ios::binary);
     image.assign(std::istreambuf_iterator<char>(f),
                  std::istreambuf_iterator<char>());
   }
-  wr<std::uint32_t>(image, 8, 7);
+  wr<std::uint32_t>(image, 8, 8);
   fix_header_crc(image);
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
@@ -1003,7 +1005,7 @@ TEST(RestartWarmStart, VersionSevenFileIsReplannedAndRewrittenAtVersionEight) {
   EXPECT_EQ(upgraded.last_error.code, ErrorCode::kStalePlanVersion);
   EXPECT_EQ(store->stats().discards, discards_before + 1);
   store->flush();
-  EXPECT_EQ(file_version(), 8u);
+  EXPECT_EQ(file_version(), 9u);
   api::FactorReport rewarmed;
   expect_bits_equal(restart_factor_solve(a, config, &rewarmed), want);
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();

@@ -462,15 +462,12 @@ TEST(ParallelDeterminism, CholeskyAndBatchSolveStableAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, ParallelCholeskyEqualsSequentialExecutorBitwise) {
   // Contract 1: the level-set factor and the sequential executor run one
-  // supernode body, so with the default (specialized) options — peeled
-  // single-target-column updates — their factors agree bit for bit at
-  // every team size, including on the single-task level the whole team
-  // shares.
+  // supernode body, so their factors agree bit for bit at every team
+  // size, including on the single-task level the whole team shares.
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   const auto seq_plan = std::make_shared<const CholeskyPlan>(
       Planner(supernodal_config()).plan_cholesky(a));
   ASSERT_EQ(seq_plan->path, ExecutionPath::Supernodal);
-  ASSERT_TRUE(core::specialized_kernels(seq_plan->options, seq_plan->sets));
   const CholeskyPlan par_plan =
       support::parallel_cholesky_plan(*seq_plan, a, /*coarsen=*/true);
   ASSERT_GE(team_factored_chain(par_plan.agg), 2);
